@@ -238,11 +238,7 @@ class PerCategory:
     salient: int
 
     def get(self, category: Category) -> int:
-        return {
-            Category.ACTION: self.action,
-            Category.HELD: self.held,
-            Category.SALIENT: self.salient,
-        }[category]
+        return getattr(self, category.value)
 
 
 @dataclass(frozen=True)

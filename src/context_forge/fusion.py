@@ -4,14 +4,12 @@ Everything runs in 64-bit floats on plain numpy arrays so the oracle
 tests can use tight tolerances. The encoder layer follows the post-norm
 formulation literally:
 
-    Z' = LN(MultiHead(Dropout(Z)) + Z)
-    Z' = MLP(Dropout(GELU(Z'))) + Z'
+    Z' = LN(MultiHead(Z) + Z)
+    Z' = MLP(GELU(Z')) + Z'
     Z' = LN(Z')
 
 with the GELU applied before the two-layer MLP, and one shared per-head
-projection used for queries, keys, and values. Dropout rates default to
-zero and are only applied when a generator is supplied, keeping every
-documented code path deterministic.
+projection used for queries, keys, and values.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -70,17 +68,60 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     return weights @ v
 
 
+Shapes = dict[str, tuple[int, ...]]
+
+
+def _layer_shapes(d_model: int, n_heads: int, hidden: int) -> Shapes:
+    """Encoder-layer arrays in bundle order; ``w_heads`` is shared across Q/K/V."""
+    d = d_model
+    return {
+        "w_heads": (n_heads, d, d // n_heads),
+        "w_out": (d, d),
+        "ln1_gamma": (d,),
+        "ln1_beta": (d,),
+        "w_mlp1": (d, hidden),
+        "b_mlp1": (hidden,),
+        "w_mlp2": (hidden, d),
+        "b_mlp2": (d,),
+        "ln2_gamma": (d,),
+        "ln2_beta": (d,),
+    }
+
+
+def _scale_shapes(
+    patch: int, channels: int, height: int, width: int, d_model: int, d_lang: int
+) -> Shapes:
+    """Per-scale arrays in bundle order; the scale's encoder layers follow them."""
+    token_dim = patch * patch * channels
+    n_tokens = (height * width) // (patch * patch)
+    return {
+        "w_patch": (token_dim, d_model),
+        "w_back": (d_model, token_dim),
+        "w_lang": (d_lang, d_model),
+        "visual_type_emb": (d_model,),
+        "lang_type_emb": (d_model,),
+        "pos_emb": (n_tokens, d_model),
+    }
+
+
+def _check_shapes(params: object, shapes: Shapes) -> None:
+    for name, shape in shapes.items():
+        actual = getattr(params, name).shape
+        if actual != shape:
+            raise ShapeError(f"{name} shape {actual}, expected {shape}")
+
+
 @dataclass
 class EncoderLayerParams:
-    """Weights for one post-norm encoder layer."""
+    """Weights for one post-norm encoder layer; shapes in ``_layer_shapes``."""
 
-    w_heads: np.ndarray  # (h, D, D // h), shared per head across Q/K/V
-    w_out: np.ndarray  # (D, D)
+    w_heads: np.ndarray
+    w_out: np.ndarray
     ln1_gamma: np.ndarray
     ln1_beta: np.ndarray
-    w_mlp1: np.ndarray  # (D, hidden)
+    w_mlp1: np.ndarray
     b_mlp1: np.ndarray
-    w_mlp2: np.ndarray  # (hidden, D)
+    w_mlp2: np.ndarray
     b_mlp2: np.ndarray
     ln2_gamma: np.ndarray
     ln2_beta: np.ndarray
@@ -91,23 +132,10 @@ class EncoderLayerParams:
             raise ValidationError(
                 f"head dimension {d_head} x {h} heads must equal model width {d}"
             )
-        if self.w_out.shape != (d, d):
-            raise ShapeError(f"w_out shape {self.w_out.shape}, expected {(d, d)}")
-        hidden = self.w_mlp1.shape[1]
-        expect = {
-            "ln1_gamma": (d,),
-            "ln1_beta": (d,),
-            "w_mlp1": (d, hidden),
-            "b_mlp1": (hidden,),
-            "w_mlp2": (hidden, d),
-            "b_mlp2": (d,),
-            "ln2_gamma": (d,),
-            "ln2_beta": (d,),
-        }
-        for name, shape in expect.items():
-            actual = getattr(self, name).shape
-            if actual != shape:
-                raise ShapeError(f"{name} shape {actual}, expected {shape}")
+        _check_shapes(self, self._shapes())
+
+    def _shapes(self) -> Shapes:
+        return _layer_shapes(self.d_model, self.n_heads, self.mlp_hidden)
 
     @property
     def d_model(self) -> int:
@@ -134,35 +162,16 @@ def multi_head(z: np.ndarray, layer: EncoderLayerParams) -> np.ndarray:
     return np.concatenate(heads, axis=1) @ layer.w_out
 
 
-def _dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None) -> np.ndarray:
-    if rate <= 0.0 or rng is None:
-        return x
-    keep = rng.random(x.shape) >= rate
-    return x * keep / (1.0 - rate)
-
-
-def encoder_layer(
-    z: np.ndarray,
-    layer: EncoderLayerParams,
-    dropout: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def encoder_layer(z: np.ndarray, layer: EncoderLayerParams) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    attended = multi_head(_dropout(z, dropout, rng), layer)
-    z1 = layer_norm(attended + z, layer.ln1_gamma, layer.ln1_beta)
-    hidden = _dropout(gelu(z1), dropout, rng)
-    mlp_out = (hidden @ layer.w_mlp1 + layer.b_mlp1) @ layer.w_mlp2 + layer.b_mlp2
+    z1 = layer_norm(multi_head(z, layer) + z, layer.ln1_gamma, layer.ln1_beta)
+    mlp_out = (gelu(z1) @ layer.w_mlp1 + layer.b_mlp1) @ layer.w_mlp2 + layer.b_mlp2
     return layer_norm(mlp_out + z1, layer.ln2_gamma, layer.ln2_beta)
 
 
-def encoder_stack(
-    z: np.ndarray,
-    layers: Sequence[EncoderLayerParams],
-    dropout: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def encoder_stack(z: np.ndarray, layers: Sequence[EncoderLayerParams]) -> np.ndarray:
     for layer in layers:
-        z = encoder_layer(z, layer, dropout, rng)
+        z = encoder_layer(z, layer)
     return z
 
 
@@ -210,46 +219,37 @@ def sinusoidal_positions(n: int, d: int) -> np.ndarray:
 
 @dataclass
 class FusionParams:
-    """Parameters of a single scale's fusion block (no sharing across scales)."""
+    """Parameters of a single scale's fusion block (no sharing across scales).
+
+    Array shapes are listed in ``_scale_shapes``.
+    """
 
     patch_size: int
     channels: int
     height: int
     width: int
-    w_patch: np.ndarray  # (P^2*C, D)
-    w_back: np.ndarray  # (D, P^2*C)
-    w_lang: np.ndarray  # (D_lang, D)
-    visual_type_emb: np.ndarray  # (D,)
-    lang_type_emb: np.ndarray  # (D,)
-    pos_emb: np.ndarray  # (N, D)
+    w_patch: np.ndarray
+    w_back: np.ndarray
+    w_lang: np.ndarray
+    visual_type_emb: np.ndarray
+    lang_type_emb: np.ndarray
+    pos_emb: np.ndarray
     layers: list[EncoderLayerParams] = field(default_factory=list)
-    dropout: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.height % self.patch_size or self.width % self.patch_size:
+        if self.patch_size <= 0 or self.height % self.patch_size or self.width % self.patch_size:
             raise ShapeError(
                 f"feature map {self.height}x{self.width} not divisible by patch {self.patch_size}"
             )
-        token_dim = self.patch_size * self.patch_size * self.channels
-        if self.w_patch.shape[0] != token_dim:
-            raise ShapeError(
-                f"w_patch expects token dim {token_dim}, got {self.w_patch.shape[0]}"
-            )
-        d = self.w_patch.shape[1]
-        if self.w_back.shape != (d, token_dim):
-            raise ShapeError(f"w_back shape {self.w_back.shape}, expected {(d, token_dim)}")
-        if self.w_lang.shape[1] != d:
-            raise ShapeError(f"w_lang projects to {self.w_lang.shape[1]}, expected {d}")
-        if self.pos_emb.shape != (self.n_tokens, d):
-            raise ShapeError(
-                f"pos_emb shape {self.pos_emb.shape}, expected {(self.n_tokens, d)}"
-            )
-        for name in ("visual_type_emb", "lang_type_emb"):
-            if getattr(self, name).shape != (d,):
-                raise ShapeError(f"{name} shape {getattr(self, name).shape}, expected {(d,)}")
+        _check_shapes(self, self._shapes())
         for layer in self.layers:
-            if layer.d_model != d:
-                raise ShapeError(f"layer width {layer.d_model} != model width {d}")
+            if layer.d_model != self.d_model:
+                raise ShapeError(f"layer width {layer.d_model} != model width {self.d_model}")
+
+    def _shapes(self) -> Shapes:
+        return _scale_shapes(
+            self.patch_size, self.channels, self.height, self.width, self.d_model, self.d_lang
+        )
 
     @property
     def n_tokens(self) -> int:
@@ -268,7 +268,6 @@ def fuse_single_scale(
     feature_map: np.ndarray,
     lang_tokens: np.ndarray,
     params: FusionParams,
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     fmap = np.asarray(feature_map, dtype=np.float64)
     lang = np.asarray(lang_tokens, dtype=np.float64)
@@ -280,11 +279,9 @@ def fuse_single_scale(
     visual = patchify(fmap, params.patch_size) @ params.w_patch
     visual = visual + params.visual_type_emb + params.pos_emb
     projected_lang = lang @ params.w_lang + params.lang_type_emb
-    visual = _dropout(visual, params.dropout, rng)
-    projected_lang = _dropout(projected_lang, params.dropout, rng)
 
     z = np.concatenate([visual, projected_lang], axis=0)
-    z = encoder_stack(z, params.layers, params.dropout, rng)
+    z = encoder_stack(z, params.layers)
     fused_visual = z[: params.n_tokens]
     return regroup(
         fused_visual @ params.w_back,
@@ -299,7 +296,6 @@ def fuse(
     feature_maps: Sequence[np.ndarray],
     lang_tokens: np.ndarray,
     scales: Sequence[FusionParams],
-    rng: np.random.Generator | None = None,
 ) -> list[np.ndarray]:
     """Fuse per-scale feature maps with shared language tokens.
 
@@ -316,7 +312,7 @@ def fuse(
         expected = (params.channels, params.height, params.width)
         if arr.shape != expected:
             raise ShapeError(f"scale {index}: feature map shape {arr.shape}, expected {expected}")
-        outputs.append(fuse_single_scale(arr, lang_tokens, params, rng))
+        outputs.append(fuse_single_scale(arr, lang_tokens, params))
     return outputs
 
 
@@ -414,39 +410,28 @@ def random_fusion_params(
         raise ValidationError(f"model width {d_model} not divisible by {n_heads} heads")
     hidden = 4 * d_model if mlp_hidden is None else mlp_hidden
     rng = np.random.default_rng(seed)
+
+    def init(shapes: Shapes) -> dict[str, np.ndarray]:
+        arrays = {}
+        for name, shape in shapes.items():
+            if name.endswith("_gamma"):
+                arrays[name] = np.ones(shape)
+            elif name.endswith("_beta"):
+                arrays[name] = np.zeros(shape)
+            elif name == "pos_emb":
+                arrays[name] = sinusoidal_positions(*shape)
+            else:
+                arrays[name] = rng.normal(0.0, 0.02 if name.startswith("b_") else 0.2, shape)
+        return arrays
+
     scales = []
-    for patch, channels, height, width in scale_shapes:
-        token_dim = patch * patch * channels
-        n_tokens = (height * width) // (patch * patch)
+    for dims in scale_shapes:
         layers = [
-            EncoderLayerParams(
-                w_heads=rng.normal(0.0, 0.2, (n_heads, d_model, d_model // n_heads)),
-                w_out=rng.normal(0.0, 0.2, (d_model, d_model)),
-                ln1_gamma=np.ones(d_model),
-                ln1_beta=np.zeros(d_model),
-                w_mlp1=rng.normal(0.0, 0.2, (d_model, hidden)),
-                b_mlp1=rng.normal(0.0, 0.02, hidden),
-                w_mlp2=rng.normal(0.0, 0.2, (hidden, d_model)),
-                b_mlp2=rng.normal(0.0, 0.02, d_model),
-                ln2_gamma=np.ones(d_model),
-                ln2_beta=np.zeros(d_model),
-            )
+            EncoderLayerParams(**init(_layer_shapes(d_model, n_heads, hidden)))
             for _ in range(n_layers)
         ]
         scales.append(
-            FusionParams(
-                patch_size=patch,
-                channels=channels,
-                height=height,
-                width=width,
-                w_patch=rng.normal(0.0, 0.2, (token_dim, d_model)),
-                w_back=rng.normal(0.0, 0.2, (d_model, token_dim)),
-                w_lang=rng.normal(0.0, 0.2, (d_lang, d_model)),
-                visual_type_emb=rng.normal(0.0, 0.2, d_model),
-                lang_type_emb=rng.normal(0.0, 0.2, d_model),
-                pos_emb=sinusoidal_positions(n_tokens, d_model),
-                layers=layers,
-            )
+            FusionParams(*dims, **init(_scale_shapes(*dims, d_model, d_lang)), layers=layers)
         )
     return scales
 
@@ -468,35 +453,17 @@ def with_zero_embeddings(scales: Sequence[FusionParams]) -> list[FusionParams]:
 
 _MAGIC = b"CFUS"
 _VERSION = 1
+# magic, version, d_model, d_lang, n_heads, n_layers, mlp hidden, n_scales
+_HEADER = struct.Struct("<4s7I")
+_DIMS = struct.Struct("<4I")  # patch, channels, height, width per scale
 
 
-def _layer_arrays(layer: EncoderLayerParams) -> list[np.ndarray]:
-    return [
-        layer.w_heads,
-        layer.w_out,
-        layer.ln1_gamma,
-        layer.ln1_beta,
-        layer.w_mlp1,
-        layer.b_mlp1,
-        layer.w_mlp2,
-        layer.b_mlp2,
-        layer.ln2_gamma,
-        layer.ln2_beta,
-    ]
-
-
-def _scale_arrays(params: FusionParams) -> list[np.ndarray]:
-    arrays = [
-        params.w_patch,
-        params.w_back,
-        params.w_lang,
-        params.visual_type_emb,
-        params.lang_type_emb,
-        params.pos_emb,
-    ]
+def _scale_arrays(params: FusionParams) -> Iterator[np.ndarray]:
+    for name in params._shapes():
+        yield getattr(params, name)
     for layer in params.layers:
-        arrays.extend(_layer_arrays(layer))
-    return arrays
+        for name in layer._shapes():
+            yield getattr(layer, name)
 
 
 def save_params(path: str, scales: Sequence[FusionParams]) -> None:
@@ -512,13 +479,11 @@ def save_params(path: str, scales: Sequence[FusionParams]) -> None:
         if (params.d_model, params.d_lang, len(params.layers)) != (d_model, d_lang, n_layers):
             raise ValidationError("all scales in a bundle must agree on widths and depth")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<6I", _VERSION, d_model, d_lang, n_heads, n_layers, hidden))
-        fh.write(struct.pack("<I", len(scales)))
+        fh.write(
+            _HEADER.pack(_MAGIC, _VERSION, d_model, d_lang, n_heads, n_layers, hidden, len(scales))
+        )
         for params in scales:
-            fh.write(
-                struct.pack("<4I", params.patch_size, params.channels, params.height, params.width)
-            )
+            fh.write(_DIMS.pack(params.patch_size, params.channels, params.height, params.width))
         for params in scales:
             for arr in _scale_arrays(params):
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -529,73 +494,42 @@ def load_params(path: str) -> list[FusionParams]:
         data = fh.read()
     if data[:4] != _MAGIC:
         raise BundleError("not a fusion parameter bundle (bad magic)")
-    offset = 4
-    version, d_model, d_lang, n_heads, n_layers, hidden = struct.unpack_from("<6I", data, offset)
-    offset += 24
+    if len(data) < _HEADER.size:
+        raise BundleError("bundle header truncated")
+    _, version, d_model, d_lang, n_heads, n_layers, hidden, n_scales = _HEADER.unpack_from(data)
     if version != _VERSION:
         raise BundleError(f"unsupported bundle version {version}")
-    (n_scales,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    dims = []
-    for _ in range(n_scales):
-        dims.append(struct.unpack_from("<4I", data, offset))
-        offset += 16
+    if n_scales == 0:
+        raise BundleError("bundle holds no scales")
+    if n_heads == 0:
+        raise BundleError("bundle declares zero attention heads")
+    offset = _HEADER.size + _DIMS.size * n_scales
+    if offset > len(data):
+        raise BundleError("bundle header truncated")
+    dims = list(_DIMS.iter_unpack(data[_HEADER.size : offset]))
+    if any(patch == 0 for patch, *_ in dims):
+        raise BundleError("bundle declares a zero patch size")
 
-    def take(shape: tuple[int, ...]) -> np.ndarray:
+    def take(shapes: Shapes) -> dict[str, np.ndarray]:
         nonlocal offset
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
-        if end > len(data):
-            raise BundleError("bundle truncated")
-        arr = np.frombuffer(data[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
-        offset = end
-        return arr
+        arrays = {}
+        for name, shape in shapes.items():
+            end = offset + 8 * math.prod(shape)
+            if end > len(data):
+                raise BundleError("bundle truncated")
+            raw = np.frombuffer(data[offset:end], dtype="<f8")
+            arrays[name] = raw.astype(np.float64).reshape(shape)
+            offset = end
+        return arrays
 
     scales = []
-    for patch, channels, height, width in dims:
-        token_dim = patch * patch * channels
-        n_tokens = (height * width) // (patch * patch)
-        w_patch = take((token_dim, d_model))
-        w_back = take((d_model, token_dim))
-        w_lang = take((d_lang, d_model))
-        visual_type = take((d_model,))
-        lang_type = take((d_model,))
-        pos = take((n_tokens, d_model))
-        layers = []
-        for _ in range(n_layers):
-            layers.append(
-                EncoderLayerParams(
-                    w_heads=take((n_heads, d_model, d_model // n_heads)),
-                    w_out=take((d_model, d_model)),
-                    ln1_gamma=take((d_model,)),
-                    ln1_beta=take((d_model,)),
-                    w_mlp1=take((d_model, hidden)),
-                    b_mlp1=take((hidden,)),
-                    w_mlp2=take((hidden, d_model)),
-                    b_mlp2=take((d_model,)),
-                    ln2_gamma=take((d_model,)),
-                    ln2_beta=take((d_model,)),
-                )
-            )
-        scales.append(
-            FusionParams(
-                patch_size=patch,
-                channels=channels,
-                height=height,
-                width=width,
-                w_patch=w_patch,
-                w_back=w_back,
-                w_lang=w_lang,
-                visual_type_emb=visual_type,
-                lang_type_emb=lang_type,
-                pos_emb=pos,
-                layers=layers,
-            )
-        )
+    for scale_dims in dims:
+        arrays = take(_scale_shapes(*scale_dims, d_model, d_lang))
+        layers = [
+            EncoderLayerParams(**take(_layer_shapes(d_model, n_heads, hidden)))
+            for _ in range(n_layers)
+        ]
+        scales.append(FusionParams(*scale_dims, **arrays, layers=layers))
     if offset != len(data):
         raise BundleError(f"{len(data) - offset} trailing bytes in bundle")
     return scales
-
-
-class BundleError(ValidationError):
-    """Binary parameter bundle could not be decoded."""

@@ -52,18 +52,21 @@ def summarize_video(
         for category in Category
     }
 
+    def push(record: FrameRecord) -> None:
+        ctx = extract_frame_context(record, cfg)
+        aggregators[Category.ACTION].push(
+            ctx.frame_id, [ctx.action] if ctx.action is not None else []
+        )
+        aggregators[Category.HELD].push(ctx.frame_id, ctx.held)
+        aggregators[Category.SALIENT].push(ctx.frame_id, ctx.salient)
+
     results: list[tuple[str, int, ActionContext]] = []
     pending = iter(processed)
     queued = next(pending, None)
     for record in ordered:
         t = record.frame_id
         while queued is not None and queued.frame_id < t:
-            ctx = extract_frame_context(queued, cfg)
-            aggregators[Category.ACTION].push(
-                ctx.frame_id, [ctx.action] if ctx.action is not None else []
-            )
-            aggregators[Category.HELD].push(ctx.frame_id, ctx.held)
-            aggregators[Category.SALIENT].push(ctx.frame_id, ctx.salient)
+            push(queued)
             queued = next(pending, None)
 
         selected = {}
@@ -78,12 +81,7 @@ def summarize_video(
         results.append((video_id, t, assemble(action_terms, held, salient)))
 
     while queued is not None:
-        ctx = extract_frame_context(queued, cfg)
-        aggregators[Category.ACTION].push(
-            ctx.frame_id, [ctx.action] if ctx.action is not None else []
-        )
-        aggregators[Category.HELD].push(ctx.frame_id, ctx.held)
-        aggregators[Category.SALIENT].push(ctx.frame_id, ctx.salient)
+        push(queued)
         queued = next(pending, None)
 
     horizon = ordered[-1].frame_id

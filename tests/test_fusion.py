@@ -1,11 +1,15 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from context_forge.cli import main
 from context_forge.core import ShapeError, ValidationError
 from context_forge.fusion import (
+    BundleError,
     EncoderLayerParams,
     attention,
     encoder_layer,
@@ -29,6 +33,43 @@ from context_forge.synth import (
 )
 
 RNG = np.random.default_rng(20240)
+
+# Header offsets: magic (4), then u32 version, d_model, d_lang, n_heads,
+# n_layers, hidden, n_scales, then four u32 (P, C, H, W) per scale.
+N_HEADS_AT, N_SCALES_AT, DIMS_AT = 16, 28, 32
+
+
+def patched(data, offset, value):
+    out = bytearray(data)
+    struct.pack_into("<I", out, offset, value)
+    return bytes(out)
+
+
+MALFORMED_HEADERS = {
+    "cut-after-10-bytes": lambda data: data[:10],
+    "dims-truncated": lambda data: data[: DIMS_AT + 20],
+    "n-scales-huge": lambda data: patched(data, N_SCALES_AT, 0xFFFFFFFF),
+    "zero-heads": lambda data: patched(data, N_HEADS_AT, 0),
+    "zero-patch": lambda data: patched(data, DIMS_AT, 0),
+    "zero-scales": lambda data: patched(data[:DIMS_AT], N_SCALES_AT, 0),
+}
+
+# sha256 of save_params(random_fusion_params(seed, **config)); pins the bundle format.
+BUNDLE_SHA256 = [
+    (0, {}, "1d456df99fba7d03cefcc8f6540a53a50a0238d90b8997583f76f620299311ac"),
+    (1, {}, "6967456e379d06cf15f81463c20fd52fee4115ee5f63c1a10abfd350788a1540"),
+    (5, {}, "5f58aaf7ca5082642ed836e1a786d47021f1b7d5a6b10e48aee4810c662146d5"),
+    (
+        0,
+        dict(
+            scale_shapes=((4, 3, 32, 32), (4, 3, 16, 16), (2, 3, 16, 16), (1, 3, 8, 8)),
+            d_model=64,
+            n_heads=8,
+            n_layers=4,
+        ),
+        "886e7998c02fedbfff7d0f26012ebce5ef39814fc4f637d36527ec967a46889a",
+    ),
+]
 
 
 def identity_layer(d, hidden=None, seed=0):
@@ -416,3 +457,27 @@ class TestParameterBundle:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValidationError):
             load_params(str(path))
+
+    @pytest.mark.parametrize("seed,config,digest", BUNDLE_SHA256)
+    def test_bundle_bytes_pinned(self, tmp_path, seed, config, digest):
+        path = tmp_path / "params.bin"
+        save_params(str(path), random_fusion_params(seed, **config))
+        data = path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        save_params(str(path), load_params(str(path)))
+        assert path.read_bytes() == data
+
+    @pytest.mark.parametrize("corrupt", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+    def test_malformed_header_rejected(self, tmp_path, corrupt):
+        path = tmp_path / "params.bin"
+        save_params(str(path), random_fusion_params(80))
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(BundleError):
+            load_params(str(path))
+
+    def test_malformed_header_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "params.bin"
+        save_params(str(path), random_fusion_params(80))
+        path.write_bytes(MALFORMED_HEADERS["zero-heads"](path.read_bytes()))
+        assert main(["fuse-check", "--params", str(path)]) == 1
+        assert "zero attention heads" in capsys.readouterr().err
