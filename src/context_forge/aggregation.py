@@ -13,10 +13,21 @@ open when observation ends are reported with ``active=True``.
 batch wrapper over a whole stream. Selection for a prediction frame
 happens on the aggregated segment list via ``eliminate_overlaps`` and
 ``context_for_frame``.
+
+Overlap elimination never crosses an overlap component (a maximal union
+of overlapping segments), so a component's kept set is final once no
+present or future segment can join it. Every segment still to come
+starts at or after the *frontier*: the earliest start of a live run,
+accepted or not (a pending run can still be accepted with its start in
+the past). A run is retired as soon as no later push can extend it, so
+a term that never reappears does not pin the frontier. Components that
+end before the frontier are *settled*: ``StreamAggregator.take_settled``
+hands their segments out once, and ``tail_at`` reports the rest.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -36,6 +47,11 @@ def _segment_order(seg: Segment) -> tuple:
     return (seg.start_frame, seg.end_frame, term_text(seg.term))
 
 
+def recency_order(seg: Segment) -> tuple:
+    """Sort key putting the most recently ended segment last."""
+    return (seg.end_frame, seg.start_frame, term_text(seg.term))
+
+
 class StreamAggregator:
     """Incremental aggregator for one (video, category) stream.
 
@@ -44,6 +60,13 @@ class StreamAggregator:
     activity decided against ``t``. State is never recomputed from raw
     frames, so selection for later prediction frames keeps seeing
     segments that started arbitrarily far in the past.
+
+    For incremental overlap resolution the same segments are split in
+    two: ``take_settled()`` returns the closed segments whose overlap
+    component has settled since its last call, and ``tail_at(t)`` the
+    rest. At any ``t``, everything taken so far plus ``tail_at(t)`` is
+    ``segments_at(t)``. Settled segments are closed (never active), and
+    each ends before every tail segment starts.
     """
 
     def __init__(self, category: Category, p_o: int, p_l: int):
@@ -55,6 +78,7 @@ class StreamAggregator:
         self.p_o = p_o
         self.p_l = p_l
         self._closed: list[Segment] = []
+        self._unsettled: list[Segment] = []
         self._runs: dict[Term, _RunState] = {}
         self._last_frame: int | None = None
 
@@ -64,11 +88,11 @@ class StreamAggregator:
                 f"frame ids must be strictly increasing: {frame_id} after {self._last_frame}"
             )
         self._last_frame = frame_id
+        stale = [term for term, run in self._runs.items() if frame_id - run.last_seen > self.p_l]
+        for term in stale:
+            self._retire(term)
         for term in set(terms):
             run = self._runs.get(term)
-            if run is not None and frame_id - run.last_seen > self.p_l:
-                self._retire(term, run)
-                run = None
             if run is None:
                 self._runs[term] = _RunState(
                     start=frame_id,
@@ -82,42 +106,75 @@ class StreamAggregator:
                 if run.occurrences >= self.p_o:
                     run.accepted = True
 
-    def _retire(self, term: Term, run: _RunState) -> None:
+    def _retire(self, term: Term) -> None:
+        run = self._runs.pop(term)
         if run.accepted:
-            self._closed.append(
-                Segment(
-                    category=self.category,
-                    term=term,
-                    start_frame=run.start,
-                    end_frame=run.last_seen,
-                    occurrences=run.occurrences,
-                    active=False,
-                )
+            seg = Segment(
+                category=self.category,
+                term=term,
+                start_frame=run.start,
+                end_frame=run.last_seen,
+                occurrences=run.occurrences,
+                active=False,
             )
-        del self._runs[term]
+            self._closed.append(seg)
+            self._unsettled.append(seg)
 
-    def segments_at(self, t: int) -> list[Segment]:
-        """All accepted segments as of frame ``t`` (must not precede pushed frames)."""
+    def _check_observation(self, t: int) -> None:
         if self._last_frame is not None and t < self._last_frame:
             raise ValidationError(
                 f"observation frame {t} precedes already-pushed frame {self._last_frame}"
             )
-        out = list(self._closed)
-        for term, run in self._runs.items():
-            if not run.accepted:
-                continue
-            out.append(
-                Segment(
-                    category=self.category,
-                    term=term,
-                    start_frame=run.start,
-                    end_frame=run.last_seen,
-                    occurrences=run.occurrences,
-                    active=t - run.last_seen <= self.p_l,
-                )
+
+    def _open_segments(self, t: int) -> list[Segment]:
+        return [
+            Segment(
+                category=self.category,
+                term=term,
+                start_frame=run.start,
+                end_frame=run.last_seen,
+                occurrences=run.occurrences,
+                active=t - run.last_seen <= self.p_l,
             )
+            for term, run in self._runs.items()
+            if run.accepted
+        ]
+
+    def segments_at(self, t: int) -> list[Segment]:
+        """All accepted segments as of frame ``t`` (must not precede pushed frames)."""
+        self._check_observation(t)
+        out = self._closed + self._open_segments(t)
         out.sort(key=_segment_order)
         return out
+
+    def take_settled(self) -> list[Segment]:
+        """Closed segments whose overlap component has newly settled.
+
+        A component settles once it ends before the frontier, the
+        earliest start of a live run; with no live run, every closed
+        component has settled. Each segment is returned by exactly one
+        call.
+        """
+        if not self._unsettled:
+            return []
+        frontier = min((run.start for run in self._runs.values()), default=math.inf)
+        pending = sorted(self._unsettled, key=_segment_order)
+        settled = 0
+        reach = -math.inf
+        for i, seg in enumerate(pending):
+            reach = max(reach, seg.end_frame)
+            if reach >= frontier:
+                break
+            if i + 1 == len(pending) or reach < pending[i + 1].start_frame:
+                settled = i + 1
+        self._unsettled = pending[settled:]
+        return pending[:settled]
+
+    def tail_at(self, t: int) -> list[Segment]:
+        """Accepted segments of unsettled components as of frame ``t``:
+        closed segments not yet taken plus open runs, activity decided at ``t``."""
+        self._check_observation(t)
+        return self._unsettled + self._open_segments(t)
 
 
 def aggregate(
@@ -196,15 +253,11 @@ def context_for_frame(
         active.sort(key=lambda s: (-s.occurrences, s.start_frame, term_text(s.term)))
         return [seg.term for seg in active[:length]]
 
-    current = (
-        max(active, key=lambda s: (s.end_frame, s.start_frame, term_text(s.term)))
-        if active
-        else None
-    )
+    current = max(active, key=recency_order) if active else None
     past = [
         seg for seg in segments if seg.end_frame < t and not _is_active_at(seg, t)
     ]
-    past.sort(key=lambda s: (s.end_frame, s.start_frame, term_text(s.term)))
+    past.sort(key=recency_order)
     chosen = past[len(past) - (length - 1):] if length > 1 else []
     terms = [seg.term for seg in chosen]
     if current is not None:

@@ -476,8 +476,13 @@ def save_params(path: str, scales: Sequence[FusionParams]) -> None:
     n_layers = len(scales[0].layers)
     hidden = scales[0].layers[0].mlp_hidden if scales[0].layers else 0
     for params in scales:
-        if (params.d_model, params.d_lang, len(params.layers)) != (d_model, d_lang, n_layers):
-            raise ValidationError("all scales in a bundle must agree on widths and depth")
+        widths = (params.d_model, params.d_lang, len(params.layers))
+        if widths != (d_model, d_lang, n_layers) or any(
+            (layer.n_heads, layer.mlp_hidden) != (n_heads, hidden) for layer in params.layers
+        ):
+            raise ValidationError(
+                "all layers of all scales in a bundle must agree on widths, depth and head count"
+            )
     with open(path, "wb") as fh:
         fh.write(
             _HEADER.pack(_MAGIC, _VERSION, d_model, d_lang, n_heads, n_layers, hidden, len(scales))
@@ -503,6 +508,9 @@ def load_params(path: str) -> list[FusionParams]:
         raise BundleError("bundle holds no scales")
     if n_heads == 0:
         raise BundleError("bundle declares zero attention heads")
+    if d_model == 0:
+        # every layer then reads no bytes, so n_layers alone would bound the loop
+        raise BundleError("bundle declares zero model width")
     offset = _HEADER.size + _DIMS.size * n_scales
     if offset > len(data):
         raise BundleError("bundle header truncated")

@@ -5,15 +5,38 @@ multiple of the stride are processed by the extractors exactly once and
 their contexts cached; aggregation advances causally, so the context
 for frame t sees only processed frames strictly before t but may reach
 arbitrarily far back through segments carried in aggregator state.
+
+Overlaps are resolved incrementally, so cost grows linearly with video
+length. Each overlap component is resolved once, when it settles (see
+``aggregation``). A settled segment is never active, and it ends before
+every unsettled one, so selection needs only the last ``length - 1``
+settled kept segments, which a bounded buffer holds. The unsettled tail
+is re-resolved at every frame.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
-from .aggregation import SelectionMode, StreamAggregator, context_for_frame, eliminate_overlaps
+from .aggregation import (
+    SelectionMode,
+    StreamAggregator,
+    context_for_frame,
+    eliminate_overlaps,
+    recency_order,
+)
 from .assembly import assemble
-from .core import ActionContext, ActionPair, Category, FrameRecord, SummarizerConfig, ValidationError
+from .core import (
+    ActionContext,
+    ActionPair,
+    Category,
+    FrameRecord,
+    Segment,
+    SummarizerConfig,
+    Term,
+    ValidationError,
+)
 from .extraction import extract_frame_context
 
 _MODES = {
@@ -29,6 +52,24 @@ class VideoStats:
     n_frames: int
     n_processed: int
     n_segments: dict[str, int]
+
+
+class _Lane:
+    """One category's aggregator, plus the last kept settled segments
+    that selection can still reach."""
+
+    def __init__(self, category: Category, cfg: SummarizerConfig):
+        self.aggregator = StreamAggregator(category, cfg.p_o.get(category), cfg.p_l.get(category))
+        self.length = cfg.context_lengths.get(category)
+        self.mode = _MODES[category]
+        self.settled_kept: deque[Segment] = deque(maxlen=max(0, self.length - 1))
+
+    def select(self, t: int) -> list[Term]:
+        settled = self.aggregator.take_settled()
+        if settled:
+            self.settled_kept.extend(sorted(eliminate_overlaps(settled), key=recency_order))
+        segments = [*self.settled_kept, *eliminate_overlaps(self.aggregator.tail_at(t))]
+        return context_for_frame(segments, t, self.length, self.mode)
 
 
 def summarize_video(
@@ -47,18 +88,13 @@ def summarize_video(
             raise ValidationError("summarize_video: mixed video ids")
 
     processed = [r for r in ordered if r.frame_id % cfg.stride == 0]
-    aggregators = {
-        category: StreamAggregator(category, cfg.p_o.get(category), cfg.p_l.get(category))
-        for category in Category
-    }
+    action, held, salient = lanes = [_Lane(category, cfg) for category in Category]
 
     def push(record: FrameRecord) -> None:
         ctx = extract_frame_context(record, cfg)
-        aggregators[Category.ACTION].push(
-            ctx.frame_id, [ctx.action] if ctx.action is not None else []
-        )
-        aggregators[Category.HELD].push(ctx.frame_id, ctx.held)
-        aggregators[Category.SALIENT].push(ctx.frame_id, ctx.salient)
+        action.aggregator.push(ctx.frame_id, [ctx.action] if ctx.action is not None else [])
+        held.aggregator.push(ctx.frame_id, ctx.held)
+        salient.aggregator.push(ctx.frame_id, ctx.salient)
 
     results: list[tuple[str, int, ActionContext]] = []
     pending = iter(processed)
@@ -68,17 +104,12 @@ def summarize_video(
         while queued is not None and queued.frame_id < t:
             push(queued)
             queued = next(pending, None)
-
-        selected = {}
-        for category in Category:
-            segments = eliminate_overlaps(aggregators[category].segments_at(t))
-            selected[category] = context_for_frame(
-                segments, t, cfg.context_lengths.get(category), _MODES[category]
-            )
-        action_terms = [term for term in selected[Category.ACTION] if isinstance(term, ActionPair)]
-        held = [str(term) for term in selected[Category.HELD]]
-        salient = [str(term) for term in selected[Category.SALIENT]]
-        results.append((video_id, t, assemble(action_terms, held, salient)))
+        context = assemble(
+            [term for term in action.select(t) if isinstance(term, ActionPair)],
+            [str(term) for term in held.select(t)],
+            [str(term) for term in salient.select(t)],
+        )
+        results.append((video_id, t, context))
 
     while queued is not None:
         push(queued)
@@ -86,8 +117,8 @@ def summarize_video(
 
     horizon = ordered[-1].frame_id
     counts = {
-        category.value: len(aggregators[category].segments_at(horizon))
-        for category in Category
+        lane.aggregator.category.value: len(lane.aggregator.segments_at(horizon))
+        for lane in lanes
     }
     stats = VideoStats(
         video_id=video_id,

@@ -4,7 +4,11 @@ Everything here is deliberately naive and shares no logic with the
 production paths it checks: the aggregation reference rescans the whole
 stream per term, the average-precision reference enumerates score
 thresholds and recounts from scratch, and the attention/loss references
-use explicit Python loops. Scenario generation runs on SplitMix64, a
+use explicit Python loops. The one exception is the summarization
+reference: it reuses the aggregation, overlap-elimination and selection
+steps (each tested on its own) but re-resolves
+every segment of the video at every frame, where the pipeline freezes
+settled overlap components. Scenario generation runs on SplitMix64, a
 fixed and documented PRNG, so identical seeds produce identical
 scenarios on any platform or implementation.
 """
@@ -15,7 +19,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .aggregation import SelectionMode, StreamAggregator, context_for_frame, eliminate_overlaps
+from .assembly import assemble
 from .core import (
+    ActionContext,
     ActionPair,
     BoundingBox,
     Category,
@@ -24,12 +31,13 @@ from .core import (
     PosTag,
     Prediction,
     Segment,
+    SummarizerConfig,
     TaggedToken,
     Term,
     ValidationError,
     term_text,
 )
-from .extraction import FrameContext
+from .extraction import FrameContext, extract_frame_context
 from .metrics import Variant
 
 
@@ -257,6 +265,55 @@ def oracle_aggregate(
             )
     segments.sort(key=lambda s: (s.start_frame, s.end_frame, term_text(s.term)))
     return segments
+
+
+def oracle_summarize_video(
+    video_id: str, frames: Sequence[FrameRecord], cfg: SummarizerConfig
+) -> list[tuple[str, int, ActionContext]]:
+    """Reference for ``pipeline.summarize_video``'s contexts.
+
+    At every frame it resolves overlaps over every accepted segment of
+    the video, so its cost grows quadratically with video length; keep
+    inputs short.
+    """
+    modes = {
+        Category.ACTION: SelectionMode.CURRENT_AND_PAST,
+        Category.HELD: SelectionMode.CURRENT_AND_PAST,
+        Category.SALIENT: SelectionMode.CURRENT_ONLY,
+    }
+    aggregators = {c: StreamAggregator(c, cfg.p_o.get(c), cfg.p_l.get(c)) for c in Category}
+    ordered = sorted(frames, key=lambda r: r.frame_id)
+    contexts = [extract_frame_context(r, cfg) for r in ordered if r.frame_id % cfg.stride == 0]
+    results = []
+    for record in ordered:
+        t = record.frame_id
+        while contexts and contexts[0].frame_id < t:
+            ctx = contexts.pop(0)
+            action = [ctx.action] if ctx.action is not None else []
+            aggregators[Category.ACTION].push(ctx.frame_id, action)
+            aggregators[Category.HELD].push(ctx.frame_id, ctx.held)
+            aggregators[Category.SALIENT].push(ctx.frame_id, ctx.salient)
+        terms = {
+            c: context_for_frame(
+                eliminate_overlaps(aggregators[c].segments_at(t)),
+                t,
+                cfg.context_lengths.get(c),
+                modes[c],
+            )
+            for c in Category
+        }
+        results.append(
+            (
+                video_id,
+                t,
+                assemble(
+                    [a for a in terms[Category.ACTION] if isinstance(a, ActionPair)],
+                    [str(h) for h in terms[Category.HELD]],
+                    [str(o) for o in terms[Category.SALIENT]],
+                ),
+            )
+        )
+    return results
 
 
 def segment_recovered(planted: Segment, found: Iterable[Segment], tolerance: int) -> bool:

@@ -133,6 +133,60 @@ class TestStreamAggregator:
         agg.push(10, ["v"])
         with pytest.raises(ValidationError):
             agg.segments_at(5)
+        with pytest.raises(ValidationError):
+            agg.tail_at(5)
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_settled_and_tail_partition_segments_at(self, seed):
+        rng = SplitMix64(seed)
+        terms = [f"t{i}" for i in range(rng.randint(1, 5))]
+        p_o = rng.choice([1, 2, 3, 7])
+        p_l = rng.choice([0, 3, 7, 12])
+        agg = StreamAggregator(Category.HELD, p_o, p_l)
+        stream = []
+        taken: list[Segment] = []
+        frame = 0
+        for _ in range(rng.randint(1, 150)):
+            frame += rng.randint(1, 4)
+            stream.append((frame, [t for t in terms if rng.uniform() < 0.35]))
+            agg.push(*stream[-1])
+            settled = agg.take_settled()
+            assert not any(s.active for s in settled)
+            taken += settled
+            t = frame + rng.randint(0, 10)
+            tail = agg.tail_at(t)
+            snapshot = agg.segments_at(t)
+            by_start = sorted(taken + tail, key=lambda s: (s.start_frame, s.end_frame, s.term))
+            assert by_start == snapshot
+            if taken and tail:
+                assert max(s.end_frame for s in taken) < min(s.start_frame for s in tail)
+            if rng.uniform() < 0.1:
+                # an empty frame at t makes t the oracle's observation horizon
+                observed = stream + [(t, [])] if t > frame else stream
+                assert snapshot == oracle_aggregate(observed, p_o, p_l, Category.HELD)
+
+    def test_run_past_lapse_retires_without_reappearing(self):
+        # "x" is accepted and "z" stays pending; neither reappears, so
+        # neither may pin the frontier and hold x's segment back.
+        agg = StreamAggregator(Category.SALIENT, p_o=2, p_l=3)
+        agg.push(0, ["x"])
+        agg.push(1, ["x", "z"])
+        agg.push(2, ["x"])
+        for f in range(4, 8):
+            agg.push(f, ["y"])
+        assert agg.take_settled() == [seg("x", 0, 2, 3, category=Category.SALIENT)]
+        assert agg.take_settled() == []
+        assert [s.term for s in agg.tail_at(7)] == ["y"]
+
+    def test_chained_overlaps_never_settle(self):
+        agg = StreamAggregator(Category.HELD, p_o=1, p_l=2)
+        for f in range(0, 300):
+            # runs of 40 frames, a new one starting every 30: each overlaps the next
+            agg.push(f, [f"h{k % 2}" for k in range(f // 30 + 1) if f - 30 * k < 40])
+            assert agg.take_settled() == []
+        agg.push(400, [])
+        assert len(agg.take_settled()) == 10
 
 
 class TestEliminateOverlaps:

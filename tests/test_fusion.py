@@ -36,13 +36,22 @@ RNG = np.random.default_rng(20240)
 
 # Header offsets: magic (4), then u32 version, d_model, d_lang, n_heads,
 # n_layers, hidden, n_scales, then four u32 (P, C, H, W) per scale.
-N_HEADS_AT, N_SCALES_AT, DIMS_AT = 16, 28, 32
+D_MODEL_AT, N_HEADS_AT, N_LAYERS_AT, HIDDEN_AT, N_SCALES_AT, DIMS_AT = 8, 16, 20, 24, 28, 32
 
 
 def patched(data, offset, value):
     out = bytearray(data)
     struct.pack_into("<I", out, offset, value)
     return bytes(out)
+
+
+def zero_width_huge_depth(data):
+    """48 bytes declaring one scale of 2^32 - 1 layers, each of which reads
+    no bytes because model and MLP widths are 0."""
+    header = {D_MODEL_AT: 0, N_LAYERS_AT: 0xFFFFFFFF, HIDDEN_AT: 0, N_SCALES_AT: 1}
+    for offset, value in header.items():
+        data = patched(data, offset, value)
+    return data[: DIMS_AT + 16]
 
 
 MALFORMED_HEADERS = {
@@ -52,6 +61,7 @@ MALFORMED_HEADERS = {
     "zero-heads": lambda data: patched(data, N_HEADS_AT, 0),
     "zero-patch": lambda data: patched(data, DIMS_AT, 0),
     "zero-scales": lambda data: patched(data[:DIMS_AT], N_SCALES_AT, 0),
+    "zero-width-huge-depth": zero_width_huge_depth,
 }
 
 # sha256 of save_params(random_fusion_params(seed, **config)); pins the bundle format.
@@ -476,8 +486,27 @@ class TestParameterBundle:
             load_params(str(path))
 
     def test_malformed_header_exits_1(self, tmp_path, capsys):
+        for case, message in [
+            ("zero-heads", "zero attention heads"),
+            ("zero-width-huge-depth", "zero model width"),
+        ]:
+            path = tmp_path / "params.bin"
+            save_params(str(path), random_fusion_params(80))
+            path.write_bytes(MALFORMED_HEADERS[case](path.read_bytes()))
+            assert main(["fuse-check", "--params", str(path)]) == 1
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(n_heads=2), dict(mlp_hidden=32)], ids=["heads", "mlp-width"]
+    )
+    def test_mixed_layer_dims_rejected(self, tmp_path, kwargs):
         path = tmp_path / "params.bin"
-        save_params(str(path), random_fusion_params(80))
-        path.write_bytes(MALFORMED_HEADERS["zero-heads"](path.read_bytes()))
-        assert main(["fuse-check", "--params", str(path)]) == 1
-        assert "zero attention heads" in capsys.readouterr().err
+        mixed_scales = random_fusion_params(0)[:1] + random_fusion_params(1, **kwargs)[1:2]
+        with pytest.raises(ValidationError, match="head count"):
+            save_params(str(path), mixed_scales)
+        first = random_fusion_params(0)[0]
+        other = random_fusion_params(1, **kwargs)[0]
+        first.layers[1] = other.layers[1]
+        with pytest.raises(ValidationError, match="head count"):
+            save_params(str(path), [first])
+        assert not path.exists()
