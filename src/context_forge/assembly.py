@@ -1,86 +1,58 @@
 """Rendering selected segments into the textual action-context summary.
 
-The grammar is fixed so that text round-trips: included sections are
+The grammar is fixed so that text round-trips: the three sections are
 joined by "; " in the order action -> held -> salient, items within a
 section by ", ", and action pairs render as "verb noun". Labels keep
-internal spaces but may never contain "," or ";". When every included
-section is empty the text is the empty string; otherwise empty included
-sections render as empty slots so the section count stays unambiguous.
+internal spaces but may never contain "," or ";". When every section is
+empty the text is the empty string; otherwise empty sections render as
+empty slots so the section count stays unambiguous.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .core import ActionContext, ActionPair, Category, ValidationError
+from .core import ActionContext, ActionPair, ValidationError, check_label
 
 _SECTION_SEP = "; "
 _ITEM_SEP = ", "
-_CATEGORY_ORDER = (Category.ACTION, Category.HELD, Category.SALIENT)
-
-
-def _check_label(label: str) -> str:
-    if "," in label or ";" in label:
-        raise ValidationError(f"label {label!r} contains a reserved separator")
-    return label
 
 
 def assemble(
     action_terms: Sequence[ActionPair],
     held: Sequence[str],
     salient: Sequence[str],
-    include: Iterable[Category] = _CATEGORY_ORDER,
 ) -> ActionContext:
     """Build the ActionContext for one prediction frame.
 
     Inputs must already be capped to the configured context lengths;
-    action terms arrive oldest first. ``include`` selects which sections
-    enter the rendered text (all three by default); the stored lists
-    always carry everything that was passed in.
+    action terms arrive oldest first.
     """
-    include_set = set(include)
-    sections: list[str] = []
-    rendered_by_category = {
-        Category.ACTION: _ITEM_SEP.join(_check_label(p.render()) for p in action_terms),
-        Category.HELD: _ITEM_SEP.join(_check_label(label) for label in held),
-        Category.SALIENT: _ITEM_SEP.join(_check_label(label) for label in salient),
-    }
-    for category in _CATEGORY_ORDER:
-        if category in include_set:
-            sections.append(rendered_by_category[category])
-    text = "" if all(not s for s in sections) else _SECTION_SEP.join(sections)
+    sections = (
+        _ITEM_SEP.join(check_label(p.render()) for p in action_terms),
+        _ITEM_SEP.join(map(check_label, held)),
+        _ITEM_SEP.join(map(check_label, salient)),
+    )
     return ActionContext(
         action_segments=tuple(action_terms),
         held_objects=tuple(held),
         salient_objects=tuple(salient),
-        text=text,
+        text=_SECTION_SEP.join(sections) if any(sections) else "",
     )
 
 
-def parse_context_text(
-    text: str,
-    include: Iterable[Category] = _CATEGORY_ORDER,
-) -> tuple[list[ActionPair], list[str], list[str]]:
-    """Invert ``assemble``'s rendering for the given include set."""
-    ordered = [c for c in _CATEGORY_ORDER if c in set(include)]
-    result: dict[Category, list] = {c: [] for c in _CATEGORY_ORDER}
+def parse_context_text(text: str) -> tuple[list[ActionPair], list[str], list[str]]:
+    """Invert ``assemble``'s rendering."""
     if text == "":
-        return result[Category.ACTION], result[Category.HELD], result[Category.SALIENT]
+        return [], [], []
     sections = text.split(_SECTION_SEP)
-    if len(sections) != len(ordered):
-        raise ValidationError(
-            f"context text has {len(sections)} sections, include set expects {len(ordered)}"
-        )
-    for category, section in zip(ordered, sections):
-        if not section:
-            continue
-        items = section.split(_ITEM_SEP)
-        if category is Category.ACTION:
-            for item in items:
-                verb, _, noun = item.partition(" ")
-                if not noun:
-                    raise ValidationError(f"malformed action pair {item!r}")
-                result[category].append(ActionPair(verb=verb, noun=noun))
-        else:
-            result[category] = items
-    return result[Category.ACTION], result[Category.HELD], result[Category.SALIENT]
+    if len(sections) != 3:
+        raise ValidationError(f"context text has {len(sections)} sections, expected 3")
+    action, held, salient = (section.split(_ITEM_SEP) if section else [] for section in sections)
+    pairs = []
+    for item in action:
+        verb, _, noun = item.partition(" ")
+        if not noun:
+            raise ValidationError(f"malformed action pair {item!r}")
+        pairs.append(ActionPair(verb=verb, noun=noun))
+    return pairs, held, salient

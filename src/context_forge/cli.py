@@ -9,6 +9,7 @@ stderr verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import logging
 import os
@@ -57,18 +58,6 @@ def _load_config(path: str | None) -> SummarizerConfig:
     return load_config(path) if path else SummarizerConfig()
 
 
-def _group_frames_by_video(path: str):
-    """Group a frames file by contiguous video_id runs, enforcing grouping."""
-    seen: set[str] = set()
-    for video_id, group in itertools.groupby(read_frame_records(path), key=lambda r: r.video_id):
-        if video_id in seen:
-            raise ValidationError(
-                f"frames for video {video_id!r} are not contiguous in {path}"
-            )
-        seen.add(video_id)
-        yield video_id, list(group)
-
-
 def _summarize_one(args: tuple) -> tuple:
     video_id, frames, cfg = args
     return summarize_video(video_id, frames, cfg)
@@ -76,7 +65,8 @@ def _summarize_one(args: tuple) -> tuple:
 
 def cmd_summarize(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    videos = list(_group_frames_by_video(args.frames))
+    frames = itertools.groupby(read_frame_records(args.frames), key=lambda r: r.video_id)
+    videos = [(video_id, list(group)) for video_id, group in frames]
     jobs = max(1, args.jobs)
     if jobs == 1 or len(videos) <= 1:
         outcomes = [_summarize_one((vid, frames, cfg)) for vid, frames in videos]
@@ -173,35 +163,12 @@ def cmd_quality(args: argparse.Namespace) -> int:
                 expanded_contexts[unit] = contexts[key]
     report = context_quality(expanded_contexts, expanded_gts, table)
 
+    quality = dataclasses.asdict(report)
     print(f"# context-forge {__version__} config_hash={config_hash(cfg)}")
-    for name in (
-        "exact_noun_hits",
-        "exact_verb_hits",
-        "avg_embed_sim_noun",
-        "avg_embed_sim_verb",
-        "frame_coverage",
-        "salient_precision",
-        "salient_recall",
-    ):
-        print(f"{name} {getattr(report, name):.6f}")
-    print(f"n_frames {report.n_frames}")
-    print(f"missing_embeddings {report.missing_embeddings}")
+    for name, value in quality.items():
+        print(f"{name} {value:.6f}" if isinstance(value, float) else f"{name} {value}")
     if args.out:
-        payload = {
-            "version": __version__,
-            "config_hash": config_hash(cfg),
-            "quality": {
-                "exact_noun_hits": report.exact_noun_hits,
-                "exact_verb_hits": report.exact_verb_hits,
-                "avg_embed_sim_noun": report.avg_embed_sim_noun,
-                "avg_embed_sim_verb": report.avg_embed_sim_verb,
-                "frame_coverage": report.frame_coverage,
-                "salient_precision": report.salient_precision,
-                "salient_recall": report.salient_recall,
-                "n_frames": report.n_frames,
-                "missing_embeddings": report.missing_embeddings,
-            },
-        }
+        payload = {"version": __version__, "config_hash": config_hash(cfg), "quality": quality}
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dumps_record(payload) + "\n")
     return 0
@@ -229,6 +196,8 @@ def cmd_fuse_check(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.n_videos < 1:
+        raise ValidationError(f"--n-videos {args.n_videos} must be at least 1")
     records = []
     for i in range(args.n_videos):
         planted, stream = gen_scenario(

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 import numpy as np
 
@@ -51,6 +51,27 @@ class InvariantError(ContextForgeError):
 def normalize_label(label: str) -> str:
     """Lowercase and collapse internal whitespace: ' Pressure  Cooker ' -> 'pressure cooker'."""
     return " ".join(label.lower().split())
+
+
+def check_label(label: str) -> str:
+    """Return ``label``, refusing the context-text separators "," and ";"."""
+    if "," in label or ";" in label:
+        raise ValidationError(f"label {label!r} contains a reserved separator")
+    return label
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line without its line break) for each line of a UTF-8 file.
+
+    Lines are decoded one at a time, so invalid UTF-8 is a ``ParseError`` at its line.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"invalid UTF-8: {exc.reason}", line=lineno, path=str(path)) from None
+            yield lineno, line.rstrip("\r\n")
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -331,17 +352,17 @@ def _parse_label_set(raw: str) -> frozenset[str]:
     return frozenset(normalize_label(p) for p in raw.split(",") if p.strip())
 
 
-def _parse_merge_table(raw: str, line: int) -> tuple[tuple[str, str], ...]:
+def _parse_merge_table(raw: str) -> tuple[tuple[str, str], ...]:
     pairs = []
     for chunk in raw.split(","):
         if not chunk.strip():
             continue
         if "->" not in chunk:
-            raise ParseError(f"merge_table entry {chunk.strip()!r} missing '->'", line=line)
+            raise ValidationError(f"merge_table entry {chunk.strip()!r} missing '->'")
         src, dst = chunk.split("->", 1)
         src, dst = normalize_label(src), normalize_label(dst)
         if not src or not dst:
-            raise ParseError(f"merge_table entry {chunk.strip()!r} has an empty side", line=line)
+            raise ValidationError(f"merge_table entry {chunk.strip()!r} has an empty side")
         pairs.append((src, dst))
     seen: dict[str, str] = {}
     for src, dst in pairs:
@@ -351,39 +372,43 @@ def _parse_merge_table(raw: str, line: int) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(seen.items()))
 
 
+def _parse_config_value(key: str, value: str):
+    if key in _INT_KEYS or key in _FLOAT_KEYS:
+        kind = int if key in _INT_KEYS else float
+        try:
+            number = kind(value)
+        except ValueError:
+            number = math.nan
+        if not math.isfinite(number):
+            raise ValidationError(f"key {key!r}: {value!r} is not a finite {kind.__name__}")
+        return number
+    if key in _SET_KEYS:
+        return _parse_label_set(value)
+    if key == "merge_table":
+        return _parse_merge_table(value)
+    raise ValidationError(f"unknown key {key!r}")
+
+
 def load_config(path: str | Path) -> SummarizerConfig:
     """Parse a flat ``key=value`` config file; unspecified keys keep defaults.
 
-    Unknown keys are errors. Blank lines and ``#`` comments are ignored.
+    Unknown keys are errors, and so are numbers that are not finite.
+    Blank lines and ``#`` comments are ignored.
     """
     fields: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key=value, got {line!r}", line=lineno, path=str(path))
-            key, value = line.split("=", 1)
-            key, value = key.strip(), value.strip()
+    for lineno, raw in read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        try:
+            if not sep:
+                raise ValidationError(f"expected key=value, got {line!r}")
             if key in fields:
-                raise ParseError(f"duplicate key {key!r}", line=lineno, path=str(path))
-            if key in _INT_KEYS:
-                try:
-                    fields[key] = int(value)
-                except ValueError:
-                    raise ParseError(f"key {key!r}: {value!r} is not an integer", line=lineno, path=str(path))
-            elif key in _FLOAT_KEYS:
-                try:
-                    fields[key] = float(value)
-                except ValueError:
-                    raise ParseError(f"key {key!r}: {value!r} is not a number", line=lineno, path=str(path))
-            elif key in _SET_KEYS:
-                fields[key] = _parse_label_set(value)
-            elif key == "merge_table":
-                fields[key] = _parse_merge_table(value, lineno)
-            else:
-                raise ParseError(f"unknown key {key!r}", line=lineno, path=str(path))
+                raise ValidationError(f"duplicate key {key!r}")
+            fields[key] = _parse_config_value(key, value)
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=lineno, path=str(path)) from None
     return _config_from_flat(fields)
 
 
@@ -474,25 +499,23 @@ class EmbeddingTable:
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Load a tab-separated embedding file: ``word<TAB>v1<TAB>...<TAB>v300``."""
     vectors: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        word = normalize_label(parts[0])
+        try:
             if len(parts) != EMBEDDING_DIM + 1:
-                raise ParseError(
-                    f"expected word + {EMBEDDING_DIM} values, got {len(parts)} fields",
-                    line=lineno,
-                    path=str(path),
-                )
-            word = normalize_label(parts[0])
+                raise ValidationError(f"expected word + {EMBEDDING_DIM} values, got {len(parts)} fields")
             if not word:
-                raise ParseError("empty word", line=lineno, path=str(path))
+                raise ValidationError("empty word")
             if word in vectors:
-                raise ParseError(f"duplicate word {word!r}", line=lineno, path=str(path))
-            try:
-                vectors[word] = np.array([float(p) for p in parts[1:]], dtype=np.float64)
-            except ValueError:
-                raise ParseError("non-numeric embedding value", line=lineno, path=str(path))
+                raise ValidationError(f"duplicate word {word!r}")
+            values = [float(p) for p in parts[1:]]
+            # a finite sum proves every value finite; only a non-finite one needs the full check
+            if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+                raise ValidationError("non-finite embedding value")
+        except (ValueError, ValidationError) as exc:  # ValueError: a value that is not a number
+            raise ParseError(str(exc), line=lineno, path=str(path)) from None
+        vectors[word] = np.array(values, dtype=np.float64)
     return EmbeddingTable(vectors)

@@ -10,12 +10,26 @@ frames:   {"video_id", "frame_id", "captions": [[{"surface","lemma","pos"}...]],
 preds/gt: {"video_id", "frame_id", "entries": [{"box","noun","verb","ttc","score"?}]}
 contexts: {"video_id", "frame_id", "text", "action_terms": [[verb,noun]...],
            "held": [...], "salient": [...]}
+
+Every reader goes through ``_read``, which decodes one line at a time,
+and every field through ``_get``/``_as``, which decode strictly: an
+integer is a JSON integer, a number is a finite JSON number (never a
+string, a boolean or null), and lists and objects are type-checked
+before they are read. Strings must be valid Unicode: invalid UTF-8 and
+escaped lone surrogates are rejected. No label (caption verb and noun
+lemmas, label_scores keys, detection labels, entry nouns and verbs,
+context terms) may contain "," or ";" (``core.check_label``). A
+(video_id, frame_id) key appears at most once per file, and a frames
+file keeps each video's lines together. Any malformed line raises
+``ParseError`` naming ``path:line``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Iterator
+import math
+import sys
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .core import (
     ActionContext,
@@ -28,98 +42,159 @@ from .core import (
     Prediction,
     TaggedToken,
     ValidationError,
+    check_label,
+    read_lines,
 )
 
 FrameKey = tuple[str, int]
+T = TypeVar("T")
+
+_REQUIRED = object()
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object"}
+_POS_TAGS = {tag.value: tag for tag in PosTag}
+_MAX_FLOAT_INT = int(sys.float_info.max)
 
 
 def dumps_record(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _iter_json_lines(fh: IO[str], path: str) -> Iterator[tuple[int, dict]]:
-    for lineno, raw in enumerate(fh, start=1):
+def _as(value, kind: type, what: str):
+    """Check one decoded JSON value against ``kind``: int, float, str, list or dict.
+
+    JSON decoding yields exact types, so ``type(value) is kind`` rejects
+    booleans where integers or numbers are expected. A float also takes
+    a JSON integer, but never a non-finite value.
+    """
+    if type(value) is kind:
+        if kind is not float or math.isfinite(value):
+            return value
+    elif kind is float and type(value) is int and abs(value) <= _MAX_FLOAT_INT:
+        return float(value)
+    shown = json.dumps(value)
+    shown = shown if len(shown) <= 40 else shown[:37] + "..."
+    raise ValidationError(f"{what} must be {_KINDS[kind]}, got {shown}")
+
+
+def _get(obj: dict, key: str, kind: type, default=_REQUIRED):
+    """``obj[key]`` checked by ``_as``; ``default`` (unchecked) when the key is absent."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValidationError(f"missing field {key!r}")
+        return default
+    value = obj[key]
+    # the common case inline: this runs for nearly every field of every line
+    if type(value) is kind and (kind is not float or math.isfinite(value)):
+        return value
+    return _as(value, kind, key)
+
+
+def _read(path: str, decode: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
+    """Decode each non-blank line of ``path`` to (line number, item).
+
+    A bad line raises ``ParseError`` at ``path:line``.
+    """
+    for lineno, raw in read_lines(path):
         line = raw.strip()
         if not line:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=lineno, path=path)
-        if not isinstance(obj, dict):
-            raise ParseError("record is not an object", line=lineno, path=path)
-        yield lineno, obj
+            if "\\u" in line:  # an escape may spell a lone surrogate, which UTF-8 cannot encode
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+            message = f"invalid JSON: {getattr(exc, 'msg', exc)}"
+            raise ParseError(message, line=lineno, path=path) from None
+        try:
+            item = decode(_as(obj, dict, "record"))
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=lineno, path=path) from None
+        yield lineno, item
 
 
-def _field(obj: dict, key: str, lineno: int, path: str):
-    if key not in obj:
-        raise ParseError(f"missing field {key!r}", line=lineno, path=path)
-    return obj[key]
+def _read_keyed(path: str, decode: Callable[[dict, int], T]) -> dict[FrameKey, T]:
+    """Read a file keyed by (video_id, frame_id); ``decode(obj, frame_id)`` gives each value."""
+    out: dict[FrameKey, T] = {}
+
+    def keyed(obj: dict) -> tuple[FrameKey, T]:
+        key = (_get(obj, "video_id", str), _get(obj, "frame_id", int))
+        if key in out:
+            raise ValidationError(f"duplicate frame {key[0]}:{key[1]}")
+        return key, decode(obj, key[1])
+
+    for _, (key, value) in _read(path, keyed):
+        out[key] = value
+    return out
 
 
-def _box_from_list(values, lineno: int, path: str) -> BoundingBox:
-    if not isinstance(values, list) or len(values) != 4:
-        raise ParseError(f"box must be [x1, y1, x2, y2], got {values!r}", line=lineno, path=path)
-    try:
-        return BoundingBox(*[float(v) for v in values])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad box {values!r}: {exc}", line=lineno, path=path)
-    except ValidationError as exc:
-        raise ParseError(str(exc), line=lineno, path=path)
+def _box(coords: list) -> BoundingBox:
+    if len(coords) != 4:
+        raise ValidationError(f"box must be [x1, y1, x2, y2], got {len(coords)} values")
+    # BoundingBox rejects non-finite coordinates itself
+    return BoundingBox(*[v if type(v) is float else _as(v, float, "box coordinate") for v in coords])
+
+
+def _labels(values: list) -> tuple[str, ...]:
+    return tuple(check_label(v if type(v) is str else _as(v, str, "label")) for v in values)
+
+
+def _token(value) -> TaggedToken:
+    tok = _as(value, dict, "caption token")
+    pos = _POS_TAGS.get(_get(tok, "pos", str))
+    if pos is None:
+        raise ValidationError(f"pos must be one of {', '.join(_POS_TAGS)}, got {tok['pos']!r}")
+    lemma = _get(tok, "lemma", str)
+    if pos is not PosTag.OTHER:  # only verb and noun lemmas can become context labels
+        check_label(lemma)
+    return TaggedToken(_get(tok, "surface", str), lemma, pos)
+
+
+def _detection(value) -> tuple[str, BoundingBox, float]:
+    det = _as(value, dict, "detection")
+    return check_label(_get(det, "label", str)), _box(_get(det, "box", list)), _get(det, "score", float)
+
+
+def _frame_record(obj: dict) -> FrameRecord:
+    return FrameRecord(
+        video_id=_get(obj, "video_id", str),
+        frame_id=_get(obj, "frame_id", int),
+        captions=tuple(
+            tuple(_token(tok) for tok in _as(caption, list, "caption"))
+            for caption in _get(obj, "captions", list, ())
+        ),
+        label_scores={
+            check_label(label): _as(score, float, "label score")
+            for label, score in _get(obj, "label_scores", dict, {}).items()
+        },
+        active_boxes=tuple(_box(_as(b, list, "active box")) for b in _get(obj, "active_boxes", list, ())),
+        detections=tuple(_detection(det) for det in _get(obj, "detections", list, ())),
+    )
 
 
 def read_frame_records(path: str) -> Iterator[FrameRecord]:
-    """Stream frame records; malformed lines raise with their line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, obj in _iter_json_lines(fh, path):
-            try:
-                captions = tuple(
-                    tuple(
-                        TaggedToken(
-                            surface=str(tok["surface"]),
-                            lemma=str(tok["lemma"]),
-                            pos=PosTag(tok["pos"]),
-                        )
-                        for tok in caption
-                    )
-                    for caption in obj.get("captions", [])
-                )
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
-                raise ParseError(f"bad captions: {exc}", line=lineno, path=path)
-            label_scores = {}
-            raw_scores = obj.get("label_scores", {})
-            if not isinstance(raw_scores, dict):
-                raise ParseError("label_scores must be an object", line=lineno, path=path)
-            for label, score in raw_scores.items():
-                try:
-                    label_scores[str(label)] = float(score)
-                except (TypeError, ValueError):
-                    raise ParseError(f"bad score for {label!r}", line=lineno, path=path)
-            active_boxes = tuple(
-                _box_from_list(b, lineno, path) for b in obj.get("active_boxes", [])
-            )
-            detections = []
-            for det in obj.get("detections", []):
-                if not isinstance(det, dict):
-                    raise ParseError("detection must be an object", line=lineno, path=path)
-                detections.append(
-                    (
-                        str(_field(det, "label", lineno, path)),
-                        _box_from_list(_field(det, "box", lineno, path), lineno, path),
-                        float(_field(det, "score", lineno, path)),
-                    )
-                )
-            try:
-                yield FrameRecord(
-                    video_id=str(_field(obj, "video_id", lineno, path)),
-                    frame_id=int(_field(obj, "frame_id", lineno, path)),
-                    captions=captions,
-                    label_scores=label_scores,
-                    active_boxes=active_boxes,
-                    detections=tuple(detections),
-                )
-            except ValidationError as exc:
-                raise ParseError(str(exc), line=lineno, path=path)
+    """Stream frame records. A video's lines must be contiguous and its frame ids distinct.
+
+    A repeated frame id is raised once the whole file has parsed, so that a
+    malformed line anywhere in the file is reported first.
+    """
+    finished: set[str | None] = set()
+    frame_ids: set[int] = set()
+    video_id = duplicate = None
+    for lineno, record in _read(path, _frame_record):
+        if record.video_id != video_id:
+            if record.video_id in finished:
+                message = f"frames for video {record.video_id!r} are not contiguous"
+                raise ParseError(message, line=lineno, path=path)
+            finished.add(video_id)
+            video_id = record.video_id
+            frame_ids.clear()
+        if record.frame_id in frame_ids and duplicate is None:
+            message = f"video {video_id!r}: duplicate frame id {record.frame_id}"
+            duplicate = ParseError(message, line=lineno, path=path)
+        frame_ids.add(record.frame_id)
+        yield record
+    if duplicate is not None:
+        raise duplicate
 
 
 def frame_record_to_dict(record: FrameRecord) -> dict:
@@ -145,100 +220,59 @@ def write_frame_records(path: str, records: Iterable[FrameRecord]) -> None:
             fh.write(dumps_record(frame_record_to_dict(record)) + "\n")
 
 
-def _read_entry_file(path: str, expect_score: bool):
-    grouped: dict[FrameKey, list] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, obj in _iter_json_lines(fh, path):
-            key = (
-                str(_field(obj, "video_id", lineno, path)),
-                int(_field(obj, "frame_id", lineno, path)),
-            )
-            if key in grouped:
-                raise ParseError(
-                    f"duplicate frame {key[0]}:{key[1]}", line=lineno, path=path
-                )
-            entries = _field(obj, "entries", lineno, path)
-            if not isinstance(entries, list):
-                raise ParseError("entries must be a list", line=lineno, path=path)
-            parsed = []
-            for entry in entries:
-                if not isinstance(entry, dict):
-                    raise ParseError("entry must be an object", line=lineno, path=path)
-                try:
-                    interaction = ObjectInteraction(
-                        box=_box_from_list(_field(entry, "box", lineno, path), lineno, path),
-                        noun=str(_field(entry, "noun", lineno, path)),
-                        verb=str(_field(entry, "verb", lineno, path)),
-                        ttc=float(_field(entry, "ttc", lineno, path)),
-                    )
-                    if expect_score:
-                        parsed.append(
-                            Prediction(
-                                interaction=interaction,
-                                score=float(_field(entry, "score", lineno, path)),
-                                frame_id=key[1],
-                            )
-                        )
-                    else:
-                        parsed.append(interaction)
-                except ValidationError as exc:
-                    raise ParseError(str(exc), line=lineno, path=path)
-            grouped[key] = parsed
-    return grouped
+def _entries(obj: dict) -> Iterator[dict]:
+    return (_as(entry, dict, "entry") for entry in _get(obj, "entries", list))
+
+
+def _interaction(entry: dict) -> ObjectInteraction:
+    return ObjectInteraction(
+        box=_box(_get(entry, "box", list)),
+        noun=check_label(_get(entry, "noun", str)),
+        verb=check_label(_get(entry, "verb", str)),
+        ttc=_get(entry, "ttc", float),
+    )
 
 
 def read_predictions(path: str) -> dict[FrameKey, list[Prediction]]:
-    return _read_entry_file(path, expect_score=True)
+    def predictions(obj: dict, frame_id: int) -> list[Prediction]:
+        return [Prediction(_interaction(e), _get(e, "score", float), frame_id) for e in _entries(obj)]
+
+    return _read_keyed(path, predictions)
 
 
 def read_ground_truth(path: str, min_ttc: float = 0.0) -> dict[FrameKey, list[ObjectInteraction]]:
-    grouped = _read_entry_file(path, expect_score=False)
-    if min_ttc > 0.0:
-        for key, entries in grouped.items():
-            for gt in entries:
-                if gt.ttc < min_ttc:
-                    raise ValidationError(
-                        f"{key[0]}:{key[1]}: time to contact {gt.ttc} below minimum {min_ttc}"
-                    )
-    return grouped
+    def ground_truth(obj: dict, frame_id: int) -> list[ObjectInteraction]:
+        gts = [_interaction(e) for e in _entries(obj)]
+        for gt in gts:
+            if gt.ttc < min_ttc:
+                raise ValidationError(f"time to contact {gt.ttc} below minimum {min_ttc}")
+        return gts
+
+    return _read_keyed(path, ground_truth)
 
 
-def _entry_dict(interaction: ObjectInteraction, score: float | None = None) -> dict:
-    obj = {
+def _entry_dict(interaction: ObjectInteraction) -> dict:
+    return {
         "box": list(interaction.box.as_tuple()),
         "noun": interaction.noun,
         "verb": interaction.verb,
         "ttc": interaction.ttc,
     }
-    if score is not None:
-        obj["score"] = score
-    return obj
+
+
+def _write_entries(path: str, grouped: dict[FrameKey, list], entry_dict: Callable[..., dict]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for video_id, frame_id in sorted(grouped):
+            entries = [entry_dict(item) for item in grouped[(video_id, frame_id)]]
+            fh.write(dumps_record({"video_id": video_id, "frame_id": frame_id, "entries": entries}) + "\n")
 
 
 def write_predictions(path: str, preds: dict[FrameKey, list[Prediction]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for (video_id, frame_id) in sorted(preds):
-            entries = [
-                _entry_dict(p.interaction, p.score) for p in preds[(video_id, frame_id)]
-            ]
-            fh.write(
-                dumps_record(
-                    {"video_id": video_id, "frame_id": frame_id, "entries": entries}
-                )
-                + "\n"
-            )
+    _write_entries(path, preds, lambda p: dict(_entry_dict(p.interaction), score=p.score))
 
 
 def write_ground_truth(path: str, gts: dict[FrameKey, list[ObjectInteraction]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for (video_id, frame_id) in sorted(gts):
-            entries = [_entry_dict(gt) for gt in gts[(video_id, frame_id)]]
-            fh.write(
-                dumps_record(
-                    {"video_id": video_id, "frame_id": frame_id, "entries": entries}
-                )
-                + "\n"
-            )
+    _write_entries(path, gts, _entry_dict)
 
 
 def context_to_dict(video_id: str, frame_id: int, ctx: ActionContext) -> dict:
@@ -252,27 +286,22 @@ def context_to_dict(video_id: str, frame_id: int, ctx: ActionContext) -> dict:
     }
 
 
+def _action_pair(value) -> ActionPair:
+    pair = _as(value, list, "action term")
+    if len(pair) != 2:
+        raise ValidationError(f"action term must be [verb, noun], got {len(pair)} items")
+    verb, noun = _labels(pair)
+    return ActionPair(verb=verb, noun=noun)
+
+
+def _context(obj: dict, frame_id: int) -> ActionContext:
+    return ActionContext(
+        action_segments=tuple(_action_pair(p) for p in _get(obj, "action_terms", list)),
+        held_objects=_labels(_get(obj, "held", list)),
+        salient_objects=_labels(_get(obj, "salient", list)),
+        text=_get(obj, "text", str),
+    )
+
+
 def read_contexts(path: str) -> dict[FrameKey, ActionContext]:
-    out: dict[FrameKey, ActionContext] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, obj in _iter_json_lines(fh, path):
-            key = (
-                str(_field(obj, "video_id", lineno, path)),
-                int(_field(obj, "frame_id", lineno, path)),
-            )
-            if key in out:
-                raise ParseError(f"duplicate frame {key[0]}:{key[1]}", line=lineno, path=path)
-            try:
-                pairs = tuple(
-                    ActionPair(verb=str(v), noun=str(n))
-                    for v, n in _field(obj, "action_terms", lineno, path)
-                )
-            except (TypeError, ValueError, ValidationError) as exc:
-                raise ParseError(f"bad action_terms: {exc}", line=lineno, path=path)
-            out[key] = ActionContext(
-                action_segments=pairs,
-                held_objects=tuple(str(x) for x in _field(obj, "held", lineno, path)),
-                salient_objects=tuple(str(x) for x in _field(obj, "salient", lineno, path)),
-                text=str(_field(obj, "text", lineno, path)),
-            )
-    return out
+    return _read_keyed(path, _context)

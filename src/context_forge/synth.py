@@ -110,6 +110,8 @@ def gen_scenario(
         raise ValidationError("noise rates must lie in [0, 1)")
     if n_terms < 1:
         raise ValidationError("need at least one term per category")
+    if n_frames < 1:
+        raise ValidationError(f"n_frames={n_frames} must be at least 1")
     rng = SplitMix64(seed)
     terms = scenario_terms(n_terms)
 

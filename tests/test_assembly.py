@@ -2,42 +2,32 @@ import pytest
 from hypothesis import given, strategies as st
 
 from context_forge.assembly import assemble, parse_context_text
-from context_forge.core import ActionPair, Category, ValidationError
+from context_forge.core import ActionPair, ValidationError
 
 
 class TestAssemble:
     def test_action_only(self):
-        ctx = assemble(
-            [ActionPair("wash", "tomato"), ActionPair("cut", "tomato")],
-            [],
-            [],
-            include={Category.ACTION},
-        )
-        assert ctx.text == "wash tomato, cut tomato"
+        ctx = assemble([ActionPair("wash", "tomato"), ActionPair("cut", "tomato")], [], [])
+        assert ctx.text == "wash tomato, cut tomato; ; "
 
     def test_empty_everything(self):
         assert assemble([], [], []).text == ""
 
     def test_action_and_salient(self):
-        ctx = assemble(
-            [ActionPair("cut", "wood")],
-            [],
-            ["knife", "table"],
-            include={Category.ACTION, Category.SALIENT},
-        )
-        assert ctx.text == "cut wood; knife, table"
+        ctx = assemble([ActionPair("cut", "wood")], [], ["knife", "table"])
+        assert ctx.text == "cut wood; ; knife, table"
 
     def test_all_three_sections(self):
         ctx = assemble([ActionPair("cut", "wood")], ["knife"], ["table", "saw"])
         assert ctx.text == "cut wood; knife; table, saw"
 
     def test_empty_included_section_keeps_slot(self):
-        ctx = assemble([], [], ["knife"], include={Category.ACTION, Category.SALIENT})
-        assert ctx.text == "; knife"
+        ctx = assemble([], [], ["knife"])
+        assert ctx.text == "; ; knife"
 
     def test_lists_stored_verbatim(self):
         pairs = [ActionPair("cut", "wood")]
-        ctx = assemble(pairs, ["cup"], ["knife"], include={Category.ACTION})
+        ctx = assemble(pairs, ["cup"], ["knife"])
         assert ctx.action_segments == tuple(pairs)
         assert ctx.held_objects == ("cup",)
         assert ctx.salient_objects == ("knife",)
@@ -57,32 +47,19 @@ _label = st.from_regex(r"[a-z]+( [a-z]+)?", fullmatch=True)
 _word = st.from_regex(r"[a-z]+", fullmatch=True)
 _pair = st.builds(ActionPair, _word, _word)
 
-_include = st.sets(
-    st.sampled_from([Category.ACTION, Category.HELD, Category.SALIENT]), min_size=1
-)
-
 
 class TestRoundTrip:
     @given(
         pairs=st.lists(_pair, max_size=3),
         held=st.lists(_label, max_size=3),
         salient=st.lists(_label, max_size=3),
-        include=_include,
     )
-    def test_parse_inverts_render(self, pairs, held, salient, include):
-        kwargs = {
-            Category.ACTION: pairs if Category.ACTION in include else [],
-            Category.HELD: held if Category.HELD in include else [],
-            Category.SALIENT: salient if Category.SALIENT in include else [],
-        }
-        ctx = assemble(
-            kwargs[Category.ACTION], kwargs[Category.HELD], kwargs[Category.SALIENT], include
-        )
-        got_pairs, got_held, got_salient = parse_context_text(ctx.text, include)
-        assert got_pairs == list(kwargs[Category.ACTION])
-        assert got_held == list(kwargs[Category.HELD])
-        assert got_salient == list(kwargs[Category.SALIENT])
+    def test_parse_inverts_render(self, pairs, held, salient):
+        ctx = assemble(pairs, held, salient)
+        assert parse_context_text(ctx.text) == (pairs, held, salient)
 
     def test_parse_rejects_wrong_section_count(self):
         with pytest.raises(ValidationError):
-            parse_context_text("a b; c; d", include={Category.ACTION})
+            parse_context_text("a b; c")
+        with pytest.raises(ValidationError):
+            parse_context_text("a b; c; d; e")

@@ -226,6 +226,16 @@ class TestQuality:
         assert payload["salient_recall"] == 1.0
         assert payload["avg_embed_sim_noun"] == pytest.approx(1.0)
 
+        from dataclasses import fields
+        from context_forge.metrics import QualityReport
+
+        names = [f.name for f in fields(QualityReport)]
+        lines = proc.stdout.splitlines()[1:]
+        assert [line.split()[0] for line in lines] == names
+        assert sorted(payload) == sorted(names)
+        assert lines[0] == "exact_noun_hits 1.000000"
+        assert lines[-2:] == ["n_frames 1", "missing_embeddings 0"]
+
 
 class TestFuseCheck:
     def test_all_invariants_pass(self, tmp_path):

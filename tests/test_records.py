@@ -1,0 +1,271 @@
+"""Strict record decoding: every malformed line exits 1 with a message naming path:line.
+
+Each case runs a subcommand in-process on small files whose line 1 is a
+valid record and whose line 2 is the record under test.
+"""
+
+import copy
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from context_forge.cli import main
+
+BOX = [0.0, 0.0, 10.0, 10.0]
+FRAME = {
+    "video_id": "v",
+    "frame_id": 0,
+    "captions": [[
+        {"surface": "cuts", "lemma": "cut", "pos": "VERB"},
+        {"surface": "the", "lemma": "the", "pos": "OTHER"},
+        {"surface": "wood", "lemma": "wood", "pos": "NOUN"},
+    ]],
+    "label_scores": {"knife": 0.9, "table": 0.5},
+    "active_boxes": [BOX],
+    "detections": [{"label": "saw", "box": BOX, "score": 0.9}],
+}
+ENTRY = {"box": BOX, "noun": "cup", "verb": "take", "ttc": 1.0}
+RECORDS = {
+    "frames": FRAME,
+    "preds": {"video_id": "v", "frame_id": 0, "entries": [dict(ENTRY, score=0.5)]},
+    "gt": {"video_id": "v", "frame_id": 0, "entries": [ENTRY]},
+    "contexts": {
+        "video_id": "v",
+        "frame_id": 0,
+        "text": "take cup; cup; knife",
+        "action_terms": [["take", "cup"]],
+        "held": ["cup"],
+        "salient": ["knife"],
+    },
+}
+VECTOR = ["0.5"] * 300
+TEXT_LINES = {
+    "embeddings": ["cup\t" + "\t".join(VECTOR), "take\t" + "\t".join(VECTOR)],
+    "config": ["k=5", "theta_iou=0.25"],
+}
+# (subcommand, input file under test); every other input is valid
+TARGETS = [
+    ("summarize", "frames"),
+    ("summarize", "config"),
+    ("evaluate", "preds"),
+    ("evaluate", "gt"),
+    ("quality", "contexts"),
+    ("quality", "gt"),
+    ("quality", "embeddings"),
+]
+SUFFIX = {"embeddings": ".tsv", "config": ".cfg"}
+
+
+def valid_lines(kind):
+    if kind in TEXT_LINES:
+        return list(TEXT_LINES[kind])
+    first = dict(copy.deepcopy(RECORDS[kind]), video_id="u")
+    return [json.dumps(first), json.dumps(RECORDS[kind])]
+
+
+def run(tmp_path, capsys, command, kind, line2):
+    """Run ``command`` with ``line2`` as line 2 of its ``kind`` input; return (code, stderr, path)."""
+    paths = {}
+    for name in ("frames", "preds", "gt", "contexts", "embeddings", "config"):
+        lines = valid_lines(name)
+        if name == kind:
+            lines[1] = line2
+        paths[name] = tmp_path / (name + SUFFIX.get(name, ".jsonl"))
+        # surrogate escapes in a line stand for bytes that are not UTF-8
+        paths[name].write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    out = str(tmp_path / "out")
+    argv = {
+        "summarize": ["summarize", "--frames", paths["frames"], "--out", out],
+        "evaluate": ["evaluate", "--preds", paths["preds"], "--gt", paths["gt"], "--out", out],
+        "quality": [
+            "quality", "--contexts", paths["contexts"], "--gt", paths["gt"],
+            "--embeddings", paths["embeddings"], "--out", out,
+        ],
+    }[command]
+    if kind == "config":
+        argv += ["--config", paths["config"]]
+    capsys.readouterr()
+    code = main([str(arg) for arg in argv])
+    return code, capsys.readouterr().err, str(paths[kind])
+
+
+def mutated(kind, edit):
+    record = copy.deepcopy(RECORDS[kind])
+    edit(record)
+    return json.dumps(record)
+
+
+def setter(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(record):
+        for step in path:
+            record = record[step]
+        record[key] = value
+
+    return edit
+
+
+# Malformed inputs that exited 3, or exited 0 after a silent coercion, or
+# exited 1 with no location.
+REJECTED = {
+    "frame_id-string": ("summarize", "frames", mutated("frames", setter("frame_id", "abc"))),
+    "frame_id-float": ("summarize", "frames", mutated("frames", setter("frame_id", 1.7))),
+    "frame_id-bool": ("summarize", "frames", mutated("frames", setter("frame_id", True))),
+    "video_id-list": ("summarize", "frames", mutated("frames", setter("video_id", ["v"]))),
+    "detection-score-string": (
+        "summarize", "frames", mutated("frames", setter("detections", 0, "score", "x"))),
+    "detection-score-null": (
+        "summarize", "frames", mutated("frames", setter("detections", 0, "score", None))),
+    "detection-label-comma": (
+        "summarize", "frames", mutated("frames", setter("detections", 0, "label", "a,b"))),
+    "label-score-bool": (
+        "summarize", "frames", mutated("frames", setter("label_scores", "knife", True))),
+    "label-scores-key-semicolon": (
+        "summarize", "frames", mutated("frames", setter("label_scores", {"a;b": 0.5}))),
+    "caption-lemma-comma": (
+        "summarize", "frames", mutated("frames", setter("captions", 0, 2, "lemma", "a,b"))),
+    "caption-lemma-int": (
+        "summarize", "frames", mutated("frames", setter("captions", 0, 0, "lemma", 5))),
+    "captions-not-list": ("summarize", "frames", mutated("frames", setter("captions", {}))),
+    "active_boxes-not-list": ("summarize", "frames", mutated("frames", setter("active_boxes", 5))),
+    "detections-not-list": ("summarize", "frames", mutated("frames", setter("detections", {}))),
+    "box-coordinate-string": (
+        "summarize", "frames", mutated("frames", setter("active_boxes", 0, 0, "0"))),
+    "frames-not-contiguous": (
+        "summarize", "frames", json.dumps(FRAME) + "\n" + json.dumps(dict(FRAME, video_id="u", frame_id=1))),
+    "frames-duplicate-frame": ("summarize", "frames", mutated("frames", setter("video_id", "u"))),
+    "ttc-string": ("evaluate", "gt", mutated("gt", setter("entries", 0, "ttc", "x"))),
+    "ttc-below-minimum": ("evaluate", "gt", mutated("gt", setter("entries", 0, "ttc", 0.01))),
+    "noun-list": ("evaluate", "gt", mutated("gt", setter("entries", 0, "noun", ["a"]))),
+    "noun-comma": ("evaluate", "gt", mutated("gt", setter("entries", 0, "noun", "a,b"))),
+    "verb-semicolon": ("evaluate", "preds", mutated("preds", setter("entries", 0, "verb", "a;b"))),
+    "prediction-score-null": (
+        "evaluate", "preds", mutated("preds", setter("entries", 0, "score", None))),
+    "prediction-score-string": (
+        "evaluate", "preds", mutated("preds", setter("entries", 0, "score", "0.5"))),
+    "held-string": ("quality", "contexts", mutated("contexts", setter("held", "abc"))),
+    "held-comma": ("quality", "contexts", mutated("contexts", setter("held", ["a,b"]))),
+    "salient-int": ("quality", "contexts", mutated("contexts", setter("salient", [1]))),
+    "action-term-semicolon": (
+        "quality", "contexts", mutated("contexts", setter("action_terms", [["take", "a;b"]]))),
+    "text-null": ("quality", "contexts", mutated("contexts", setter("text", None))),
+    "ttc-beyond-float-range": ("evaluate", "gt", mutated("gt", setter("entries", 0, "ttc", 10**400))),
+    "integer-too-long-to-parse": ("evaluate", "gt", '{"frame_id": 1' + "0" * 5000 + "}"),
+    "nesting-too-deep": ("quality", "contexts", "[" * 100_000),
+    "embedding-nan": ("quality", "embeddings", "take\t" + "\t".join(["nan"] + VECTOR[1:])),
+    "embedding-overflow": ("quality", "embeddings", "take\t" + "\t".join(["1e400"] + VECTOR[1:])),
+    "config-nan": ("summarize", "config", "theta_iou=nan"),
+    "config-inf": ("summarize", "config", "t_delta=inf"),
+    "config-merge-table": ("summarize", "config", "merge_table=a->b,a->c"),
+    "frames-invalid-utf8": (
+        "summarize", "frames", json.dumps(dict(FRAME, video_id="\udcff"), ensure_ascii=False)),
+    "frames-lone-surrogate-escape": ("summarize", "frames", mutated("frames", setter("video_id", "\udcff"))),
+    "contexts-lone-surrogate-escape": ("quality", "contexts", mutated("contexts", setter("held", ["\ud800"]))),
+    "embeddings-invalid-utf8": ("quality", "embeddings", "\udcff\t" + "\t".join(VECTOR)),
+    "config-invalid-utf8": ("summarize", "config", "vocab_noun=\udcc3"),
+}
+
+# Malformed inputs that were already rejected at path:line; kept as
+# guards on the shared decoder.
+ALREADY_REJECTED = {
+    "token-not-object": ("summarize", "frames", mutated("frames", setter("captions", 0, 0, "tok"))),
+    "bad-pos": ("summarize", "frames", mutated("frames", setter("captions", 0, 0, "pos", "ADJ"))),
+    "action-term-triple": (
+        "quality", "contexts", mutated("contexts", setter("action_terms", [["a", "b", "c"]]))),
+    "invalid-json": ("evaluate", "preds", "{truncated"),
+    "duplicate-frame-then-invalid-json": (
+        "summarize", "frames", mutated("frames", setter("video_id", "u")) + "\n{truncated"),
+    "record-not-object": ("quality", "contexts", "[1, 2]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED) + sorted(ALREADY_REJECTED))
+def test_malformed_line_exits_1_naming_path_and_line(tmp_path, capsys, case):
+    command, kind, line2 = {**REJECTED, **ALREADY_REJECTED}[case]
+    n = line2.count("\n") + 2
+    code, err, path = run(tmp_path, capsys, command, kind, line2)
+    assert code == 1, err
+    assert f"{path}:line {n}: " in err
+
+
+def test_valid_inputs_pass(tmp_path, capsys):
+    for command, kind in TARGETS:
+        code, err, _ = run(tmp_path, capsys, command, kind, valid_lines(kind)[1])
+        assert code == 0, (command, kind, err)
+
+
+@pytest.mark.parametrize("flag", ["--n-frames", "--n-videos"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_empty_synth_run_rejected(tmp_path, capsys, flag, value):
+    out = tmp_path / "frames.jsonl"
+    assert main(["synth", "--out", str(out), flag, value]) == 1
+    assert "at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Values a mutated field takes: every JSON type, with the edge cases of
+# each (booleans, huge and negative numbers, non-finite floats, reserved
+# separators, empty strings, lists and objects).
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**20), 10**20)
+    | st.sampled_from([0, -1, 2**64, 10**400])
+    | st.floats()
+    | st.sampled_from(["", "a,b", "a;b", "abc", "1", "VERB", "NOUN", "v", "u", "\udcff", "caf\u00e9"])
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+TEXT_VALUES = st.sampled_from(["", "nan", "inf", "-1", "1e400", "0", "1.5", "x", "a->b", "a,b"]) | st.text(max_size=6)
+CONFIG_KEYS = [
+    "d", "k", "stride", "window", "p_o_held", "l_action", "theta_iou", "min_ttc", "t_delta",
+    "box_loss_lambda", "vocab_noun", "merge_table", "unknown",
+]
+
+
+def field_paths(value, prefix=()):
+    """Every path into a JSON value, the value itself excluded."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from field_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_line(draw, kind):
+    """Line 2 of ``kind`` with one field replaced, deleted, or set to a random value."""
+    if kind == "config":
+        return f"{draw(st.sampled_from(CONFIG_KEYS))}={draw(TEXT_VALUES)}"
+    if kind == "embeddings":
+        fields = valid_lines(kind)[1].split("\t")
+        fields[draw(st.sampled_from([0, 1, 150, 300]))] = draw(TEXT_VALUES)
+        return "\t".join(fields)
+    record = copy.deepcopy(RECORDS[kind])
+    *path, key = draw(st.sampled_from(list(field_paths(record))))
+    parent = record
+    for step in path:
+        parent = parent[step]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(JSON_VALUES)
+    return json.dumps(record)
+
+
+@st.composite
+def mutation(draw):
+    command, kind = draw(st.sampled_from(TARGETS))
+    return command, kind, draw(mutated_line(kind))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutation())
+def test_single_field_mutations_never_exit_3(tmp_path, capsys, case):
+    command, kind, line2 = case
+    code, err, path = run(tmp_path, capsys, command, kind, line2)
+    assert code in (0, 1, 2), err
+    if code == 1 and kind in RECORDS:
+        assert f"{path}:line 2: " in err
