@@ -392,8 +392,9 @@ def _parse_config_value(key: str, value: str):
 def load_config(path: str | Path) -> SummarizerConfig:
     """Parse a flat ``key=value`` config file; unspecified keys keep defaults.
 
-    Unknown keys are errors, and so are numbers that are not finite.
-    Blank lines and ``#`` comments are ignored.
+    Unknown keys are errors, and so are numbers that are not finite or
+    out of range; each names its ``path:line``. Blank lines and ``#``
+    comments are ignored.
     """
     fields: dict = {}
     for lineno, raw in read_lines(path):
@@ -407,6 +408,7 @@ def load_config(path: str | Path) -> SummarizerConfig:
             if key in fields:
                 raise ValidationError(f"duplicate key {key!r}")
             fields[key] = _parse_config_value(key, value)
+            _config_from_flat({key: fields[key]})  # range-checks this key, at its line
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=str(path)) from None
     return _config_from_flat(fields)

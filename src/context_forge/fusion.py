@@ -9,7 +9,9 @@ formulation literally:
     Z' = LN(Z')
 
 with the GELU applied before the two-layer MLP, and one shared per-head
-projection used for queries, keys, and values.
+projection used for queries, keys, and values. All heads of a layer run
+as one batched product over a leading head axis; GELU evaluates the
+exact ``math.erf`` element by element.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import numpy as np
 
 from .core import ShapeError, ValidationError
 
-_erf = np.vectorize(math.erf, otypes=[np.float64])
-
 LAYER_NORM_EPS = 1e-12
 
 
@@ -34,14 +34,16 @@ class BundleError(ValidationError):
 
 def gelu(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + _erf(x / math.sqrt(2.0)))
+    scaled = (x / math.sqrt(2.0)).ravel().tolist()
+    erf = np.fromiter(map(math.erf, scaled), dtype=np.float64, count=len(scaled))
+    return 0.5 * x * (1.0 + erf.reshape(x.shape))
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LAYER_NORM_EPS) * gamma + beta
+    centred = x - x.mean(axis=-1, keepdims=True)
+    var = (centred * centred).mean(axis=-1, keepdims=True)  # what np.var computes
+    return centred / np.sqrt(var + LAYER_NORM_EPS) * gamma + beta
 
 
 def row_softmax(scores: np.ndarray) -> np.ndarray:
@@ -63,8 +65,12 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ShapeError(f"Q width {q.shape[1]} != K width {k.shape[1]}")
     if k.shape[0] != v.shape[0]:
         raise ShapeError(f"K rows {k.shape[0]} != V rows {v.shape[0]}")
-    d_k = q.shape[1]
-    weights = row_softmax(q @ k.T / math.sqrt(d_k))
+    return _attention(q, k, v)
+
+
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``attention`` without shape checks, batched over any leading axes."""
+    weights = row_softmax(q @ k.swapaxes(-1, -2) / math.sqrt(q.shape[-1]))
     return weights @ v
 
 
@@ -155,11 +161,9 @@ def multi_head(z: np.ndarray, layer: EncoderLayerParams) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != layer.d_model:
         raise ShapeError(f"multi_head input shape {z.shape}, expected (n, {layer.d_model})")
-    heads = []
-    for i in range(layer.n_heads):
-        projected = z @ layer.w_heads[i]
-        heads.append(attention(projected, projected, projected))
-    return np.concatenate(heads, axis=1) @ layer.w_out
+    projected = z @ layer.w_heads  # (heads, n, d_head)
+    heads = _attention(projected, projected, projected)
+    return heads.transpose(1, 0, 2).reshape(len(z), layer.d_model) @ layer.w_out
 
 
 def encoder_layer(z: np.ndarray, layer: EncoderLayerParams) -> np.ndarray:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from context_forge import checks, fusion
+from context_forge.checks import run_invariant_checks
 from context_forge.cli import main
 from context_forge.core import ShapeError, ValidationError
 from context_forge.fusion import (
@@ -15,6 +17,7 @@ from context_forge.fusion import (
     encoder_layer,
     encoder_stack,
     fuse,
+    gelu,
     load_params,
     loss_total,
     multi_head,
@@ -152,6 +155,11 @@ class TestAttention:
         with pytest.raises(ShapeError):
             attention(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 4)))
 
+    def test_batched_input_rejected(self):
+        # the public name stays 2-d; multi_head batches its heads privately
+        with pytest.raises(ShapeError):
+            attention(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), np.zeros((2, 3, 4)))
+
 
 class TestMultiHead:
     def test_single_head_identity_collapses_to_attention(self):
@@ -170,6 +178,24 @@ class TestMultiHead:
         expected = reference_multi_head(z, layer.w_heads, layer.w_out)
         assert np.abs(multi_head(z, layer) - expected).max() <= 1e-12
 
+    @pytest.mark.parametrize("d, h", [(64, 8), (64, 1), (8, 1)])
+    def test_matches_sequential_reference(self, d, h):
+        # 67 rows: a large-bundle scale of 64 patch tokens plus 3 language tokens
+        layer = random_layer(d, h, seed=d + h)
+        z = np.random.default_rng(h).normal(size=(67, d))
+        expected = reference_multi_head(z, layer.w_heads, layer.w_out)
+        assert np.abs(multi_head(z, layer) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 67])
+    def test_bit_identical_to_per_head_loop(self, n):
+        layer = random_layer(64, 8, seed=n)
+        z = np.random.default_rng(n).normal(size=(n, 64))
+        heads = []
+        for w in layer.w_heads:
+            projected = z @ w
+            heads.append(attention(projected, projected, projected))
+        assert np.array_equal(multi_head(z, layer), np.concatenate(heads, axis=1) @ layer.w_out)
+
     def test_head_width_must_divide(self):
         with pytest.raises(ValidationError):
             EncoderLayerParams(
@@ -184,6 +210,104 @@ class TestMultiHead:
                 ln2_gamma=np.ones(8),
                 ln2_beta=np.zeros(8),
             )
+
+
+GELU_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.84375, -0.84375, 1.25, -1.25,
+    6.0, -6.0, 40.0, -40.0, math.inf, -math.inf, math.nan,
+]
+
+
+def scalar_gelu(x: float) -> float:
+    return 0.5 * x * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+class TestGelu:
+    @staticmethod
+    def assert_bits_equal(got, want):
+        want = np.asarray(want, dtype=np.float64)
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+    def test_bit_identical_to_scalar_formula_on_edge_values(self):
+        with np.errstate(invalid="ignore"):  # -inf * 0 is nan, as in the scalar formula
+            got = gelu(np.array(GELU_EDGES))
+        self.assert_bits_equal(got, [scalar_gelu(x) for x in GELU_EDGES])
+
+    def test_bit_identical_on_random_2d_input(self):
+        x = np.random.default_rng(5).normal(0.0, 3.0, (7, 13))
+        want = [[scalar_gelu(v) for v in row] for row in x.tolist()]
+        self.assert_bits_equal(gelu(x), want)
+        self.assert_bits_equal(gelu(x.T), np.array(want).T)  # non-contiguous input
+
+    def test_zero_dim_and_empty_inputs(self):
+        self.assert_bits_equal(gelu(np.float64(1.25)), scalar_gelu(1.25))
+        self.assert_bits_equal(gelu(-0.84375), scalar_gelu(-0.84375))
+        self.assert_bits_equal(gelu(np.zeros((0, 5))), np.zeros((0, 5)))
+
+
+def test_layer_norm_bit_identical_to_np_var_formula():
+    x = np.random.default_rng(6).normal(0.0, 3.0, (67, 64))
+    gamma, beta = np.random.default_rng(7).normal(size=(2, 64))
+    mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+    expected = (x - mean) / np.sqrt(var + fusion.LAYER_NORM_EPS) * gamma + beta
+    assert np.array_equal(fusion.layer_norm(x, gamma, beta), expected)
+
+
+class TestTracedNames:
+    """The benchmark's traced run times kernel layers by rebinding these module globals."""
+
+    def counted(self, monkeypatch, owner, name, calls):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append([np.ndim(a) for a in args[:3]])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def test_encoder_layer_reaches_gelu_and_multi_head(self, monkeypatch):
+        calls = {"gelu": [], "multi_head": [], "attention": []}
+        for name in calls:
+            self.counted(monkeypatch, fusion, name, calls)
+        encoder_stack(RNG.normal(size=(5, 16)), random_fusion_params(0)[0].layers)
+        assert len(calls["gelu"]) == len(calls["multi_head"]) == 2
+        # the tracer's flops hook unpacks 2-d shapes; heads must not go through it batched
+        assert all(ndims == [2, 2, 2] for ndims in calls["attention"])
+
+    def test_checks_reach_attention(self, monkeypatch):
+        calls = {"attention": []}
+        self.counted(monkeypatch, checks, "attention", calls)
+        assert all(r.passed for r in run_invariant_checks(random_fusion_params(0), seed=1))
+        assert len(calls["attention"]) == 40
+
+
+class TestEquivarianceGuard:
+    def patch_kernel(self, monkeypatch, kernel):
+        # fuse() looks the kernel up in fusion, the per-scale check in checks
+        monkeypatch.setattr(fusion, "fuse_single_scale", kernel)
+        monkeypatch.setattr(checks, "fuse_single_scale", kernel)
+
+    def test_position_dependent_kernel_fails(self, monkeypatch, capsys):
+        real = fusion.fuse_single_scale
+
+        def broken(fmap, lang, params):
+            out = real(fmap, lang, params)
+            return out + np.arange(out.shape[1])[:, None]  # adds a row-index term
+
+        self.patch_kernel(monkeypatch, broken)
+        results = {r.name: r.passed for r in run_invariant_checks(random_fusion_params(0), seed=2)}
+        assert results.pop("permutation-equivariance") is False
+        assert all(results.values())
+        assert main(["fuse-check", "--seed", "2"]) == 3
+        assert "FAIL permutation-equivariance: " in capsys.readouterr().out
+
+    def test_equivariant_kernel_passes(self, monkeypatch):
+        real = fusion.fuse_single_scale
+        self.patch_kernel(monkeypatch, lambda fmap, lang, params: 2.0 * real(fmap, lang, params))
+        assert all(r.passed for r in run_invariant_checks(random_fusion_params(0), seed=2))
 
 
 class TestEncoderLayer:

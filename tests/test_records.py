@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from context_forge.cli import main
+from context_forge.records import read_contexts
 
 BOX = [0.0, 0.0, 10.0, 10.0]
 FRAME = {
@@ -159,6 +160,12 @@ REJECTED = {
     "config-nan": ("summarize", "config", "theta_iou=nan"),
     "config-inf": ("summarize", "config", "t_delta=inf"),
     "config-merge-table": ("summarize", "config", "merge_table=a->b,a->c"),
+    "config-d-negative": ("summarize", "config", "d=-1"),
+    "config-stride-zero": ("summarize", "config", "stride=0"),
+    "config-p_o-zero": ("summarize", "config", "p_o_held=0"),
+    "config-iou-above-1": ("summarize", "config", "iou_thresh=1.5"),
+    "held-blank": ("quality", "contexts", mutated("contexts", setter("held", ["  "]))),
+    "salient-empty": ("quality", "contexts", mutated("contexts", setter("salient", [""]))),
     "frames-invalid-utf8": (
         "summarize", "frames", json.dumps(dict(FRAME, video_id="\udcff"), ensure_ascii=False)),
     "frames-lone-surrogate-escape": ("summarize", "frames", mutated("frames", setter("video_id", "\udcff"))),
@@ -188,6 +195,26 @@ def test_malformed_line_exits_1_naming_path_and_line(tmp_path, capsys, case):
     code, err, path = run(tmp_path, capsys, command, kind, line2)
     assert code == 1, err
     assert f"{path}:line {n}: " in err
+
+
+def test_context_labels_normalized_on_read(tmp_path, capsys):
+    """Held and salient labels are read as ground-truth nouns are: "Cup" hits "Cup"."""
+    files = {
+        "contexts": json.dumps(dict(RECORDS["contexts"], action_terms=[], held=[" Cup "], salient=["Big  KNIFE"])),
+        "gt": json.dumps(dict(RECORDS["gt"], entries=[dict(ENTRY, noun="Cup")])),
+        "embeddings": "\n".join(TEXT_LINES["embeddings"]),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n")
+    context = read_contexts(str(tmp_path / "contexts"))[("v", 0)]
+    assert (context.held_objects, context.salient_objects) == (("cup",), ("big knife",))
+    out = tmp_path / "quality.json"
+    code = main([
+        "quality", "--contexts", str(tmp_path / "contexts"), "--gt", str(tmp_path / "gt"),
+        "--embeddings", str(tmp_path / "embeddings"), "--out", str(out),
+    ])
+    assert code == 0, capsys.readouterr().err
+    assert json.loads(out.read_text())["quality"]["exact_noun_hits"] == 1.0
 
 
 def test_valid_inputs_pass(tmp_path, capsys):
@@ -267,5 +294,5 @@ def test_single_field_mutations_never_exit_3(tmp_path, capsys, case):
     command, kind, line2 = case
     code, err, path = run(tmp_path, capsys, command, kind, line2)
     assert code in (0, 1, 2), err
-    if code == 1 and kind in RECORDS:
+    if code == 1 and (kind in RECORDS or kind == "config"):
         assert f"{path}:line 2: " in err
