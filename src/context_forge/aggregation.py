@@ -79,22 +79,35 @@ class StreamAggregator:
         self.p_l = p_l
         self._closed: list[Segment] = []
         self._unsettled: list[Segment] = []
-        self._runs: dict[Term, _RunState] = {}
+        self._runs: dict[Term, _RunState] = {}  # live runs, ordered by last_seen
         self._last_frame: int | None = None
 
-    def push(self, frame_id: int, terms: Iterable[Term]) -> None:
+    def push(self, frame_id: int, terms: Iterable[Term]) -> bool:
+        """Observe one frame's terms; return whether an accepted run was
+        created, extended or newly accepted by it.
+
+        Only such a push changes ``segments_at`` for later frames: pending
+        runs are invisible there, and a run retired here was already
+        inactive at every frame after ``frame_id``.
+        """
         if self._last_frame is not None and frame_id <= self._last_frame:
             raise ValidationError(
                 f"frame ids must be strictly increasing: {frame_id} after {self._last_frame}"
             )
         self._last_frame = frame_id
-        stale = [term for term, run in self._runs.items() if frame_id - run.last_seen > self.p_l]
+        runs = self._runs
+        stale = []
+        for term, run in runs.items():
+            if frame_id - run.last_seen <= self.p_l:
+                break
+            stale.append(term)
         for term in stale:
             self._retire(term)
+        changed = False
         for term in set(terms):
-            run = self._runs.get(term)
+            run = runs.pop(term, None)
             if run is None:
-                self._runs[term] = _RunState(
+                run = _RunState(
                     start=frame_id,
                     last_seen=frame_id,
                     occurrences=1,
@@ -105,6 +118,11 @@ class StreamAggregator:
                 run.last_seen = frame_id
                 if run.occurrences >= self.p_o:
                     run.accepted = True
+            # re-inserted, so runs stay ordered by last_seen and the
+            # stale-run scan above stops at the first run inside its lapse
+            runs[term] = run
+            changed = changed or run.accepted
+        return changed
 
     def _retire(self, term: Term) -> None:
         run = self._runs.pop(term)

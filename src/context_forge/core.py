@@ -12,6 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping, Union
 
@@ -291,11 +292,24 @@ class SummarizerConfig:
     def __post_init__(self) -> None:
         _validate_config(self)
 
+    # Extraction reads these lookups for every processed frame, so each is
+    # built once per config. The cache is not a field: equality, hashing
+    # and serialize_config ignore it.
+
     def merge_map(self) -> dict[str, str]:
-        return dict(self.merge_table)
+        """Merge table as a source -> target lookup, shared by all callers: do not mutate."""
+        return self._merge_map
 
     def action_noun_vocab(self) -> frozenset[str]:
         """Noun domain admitted into action pairs: configured nouns plus generics."""
+        return self._action_noun_vocab
+
+    @cached_property
+    def _merge_map(self) -> dict[str, str]:
+        return dict(self.merge_table)
+
+    @cached_property
+    def _action_noun_vocab(self) -> frozenset[str]:
         if not self.vocab_noun:
             return frozenset()
         return self.vocab_noun | self.generic_nouns

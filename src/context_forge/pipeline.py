@@ -11,13 +11,25 @@ length. Each overlap component is resolved once, when it settles (see
 ``aggregation``). A settled segment is never active, and it ends before
 every unsettled one, so selection needs only the last ``length - 1``
 settled kept segments, which a bounded buffer holds. The unsettled tail
-is re-resolved at every frame.
+is re-resolved whenever a selection is recomputed.
+
+Selection is event-driven. A category's terms at frame t depend only on
+its accepted segments as of t and on t itself, and they change at
+action boundaries, not at every frame. So each lane keeps its last
+selection and recomputes it only when a push made it *dirty* or t has
+reached its *flip frame* (see ``_Lane``). When all three lanes select
+the same terms as at the previous frame, that frame's ``ActionContext``
+is reused and ``assemble`` is skipped. Outputs are the same as
+selecting afresh at every frame, as ``synth.oracle_summarize_video``
+does.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from .aggregation import (
     SelectionMode,
@@ -55,21 +67,58 @@ class VideoStats:
 
 
 class _Lane:
-    """One category's aggregator, plus the last kept settled segments
-    that selection can still reach."""
+    """One category's aggregator, the last kept settled segments that
+    selection can still reach, and the last selection.
+
+    The selection is recomputed only when the lane is *dirty*, meaning a
+    push since the last selection created, extended or accepted an
+    accepted run, or when ``t`` reaches the *flip frame*: the earliest
+    frame after the last selection at which a segment it selected from
+    can change activity. That is the segment's start, the frame after
+    its end, or, for an open run, the frame after its lapse
+    (``end_frame + p_l + 1``). Nothing else can change the selection.
+    Overlap elimination does not depend on ``t``. A push that touches
+    only pending runs leaves the accepted segments as they were, because
+    pending runs are not segments. A run is retired only once its lapse
+    has passed, so it was already inactive, and its closed segment
+    equals its open one. Components that settle in between wait in the
+    aggregator, and ``take_settled`` hands them out exactly at the next
+    recomputation.
+    """
 
     def __init__(self, category: Category, cfg: SummarizerConfig):
         self.aggregator = StreamAggregator(category, cfg.p_o.get(category), cfg.p_l.get(category))
         self.length = cfg.context_lengths.get(category)
         self.mode = _MODES[category]
         self.settled_kept: deque[Segment] = deque(maxlen=max(0, self.length - 1))
+        self.terms: list[Term] = []
+        self.dirty = True
+        self.flip = -math.inf
+
+    def push(self, frame_id: int, terms: Iterable[Term]) -> None:
+        if self.aggregator.push(frame_id, terms):
+            self.dirty = True
 
     def select(self, t: int) -> list[Term]:
+        if not self.dirty and t < self.flip:
+            return self.terms
         settled = self.aggregator.take_settled()
         if settled:
             self.settled_kept.extend(sorted(eliminate_overlaps(settled), key=recency_order))
         segments = [*self.settled_kept, *eliminate_overlaps(self.aggregator.tail_at(t))]
-        return context_for_frame(segments, t, self.length, self.mode)
+        self.terms = context_for_frame(segments, t, self.length, self.mode)
+        self.flip = _flip_frame(segments, t, self.aggregator.p_l)
+        self.dirty = False
+        return self.terms
+
+
+def _flip_frame(segments: list[Segment], t: int, p_l: int) -> float:
+    """Earliest frame after ``t`` at which one of ``segments`` can change
+    activity, or infinity if none can."""
+    frames = [seg.start_frame for seg in segments]
+    frames += [seg.end_frame + 1 for seg in segments]
+    frames += [seg.end_frame + p_l + 1 for seg in segments if seg.active]
+    return min((frame for frame in frames if frame > t), default=math.inf)
 
 
 def summarize_video(
@@ -92,23 +141,27 @@ def summarize_video(
 
     def push(record: FrameRecord) -> None:
         ctx = extract_frame_context(record, cfg)
-        action.aggregator.push(ctx.frame_id, [ctx.action] if ctx.action is not None else [])
-        held.aggregator.push(ctx.frame_id, ctx.held)
-        salient.aggregator.push(ctx.frame_id, ctx.salient)
+        action.push(ctx.frame_id, [ctx.action] if ctx.action is not None else [])
+        held.push(ctx.frame_id, ctx.held)
+        salient.push(ctx.frame_id, ctx.salient)
 
     results: list[tuple[str, int, ActionContext]] = []
     pending = iter(processed)
     queued = next(pending, None)
+    last_selected = None
     for record in ordered:
         t = record.frame_id
         while queued is not None and queued.frame_id < t:
             push(queued)
             queued = next(pending, None)
-        context = assemble(
-            [term for term in action.select(t) if isinstance(term, ActionPair)],
-            [str(term) for term in held.select(t)],
-            [str(term) for term in salient.select(t)],
-        )
+        selected = (action.select(t), held.select(t), salient.select(t))
+        if selected != last_selected:
+            last_selected = selected
+            context = assemble(
+                [term for term in selected[0] if isinstance(term, ActionPair)],
+                [str(term) for term in selected[1]],
+                [str(term) for term in selected[2]],
+            )
         results.append((video_id, t, context))
 
     while queued is not None:

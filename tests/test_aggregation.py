@@ -179,6 +179,30 @@ class TestStreamAggregator:
         assert agg.take_settled() == []
         assert [s.term for s in agg.tail_at(7)] == ["y"]
 
+    def test_refreshed_run_does_not_shield_a_stale_one(self):
+        # "a" opens before "b" but is seen again after it, so b's lapse
+        # passes first: b must be retired at frame 4, not extended.
+        agg = StreamAggregator(Category.HELD, p_o=1, p_l=2)
+        agg.push(0, ["a"])
+        agg.push(1, ["b"])
+        agg.push(2, ["a"])
+        agg.push(4, ["b"])
+        assert [(s.term, s.start_frame, s.end_frame) for s in agg.segments_at(4)] == [
+            ("a", 0, 2),
+            ("b", 1, 1),
+            ("b", 4, 4),
+        ]
+
+    def test_push_reports_whether_an_accepted_run_changed(self):
+        agg = StreamAggregator(Category.HELD, p_o=2, p_l=1)
+        assert agg.push(0, ["x"]) is False  # pending run opened
+        assert agg.push(1, ["x", "y"]) is True  # x accepted
+        assert agg.push(2, ["x"]) is True  # accepted run extended
+        assert agg.push(3, ["y"]) is False  # pending y lapsed and reopened
+        assert agg.push(5, []) is False  # only retirements
+        assert agg.segments_at(5) == [seg("x", 0, 2, 3, category=Category.HELD)]
+        assert StreamAggregator(Category.ACTION, p_o=1, p_l=0).push(0, ["v"]) is True
+
     def test_chained_overlaps_never_settle(self):
         agg = StreamAggregator(Category.HELD, p_o=1, p_l=2)
         for f in range(0, 300):

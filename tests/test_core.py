@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -116,6 +117,18 @@ class TestConfigParsing:
         back.write_text(serialize_config(cfg))
         assert load_config(back) == cfg
         assert config_hash(load_config(back)) == config_hash(cfg)
+
+    def test_derived_lookups_built_once_outside_the_fields(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("vocab_noun=apple\ngeneric_nouns=thing\nmerge_table=a->b\n")
+        cfg, fresh = load_config(path), load_config(path)
+        digest = config_hash(cfg)
+        assert cfg.merge_map() is cfg.merge_map() == {"a": "b"}
+        assert cfg.action_noun_vocab() is cfg.action_noun_vocab() == {"apple", "thing"}
+        # built lookups change neither equality, hashing, the digest nor pickling
+        assert cfg == fresh and hash(cfg) == hash(fresh) and config_hash(cfg) == digest
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg and back.merge_map() == {"a": "b"} and config_hash(back) == digest
 
     @given(
         d=st.integers(0, 10),

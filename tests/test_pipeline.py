@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -6,6 +7,7 @@ from context_forge import pipeline
 from context_forge.aggregation import StreamAggregator, eliminate_overlaps
 from context_forge.core import (
     ActionPair,
+    BoundingBox,
     FrameRecord,
     PerCategory,
     PosTag,
@@ -249,6 +251,32 @@ class TestIncrementalMatchesPerFrameOracle:
         records, cfg = scenario_to_frame_records(stream, "v"), SummarizerConfig()
         assert summarize_video("v", records, cfg)[0] == oracle_summarize_video("v", records, cfg)
 
+    @pytest.mark.parametrize("stride", [4, 5, 6])
+    def test_activity_changes_between_processed_frames(self, stride):
+        # With p_l below the stride, a run seen on one processed frame is
+        # accepted (p_o 1) and lapses before the next push, so a cached
+        # selection must be recomputed on an off-stride frame. Four
+        # salient runs share their frames and tie on occurrences.
+        s = stride
+        planted = planted_records(
+            20 * s,
+            actions=[(ActionPair(f"v{k % 3}", "n"), k * s, k * s) for k in range(0, 20, 2)],
+            held=[(f"h{k % 2}", k * s, k * s + s) for k in range(0, 20, 3)],
+            salient=[(f"o{k}", 2 * s, 9 * s) for k in range(4)] + [("o9", 5 * s, 14 * s + 1)],
+        )
+        rng = SplitMix64(stride)
+        streams = [planted, *(random_records(rng) for _ in range(4))]
+        for p_l in itertools.product(range(3), repeat=3):
+            cfg = SummarizerConfig(
+                stride=stride,
+                p_o=PerCategory(1, 1, 2),
+                p_l=PerCategory(*p_l),
+                context_lengths=PerCategory(3, 2, 2),
+            )
+            for records in streams:
+                expected = oracle_summarize_video("v", records, cfg)
+                assert summarize_video("v", records, cfg)[0] == expected, p_l
+
 
 def test_overlap_resolution_work_does_not_grow_with_video_length(monkeypatch):
     sizes = []
@@ -268,26 +296,51 @@ def test_overlap_resolution_work_does_not_grow_with_video_length(monkeypatch):
     assert last <= first + 1.0, (first, last)
 
 
+def count_calls(monkeypatch, owner, name, calls, key=None):
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[key(*args) if key else name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 def test_summarize_reaches_traced_functions_through_module_globals(monkeypatch):
-    # The benchmark's traced run times these layers by rebinding these names.
+    # The benchmark's traced run times these layers by rebinding these
+    # names, so each must be reached. Selection is recomputed only when a
+    # lane's inputs change, and a context is assembled only when the
+    # selected terms change.
     calls = Counter()
-
-    def counted(owner, name):
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, wrapper)
-
-    for name in ("extract_frame_context", "eliminate_overlaps", "context_for_frame", "assemble"):
-        counted(pipeline, name)
-    for name in ("push", "segments_at"):
-        counted(StreamAggregator, name)
+    in_pipeline = ("extract_frame_context", "eliminate_overlaps", "context_for_frame", "assemble")
+    in_aggregator = ("push", "segments_at")
+    for name in in_pipeline:
+        count_calls(monkeypatch, pipeline, name, calls)
+    for name in in_aggregator:
+        count_calls(monkeypatch, StreamAggregator, name, calls)
     _, stream = gen_scenario(2, n_frames=300)
     results, _ = summarize_video("v", scenario_to_frame_records(stream, "v"), SummarizerConfig())
-    assert calls["assemble"] == calls["context_for_frame"] / 3 == len(results) == 300
+    texts = [ctx.text for _, _, ctx in results]
+    changes = sum(1 for i, text in enumerate(texts) if i == 0 or text != texts[i - 1])
+    assert len(results) == 300
+    assert all(calls[name] >= 1 for name in in_pipeline + in_aggregator)
     assert calls["extract_frame_context"] == calls["push"] / 3 == 100
-    assert calls["eliminate_overlaps"] >= 900
-    assert calls["segments_at"] >= 1
+    assert calls["context_for_frame"] <= 0.6 * len(results)
+    assert calls["assemble"] <= changes
+
+
+def test_pending_only_push_leaves_selection_cached(monkeypatch):
+    # Stride 1: a held object seen once at frame 3 opens a pending run
+    # (p_o 7); an action seen at frame 5 is accepted at once (p_o 1).
+    box = BoundingBox(0, 0, 2, 2)
+    frames = [empty_record("v", f) for f in range(16)]
+    frames[3] = FrameRecord("v", 3, active_boxes=(box,), detections=(("knife", box, 0.9),))
+    frames[5] = action_record("v", 5, "cut", "wood")
+    calls = Counter()
+    count_calls(monkeypatch, pipeline, "context_for_frame", calls, key=lambda segs, t, *_: t)
+    results, _ = summarize_video("v", frames, SummarizerConfig(stride=1))
+    # Every lane selects at frame 0. Only the action lane selects again:
+    # at frame 6, after the push that accepted its run, and at frame 13,
+    # when the run's lapse (p_l 7) has passed.
+    assert calls == {0: 3, 6: 1, 13: 1}
+    assert [ctx.text for _, _, ctx in results] == [""] * 6 + ["cut wood; ; "] * 10
