@@ -9,11 +9,12 @@ or the pipeline semantics intentionally change, and review the diff.
 import pathlib
 import sys
 
-sys.path.insert(0, "src")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from context_forge.cli import main as cli_main
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
+DATA = ROOT / "tests" / "data"
 
 
 def main() -> int:

@@ -17,10 +17,11 @@ at p=0.2) is roughly 0.5. The acceptance bar is therefore frozen at
 """
 
 import argparse
+import pathlib
 import sys
 from collections import defaultdict
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from context_forge.core import Category
 from context_forge.synth import (

@@ -1,18 +1,18 @@
 """Rendering selected segments into the textual action-context summary.
 
-The grammar is fixed so that text round-trips: the three sections are
-joined by "; " in the order action -> held -> salient, items within a
-section by ", ", and action pairs render as "verb noun". Labels keep
-internal spaces but may never contain "," or ";". When every section is
-empty the text is the empty string; otherwise empty sections render as
-empty slots so the section count stays unambiguous.
+The grammar is fixed: the three sections are joined by "; " in the
+order action -> held -> salient, items within a section by ", ", and
+action pairs render as "verb noun". Labels keep internal spaces but may
+never contain "," or ";". When every section is empty the text is the
+empty string; otherwise empty sections render as empty slots. This is
+the only renderer: the contexts reader checks each text against it.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .core import ActionContext, ActionPair, ValidationError, check_label
+from .core import ActionContext, ActionPair, check_label
 
 _SECTION_SEP = "; "
 _ITEM_SEP = ", "
@@ -40,19 +40,3 @@ def assemble(
         text=_SECTION_SEP.join(sections) if any(sections) else "",
     )
 
-
-def parse_context_text(text: str) -> tuple[list[ActionPair], list[str], list[str]]:
-    """Invert ``assemble``'s rendering."""
-    if text == "":
-        return [], [], []
-    sections = text.split(_SECTION_SEP)
-    if len(sections) != 3:
-        raise ValidationError(f"context text has {len(sections)} sections, expected 3")
-    action, held, salient = (section.split(_ITEM_SEP) if section else [] for section in sections)
-    pairs = []
-    for item in action:
-        verb, _, noun = item.partition(" ")
-        if not noun:
-            raise ValidationError(f"malformed action pair {item!r}")
-        pairs.append(ActionPair(verb=verb, noun=noun))
-    return pairs, held, salient

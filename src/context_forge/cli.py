@@ -58,39 +58,28 @@ def _load_config(path: str | None) -> SummarizerConfig:
     return load_config(path) if path else SummarizerConfig()
 
 
-def _summarize_one(args: tuple) -> tuple:
-    video_id, frames, cfg = args
-    return summarize_video(video_id, frames, cfg)
-
-
 def cmd_summarize(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    frames = itertools.groupby(read_frame_records(args.frames), key=lambda r: r.video_id)
-    videos = [(video_id, list(group)) for video_id, group in frames]
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(videos) <= 1:
-        outcomes = [_summarize_one((vid, frames, cfg)) for vid, frames in videos]
+    groups = itertools.groupby(read_frame_records(args.frames), key=lambda r: r.video_id)
+    videos = {video_id: list(frames) for video_id, frames in groups}  # the reader keeps ids unique
+    if args.jobs <= 1 or len(videos) <= 1:
+        outcomes = list(map(summarize_video, videos, videos.values(), itertools.repeat(cfg)))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_summarize_one, [(v, f, cfg) for v, f in videos]))
-
-    combined = []
-    stats_by_video = {}
-    for results, stats in outcomes:
-        combined.extend(results)
-        stats_by_video[stats.video_id] = stats
-    combined.sort(key=lambda item: (item[0], item[1]))
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            outcomes = list(pool.map(summarize_video, videos, videos.values(), itertools.repeat(cfg)))
+    # each video's contexts come in frame order, so sorting videos sorts the output
+    outcomes.sort(key=lambda outcome: outcome[1].video_id)
 
     with open(args.out, "w", encoding="utf-8") as fh:
-        for video_id, frame_id, ctx in combined:
-            fh.write(dumps_record(context_to_dict(video_id, frame_id, ctx)) + "\n")
+        for results, _ in outcomes:
+            for video_id, frame_id, ctx in results:
+                fh.write(dumps_record(context_to_dict(video_id, frame_id, ctx)) + "\n")
 
     print(f"# config_hash={config_hash(cfg)} version={__version__}", file=sys.stderr)
-    for video_id in sorted(stats_by_video):
-        stats = stats_by_video[video_id]
+    for _, stats in outcomes:
         seg = " ".join(f"{k}={v}" for k, v in sorted(stats.n_segments.items()))
         print(
-            f"video={video_id} frames={stats.n_frames} processed={stats.n_processed} {seg}",
+            f"video={stats.video_id} frames={stats.n_frames} processed={stats.n_processed} {seg}",
             file=sys.stderr,
         )
     return 0

@@ -8,6 +8,7 @@ after normalization.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -269,7 +270,8 @@ class SummarizerConfig:
 
     Empty vocabularies and merge tables disable the corresponding
     filtering entirely (the unfiltered operating mode); non-empty sets
-    enforce exact membership after label normalization.
+    enforce exact membership after label normalization. ``window`` and
+    ``box_loss_lambda`` are validated and hashed, but nothing reads them.
     """
 
     d: int = 4
@@ -315,51 +317,8 @@ class SummarizerConfig:
         return self.vocab_noun | self.generic_nouns
 
 
-def _validate_config(cfg: SummarizerConfig) -> None:
-    def check(name: str, ok: bool, value) -> None:
-        if not ok:
-            raise ValidationError(f"config: {name}={value!r} out of range")
-
-    check("d", cfg.d >= 0, cfg.d)
-    check("k", cfg.k >= 0, cfg.k)
-    check("theta_iou", 0.0 <= cfg.theta_iou <= 1.0, cfg.theta_iou)
-    for cat in ("action", "held", "salient"):
-        check(f"p_o_{cat}", getattr(cfg.p_o, cat) >= 1, getattr(cfg.p_o, cat))
-        check(f"p_l_{cat}", getattr(cfg.p_l, cat) >= 0, getattr(cfg.p_l, cat))
-        check(f"l_{cat}", getattr(cfg.context_lengths, cat) >= 0, getattr(cfg.context_lengths, cat))
-    check("stride", cfg.stride >= 1, cfg.stride)
-    check("window", cfg.window >= 1, cfg.window)
-    check("min_ttc", cfg.min_ttc >= 0.0, cfg.min_ttc)
-    check("iou_thresh", 0.0 <= cfg.iou_thresh <= 1.0, cfg.iou_thresh)
-    check("t_delta", cfg.t_delta >= 0.0, cfg.t_delta)
-    check("box_loss_lambda", cfg.box_loss_lambda > 0.0, cfg.box_loss_lambda)
-
-
-_INT_KEYS = {
-    "d": "d",
-    "k": "k",
-    "stride": "stride",
-    "window": "window",
-    "p_o_action": ("p_o", "action"),
-    "p_o_held": ("p_o", "held"),
-    "p_o_salient": ("p_o", "salient"),
-    "p_l_action": ("p_l", "action"),
-    "p_l_held": ("p_l", "held"),
-    "p_l_salient": ("p_l", "salient"),
-    "l_action": ("context_lengths", "action"),
-    "l_held": ("context_lengths", "held"),
-    "l_salient": ("context_lengths", "salient"),
-}
-
-_FLOAT_KEYS = {
-    "theta_iou": "theta_iou",
-    "min_ttc": "min_ttc",
-    "iou_thresh": "iou_thresh",
-    "t_delta": "t_delta",
-    "box_loss_lambda": "box_loss_lambda",
-}
-
-_SET_KEYS = ("vocab_noun", "vocab_verb", "generic_nouns")
+def _at_least(low: float):
+    return lambda value: value >= low
 
 
 def _parse_label_set(raw: str) -> frozenset[str]:
@@ -386,21 +345,66 @@ def _parse_merge_table(raw: str) -> tuple[tuple[str, str], ...]:
     return tuple(sorted(seen.items()))
 
 
-def _parse_config_value(key: str, value: str):
-    if key in _INT_KEYS or key in _FLOAT_KEYS:
-        kind = int if key in _INT_KEYS else float
+# Every config key, in file and hash order: the field it sets
+# ("field.part" for a PerCategory part), its parser (int, float or a
+# text parser) and its range (None: any parsed value).
+_CONFIG_KEYS = {
+    "d": ("d", int, _at_least(0)),
+    "k": ("k", int, _at_least(0)),
+    "stride": ("stride", int, _at_least(1)),
+    "window": ("window", int, _at_least(1)),
+    "p_o_action": ("p_o.action", int, _at_least(1)),
+    "p_o_held": ("p_o.held", int, _at_least(1)),
+    "p_o_salient": ("p_o.salient", int, _at_least(1)),
+    "p_l_action": ("p_l.action", int, _at_least(0)),
+    "p_l_held": ("p_l.held", int, _at_least(0)),
+    "p_l_salient": ("p_l.salient", int, _at_least(0)),
+    "l_action": ("context_lengths.action", int, _at_least(0)),
+    "l_held": ("context_lengths.held", int, _at_least(0)),
+    "l_salient": ("context_lengths.salient", int, _at_least(0)),
+    "theta_iou": ("theta_iou", float, lambda value: 0 <= value <= 1),
+    "min_ttc": ("min_ttc", float, _at_least(0)),
+    "iou_thresh": ("iou_thresh", float, lambda value: 0 <= value <= 1),
+    "t_delta": ("t_delta", float, _at_least(0)),
+    "box_loss_lambda": ("box_loss_lambda", float, lambda value: value > 0),
+    "vocab_noun": ("vocab_noun", _parse_label_set, None),
+    "vocab_verb": ("vocab_verb", _parse_label_set, None),
+    "generic_nouns": ("generic_nouns", _parse_label_set, None),
+    "merge_table": ("merge_table", _parse_merge_table, None),
+}
+
+
+def _config_value(cfg: SummarizerConfig, path: str):
+    name, _, part = path.partition(".")
+    value = getattr(cfg, name)
+    return getattr(value, part) if part else value
+
+
+def _check_range(key: str, ok, value) -> None:
+    if ok is not None and not ok(value):
+        raise ValidationError(f"config: {key}={value!r} out of range")
+
+
+def _validate_config(cfg: SummarizerConfig) -> None:
+    for key, (path, _, ok) in _CONFIG_KEYS.items():
+        _check_range(key, ok, _config_value(cfg, path))
+
+
+def _parse_config_line(key: str, raw: str):
+    if key not in _CONFIG_KEYS:
+        raise ValidationError(f"unknown key {key!r}")
+    _, parse, ok = _CONFIG_KEYS[key]
+    if parse is int or parse is float:
         try:
-            number = kind(value)
+            value = parse(raw)
         except ValueError:
-            number = math.nan
-        if not math.isfinite(number):
-            raise ValidationError(f"key {key!r}: {value!r} is not a finite {kind.__name__}")
-        return number
-    if key in _SET_KEYS:
-        return _parse_label_set(value)
-    if key == "merge_table":
-        return _parse_merge_table(value)
-    raise ValidationError(f"unknown key {key!r}")
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValidationError(f"key {key!r}: {raw!r} is not a finite {parse.__name__}")
+    else:
+        value = parse(raw)
+    _check_range(key, ok, value)
+    return value
 
 
 def load_config(path: str | Path) -> SummarizerConfig:
@@ -410,6 +414,7 @@ def load_config(path: str | Path) -> SummarizerConfig:
     out of range; each names its ``path:line``. Blank lines and ``#``
     comments are ignored.
     """
+    seen: set[str] = set()
     fields: dict = {}
     for lineno, raw in read_lines(path):
         line = raw.strip()
@@ -419,38 +424,26 @@ def load_config(path: str | Path) -> SummarizerConfig:
         try:
             if not sep:
                 raise ValidationError(f"expected key=value, got {line!r}")
-            if key in fields:
+            if key in seen:
                 raise ValidationError(f"duplicate key {key!r}")
-            fields[key] = _parse_config_value(key, value)
-            _config_from_flat({key: fields[key]})  # range-checks this key, at its line
+            value = _parse_config_line(key, value)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=str(path)) from None
-    return _config_from_flat(fields)
+        seen.add(key)
+        name, _, part = _CONFIG_KEYS[key][0].partition(".")
+        if part:  # a PerCategory part: the other parts keep their values so far
+            group = fields.get(name, SummarizerConfig.__dataclass_fields__[name].default)
+            value = dataclasses.replace(group, **{part: value})
+        fields[name] = value
+    return SummarizerConfig(**fields)
 
 
-def _config_from_flat(flat: Mapping) -> SummarizerConfig:
-    kwargs: dict = {}
-    grouped: dict[str, dict[str, int]] = {}
-    for key, value in flat.items():
-        target = _INT_KEYS.get(key)
-        if isinstance(target, tuple):
-            grouped.setdefault(target[0], {})[target[1]] = value
-        elif target is not None:
-            kwargs[target] = value
-        elif key in _FLOAT_KEYS:
-            kwargs[_FLOAT_KEYS[key]] = value
-        else:
-            kwargs[key] = value
-    defaults = SummarizerConfig.__dataclass_fields__
-    for group, parts in grouped.items():
-        base: PerCategory = defaults[group].default
-        merged = {
-            "action": parts.get("action", base.action),
-            "held": parts.get("held", base.held),
-            "salient": parts.get("salient", base.salient),
-        }
-        kwargs[group] = PerCategory(**merged)
-    return SummarizerConfig(**kwargs)
+def _render_config_value(parse, value) -> str:
+    if parse is _parse_label_set:
+        return ",".join(sorted(value))
+    if parse is _parse_merge_table:
+        return ",".join(f"{s}->{d}" for s, d in value)
+    return repr(value) if parse is float else f"{value}"
 
 
 def serialize_config(cfg: SummarizerConfig) -> str:
@@ -459,19 +452,10 @@ def serialize_config(cfg: SummarizerConfig) -> str:
     ``load_config`` on the result reproduces an equal config; ``repr`` is
     used for floats so values round-trip exactly.
     """
-    lines = []
-    for key, target in _INT_KEYS.items():
-        if isinstance(target, tuple):
-            value = getattr(getattr(cfg, target[0]), target[1])
-        else:
-            value = getattr(cfg, target)
-        lines.append(f"{key}={value}")
-    for key, attr in _FLOAT_KEYS.items():
-        lines.append(f"{key}={getattr(cfg, attr)!r}")
-    for key in _SET_KEYS:
-        lines.append(f"{key}={','.join(sorted(getattr(cfg, key)))}")
-    lines.append("merge_table=" + ",".join(f"{s}->{d}" for s, d in cfg.merge_table))
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key}={_render_config_value(parse, _config_value(cfg, path))}\n"
+        for key, (path, parse, _) in _CONFIG_KEYS.items()
+    )
 
 
 def config_hash(cfg: SummarizerConfig) -> str:

@@ -38,6 +38,7 @@ def extract_candidate_pairs(
     tokens: Sequence[TaggedToken],
     d: int,
     noun_vocab: frozenset[str] = frozenset(),
+    verb_vocab: frozenset[str] = frozenset(),
 ) -> list[ActionPair]:
     """Collect verb-noun candidate pairs from one tagged caption.
 
@@ -45,13 +46,16 @@ def extract_candidate_pairs(
     strictly between them. Every pairing is one candidate (duplicates
     included) so downstream frequency counting sees true multiplicity;
     candidates appear in scan order (verb position, then noun position).
-    An empty ``noun_vocab`` admits every noun.
+    An empty ``noun_vocab`` admits every noun, and an empty ``verb_vocab``
+    every verb.
     """
     if d < 0:
         raise ValidationError(f"cutoff distance d={d} must be >= 0")
     pairs: list[ActionPair] = []
     for i, tok in enumerate(tokens):
         if tok.pos is not PosTag.VERB:
+            continue
+        if verb_vocab and normalize_label(tok.lemma) not in verb_vocab:
             continue
         for j in range(i + 1, min(i + d + 2, len(tokens))):
             other = tokens[j]
@@ -151,7 +155,8 @@ def extract_frame_context(record: FrameRecord, cfg: SummarizerConfig) -> FrameCo
     """Run all three extractors over one frame record."""
     action_vocab = cfg.action_noun_vocab()
     per_caption = [
-        extract_candidate_pairs(caption, cfg.d, action_vocab) for caption in record.captions
+        extract_candidate_pairs(caption, cfg.d, action_vocab, cfg.vocab_verb)
+        for caption in record.captions
     ]
     action = select_frame_action(per_caption)
     salient = select_salient(record.label_scores, cfg.k, cfg.vocab_noun)

@@ -20,9 +20,11 @@ escaped lone surrogates are rejected. No label (caption verb and noun
 lemmas, label_scores keys, detection labels, entry nouns and verbs,
 context terms) may contain "," or ";" (``core.check_label``). Context
 terms are normalized on read (lowercase, collapsed spaces), and a term
-left empty is rejected. A (video_id, frame_id) key appears at most once
-per file, and a frames file keeps each video's lines together. Any
-malformed line raises ``ParseError`` naming ``path:line``.
+left empty is rejected. A context's text must equal the ``assemble``
+rendering of its terms, after ``normalize_label`` of both. A (video_id,
+frame_id) key appears at most once per file, and a frames file keeps
+each video's lines together. Any malformed line raises ``ParseError``
+naming ``path:line``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 import sys
 from typing import Callable, Iterable, Iterator, TypeVar
 
+from .assembly import assemble
 from .core import (
     ActionContext,
     ActionPair,
@@ -137,7 +140,8 @@ def _box(coords: list) -> BoundingBox:
 
 
 def _labels(values: list) -> tuple[str, ...]:
-    return tuple(check_label(v if type(v) is str else _as(v, str, "label")) for v in values)
+    """Context labels; ``assemble`` checks them for separators."""
+    return tuple(v if type(v) is str else _as(v, str, "label") for v in values)
 
 
 def _token(value) -> TaggedToken:
@@ -306,12 +310,15 @@ def _object_labels(values: list) -> tuple[str, ...]:
 
 
 def _context(obj: dict, frame_id: int) -> ActionContext:
-    return ActionContext(
-        action_segments=tuple(_action_pair(p) for p in _get(obj, "action_terms", list)),
-        held_objects=_object_labels(_get(obj, "held", list)),
-        salient_objects=_object_labels(_get(obj, "salient", list)),
-        text=_get(obj, "text", str),
+    context = assemble(
+        [_action_pair(p) for p in _get(obj, "action_terms", list)],
+        _object_labels(_get(obj, "held", list)),
+        _object_labels(_get(obj, "salient", list)),
     )
+    text = _get(obj, "text", str)
+    if normalize_label(text) != normalize_label(context.text):
+        raise ValidationError(f"text {text!r} does not match its fields, which render as {context.text!r}")
+    return context
 
 
 def read_contexts(path: str) -> dict[FrameKey, ActionContext]:

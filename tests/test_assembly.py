@@ -1,7 +1,6 @@
 import pytest
-from hypothesis import given, strategies as st
 
-from context_forge.assembly import assemble, parse_context_text
+from context_forge.assembly import assemble
 from context_forge.core import ActionPair, ValidationError
 
 
@@ -42,24 +41,3 @@ class TestAssemble:
         args = ([ActionPair("cut", "wood")], ["pressure cooker"], ["knife"])
         assert assemble(*args).text == assemble(*args).text
 
-
-_label = st.from_regex(r"[a-z]+( [a-z]+)?", fullmatch=True)
-_word = st.from_regex(r"[a-z]+", fullmatch=True)
-_pair = st.builds(ActionPair, _word, _word)
-
-
-class TestRoundTrip:
-    @given(
-        pairs=st.lists(_pair, max_size=3),
-        held=st.lists(_label, max_size=3),
-        salient=st.lists(_label, max_size=3),
-    )
-    def test_parse_inverts_render(self, pairs, held, salient):
-        ctx = assemble(pairs, held, salient)
-        assert parse_context_text(ctx.text) == (pairs, held, salient)
-
-    def test_parse_rejects_wrong_section_count(self):
-        with pytest.raises(ValidationError):
-            parse_context_text("a b; c")
-        with pytest.raises(ValidationError):
-            parse_context_text("a b; c; d; e")

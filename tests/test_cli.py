@@ -101,6 +101,24 @@ class TestSynthAndSummarize:
         run_cli("synth", "--seed", "31", "--out", str(b), "--n-frames", "60")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_verb_vocabulary_filters_action_terms(self, tmp_path):
+        frames = tmp_path / "frames.jsonl"
+        run_cli("synth", "--seed", "5", "--out", str(frames), "--n-frames", "120")
+        outputs = {}
+        for name, text in (("none", None), ("empty", "vocab_verb=\n"), ("zzz", "vocab_verb=zzz\n")):
+            out = tmp_path / f"{name}.jsonl"
+            args = ["summarize", "--frames", str(frames), "--out", str(out)]
+            if text is not None:
+                (tmp_path / f"{name}.cfg").write_text(text)
+                args += ["--config", str(tmp_path / f"{name}.cfg")]
+            assert run_cli(*args).returncode == 0
+            outputs[name] = out.read_bytes()
+        assert outputs["empty"] == outputs["none"]
+        records = [json.loads(line) for line in outputs["none"].splitlines()]
+        assert any(r["action_terms"] for r in records)
+        records = [json.loads(line) for line in outputs["zzz"].splitlines()]
+        assert len(records) == 120 and not any(r["action_terms"] for r in records)
+
     def test_golden_scenario_matches_frozen_output(self, tmp_path):
         frames = tmp_path / "frames.jsonl"
         proc = run_cli(
@@ -203,7 +221,7 @@ class TestQuality:
                 {
                     "video_id": "v",
                     "frame_id": 0,
-                    "text": "take cup; cup",
+                    "text": "take cup; ; cup",
                     "action_terms": [["take", "cup"]],
                     "held": [],
                     "salient": ["cup"],
@@ -235,6 +253,21 @@ class TestQuality:
         assert sorted(payload) == sorted(names)
         assert lines[0] == "exact_noun_hits 1.000000"
         assert lines[-2:] == ["n_frames 1", "missing_embeddings 0"]
+
+
+    def test_reads_summarize_output(self, tmp_path):
+        """Every summarize context passes the reader's text check."""
+        from context_forge.records import read_contexts
+
+        golden = DATA / "golden_contexts.jsonl"
+        assert len(read_contexts(str(golden))) == len(golden.read_text().splitlines()) == 480
+        gt = tmp_path / "g.jsonl"
+        write_gt(gt, [("synth00", 30, [PERFECT_ENTRY])])
+        emb = tmp_path / "emb.tsv"
+        self._embeddings(emb, ["cup", "take"])
+        proc = run_cli("quality", "--contexts", str(golden), "--gt", str(gt), "--embeddings", str(emb))
+        assert proc.returncode == 0, proc.stderr
+        assert "n_frames 1" in proc.stdout
 
 
 class TestFuseCheck:

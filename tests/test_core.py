@@ -59,6 +59,33 @@ class TestDefaults:
             load_config(path)
 
 
+# Sets every config key, each away from its default.
+EVERY_KEY = """\
+d=2
+k=7
+stride=4
+window=99
+p_o_action=2
+p_o_held=3
+p_o_salient=4
+p_l_action=5
+p_l_held=6
+p_l_salient=8
+l_action=1
+l_held=2
+l_salient=0
+theta_iou=0.33
+min_ttc=0.1
+iou_thresh=0.75
+t_delta=0.125
+box_loss_lambda=3.5
+vocab_noun=Knife, cup ,apple
+vocab_verb=cut,Take
+generic_nouns=thing,object
+merge_table=pressure cooker->machine, home appliance->machine
+"""
+
+
 class TestConfigParsing:
     def test_unknown_key_cites_line(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -117,6 +144,20 @@ class TestConfigParsing:
         back.write_text(serialize_config(cfg))
         assert load_config(back) == cfg
         assert config_hash(load_config(back)) == config_hash(cfg)
+
+    def test_hashes_pinned(self, tmp_path):
+        """The key order and each value's rendering are part of the digest."""
+        path = tmp_path / "c.cfg"
+        path.write_text(EVERY_KEY)
+        cfg = load_config(path)
+        assert config_hash(SummarizerConfig()) == "c2e28db2185d4a15"
+        assert config_hash(cfg) == "17e17a4583109c21"
+        assert serialize_config(cfg).splitlines()[-4:] == [
+            "vocab_noun=apple,cup,knife",
+            "vocab_verb=cut,take",
+            "generic_nouns=object,thing",
+            "merge_table=home appliance->machine,pressure cooker->machine",
+        ]
 
     def test_derived_lookups_built_once_outside_the_fields(self, tmp_path):
         path = tmp_path / "c.cfg"

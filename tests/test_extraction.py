@@ -72,6 +72,12 @@ class TestExtractCandidatePairs:
         vocab = frozenset({"apple"})
         assert extract_candidate_pairs(EATING_GATHERING, 4, vocab) == []
 
+    def test_vocabulary_filters_verbs(self):
+        tokens = [tok("Cutting", "Cut", "VERB"), tok("washing", "wash", "VERB"), tok("cup", "cup", "NOUN")]
+        assert extract_candidate_pairs(tokens, 4, verb_vocab=frozenset({"cut"})) == [ActionPair("cut", "cup")]
+        assert extract_candidate_pairs(tokens, 4, verb_vocab=frozenset({"zzz"})) == []
+        assert len(extract_candidate_pairs(tokens, 4, verb_vocab=frozenset())) == 2
+
     def test_one_verb_pairs_with_multiple_nouns(self):
         tokens = [
             tok("wash", "wash", "VERB"),

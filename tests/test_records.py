@@ -152,6 +152,9 @@ REJECTED = {
     "action-term-semicolon": (
         "quality", "contexts", mutated("contexts", setter("action_terms", [["take", "a;b"]]))),
     "text-null": ("quality", "contexts", mutated("contexts", setter("text", None))),
+    "text-not-its-fields": ("quality", "contexts", json.dumps(dict(
+        RECORDS["contexts"], text="wash banana; spoon; ", action_terms=[["cut", "tomato"]], held=["knife"]))),
+    "text-two-sections": ("quality", "contexts", mutated("contexts", setter("text", "take cup; cup"))),
     "ttc-beyond-float-range": ("evaluate", "gt", mutated("gt", setter("entries", 0, "ttc", 10**400))),
     "integer-too-long-to-parse": ("evaluate", "gt", '{"frame_id": 1' + "0" * 5000 + "}"),
     "nesting-too-deep": ("quality", "contexts", "[" * 100_000),
@@ -198,9 +201,13 @@ def test_malformed_line_exits_1_naming_path_and_line(tmp_path, capsys, case):
 
 
 def test_context_labels_normalized_on_read(tmp_path, capsys):
-    """Held and salient labels are read as ground-truth nouns are: "Cup" hits "Cup"."""
+    """Held and salient labels are read as ground-truth nouns are: "Cup" hits "Cup".
+
+    The text is checked after the same normalization, so case and spacing may differ.
+    """
+    context = dict(RECORDS["contexts"], text="; Cup; Big  KNIFE ", action_terms=[], held=[" Cup "], salient=["Big  KNIFE"])
     files = {
-        "contexts": json.dumps(dict(RECORDS["contexts"], action_terms=[], held=[" Cup "], salient=["Big  KNIFE"])),
+        "contexts": json.dumps(context),
         "gt": json.dumps(dict(RECORDS["gt"], entries=[dict(ENTRY, noun="Cup")])),
         "embeddings": "\n".join(TEXT_LINES["embeddings"]),
     }
@@ -208,6 +215,7 @@ def test_context_labels_normalized_on_read(tmp_path, capsys):
         (tmp_path / name).write_text(text + "\n")
     context = read_contexts(str(tmp_path / "contexts"))[("v", 0)]
     assert (context.held_objects, context.salient_objects) == (("cup",), ("big knife",))
+    assert context.text == "; cup; big knife"
     out = tmp_path / "quality.json"
     code = main([
         "quality", "--contexts", str(tmp_path / "contexts"), "--gt", str(tmp_path / "gt"),
