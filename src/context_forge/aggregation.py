@@ -40,7 +40,6 @@ class _RunState:
     start: int
     last_seen: int
     occurrences: int
-    accepted: bool
 
 
 def _segment_order(seg: Segment) -> tuple:
@@ -107,26 +106,19 @@ class StreamAggregator:
         for term in set(terms):
             run = runs.pop(term, None)
             if run is None:
-                run = _RunState(
-                    start=frame_id,
-                    last_seen=frame_id,
-                    occurrences=1,
-                    accepted=self.p_o <= 1,
-                )
+                run = _RunState(start=frame_id, last_seen=frame_id, occurrences=1)
             else:
                 run.occurrences += 1
                 run.last_seen = frame_id
-                if run.occurrences >= self.p_o:
-                    run.accepted = True
             # re-inserted, so runs stay ordered by last_seen and the
             # stale-run scan above stops at the first run inside its lapse
             runs[term] = run
-            changed = changed or run.accepted
+            changed = changed or run.occurrences >= self.p_o
         return changed
 
     def _retire(self, term: Term) -> None:
         run = self._runs.pop(term)
-        if run.accepted:
+        if run.occurrences >= self.p_o:
             seg = Segment(
                 category=self.category,
                 term=term,
@@ -155,7 +147,7 @@ class StreamAggregator:
                 active=t - run.last_seen <= self.p_l,
             )
             for term, run in self._runs.items()
-            if run.accepted
+            if run.occurrences >= self.p_o
         ]
 
     def segments_at(self, t: int) -> list[Segment]:

@@ -1,9 +1,8 @@
 """Command-line entry points.
 
 Subcommands: summarize, evaluate, quality, fuse-check, synth.
-Exit codes: 0 ok, 1 validation failure, 2 I/O failure, 3 internal
-invariant violation. Set CONTEXT_FORGE_LOG=debug|info|warning|error for
-stderr verbosity.
+Exit codes: 0 ok, 1 validation failure (usage errors included), 2 I/O
+failure, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -11,9 +10,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import logging
-import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
@@ -39,19 +37,7 @@ from .records import (
 )
 from .synth import gen_scenario, scenario_to_frame_records
 
-log = logging.getLogger("context_forge")
-
 _DEFAULT_VARIANTS = ("n", "nv", "nt", "all")
-
-
-def _setup_logging() -> None:
-    level_name = os.environ.get("CONTEXT_FORGE_LOG", "warning").lower()
-    levels = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING, "error": logging.ERROR}
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=levels.get(level_name, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
 
 
 def _load_config(path: str | None) -> SummarizerConfig:
@@ -59,10 +45,12 @@ def _load_config(path: str | None) -> SummarizerConfig:
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs {args.jobs} must be at least 1")
     cfg = _load_config(args.config)
     groups = itertools.groupby(read_frame_records(args.frames), key=lambda r: r.video_id)
     videos = {video_id: list(frames) for video_id, frames in groups}  # the reader keeps ids unique
-    if args.jobs <= 1 or len(videos) <= 1:
+    if args.jobs == 1 or len(videos) <= 1:
         outcomes = list(map(summarize_video, videos, videos.values(), itertools.repeat(cfg)))
     else:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -203,8 +191,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, like other validation failures."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="context-forge",
         description="Action-context summarization, evaluation, and fusion-kernel checks.",
     )
@@ -253,13 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except InvariantError as exc:
-        log.error("invariant violation: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValidationError, ContextForgeError) as exc:
@@ -269,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
-        log.exception("unexpected failure")
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -322,7 +322,7 @@ def _at_least(low: float):
 
 
 def _parse_label_set(raw: str) -> frozenset[str]:
-    return frozenset(normalize_label(p) for p in raw.split(",") if p.strip())
+    return frozenset(check_label(normalize_label(p)) for p in raw.split(",") if p.strip())
 
 
 def _parse_merge_table(raw: str) -> tuple[tuple[str, str], ...]:
@@ -333,7 +333,7 @@ def _parse_merge_table(raw: str) -> tuple[tuple[str, str], ...]:
         if "->" not in chunk:
             raise ValidationError(f"merge_table entry {chunk.strip()!r} missing '->'")
         src, dst = chunk.split("->", 1)
-        src, dst = normalize_label(src), normalize_label(dst)
+        src, dst = check_label(normalize_label(src)), check_label(normalize_label(dst))
         if not src or not dst:
             raise ValidationError(f"merge_table entry {chunk.strip()!r} has an empty side")
         pairs.append((src, dst))
@@ -386,8 +386,12 @@ def _check_range(key: str, ok, value) -> None:
 
 
 def _validate_config(cfg: SummarizerConfig) -> None:
-    for key, (path, _, ok) in _CONFIG_KEYS.items():
-        _check_range(key, ok, _config_value(cfg, path))
+    for key, (path, parse, ok) in _CONFIG_KEYS.items():
+        value = _config_value(cfg, path)
+        # exact types, so serialize_config renders what load_config reads back
+        if parse in (int, float) and type(value) is not parse:
+            raise ValidationError(f"config: {key}={value!r} is not of type {parse.__name__}")
+        _check_range(key, ok, value)
 
 
 def _parse_config_line(key: str, raw: str):

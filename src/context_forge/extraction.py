@@ -14,10 +14,12 @@ from typing import Iterable, Mapping, Sequence
 from .core import (
     ActionPair,
     BoundingBox,
+    Category,
     FrameRecord,
     PosTag,
     SummarizerConfig,
     TaggedToken,
+    Term,
     ValidationError,
     normalize_label,
 )
@@ -32,6 +34,12 @@ class FrameContext:
     action: ActionPair | None
     held: frozenset[str]
     salient: frozenset[str]
+
+    def terms(self, category: Category) -> list[Term]:
+        """This frame's terms of one category; held and salient labels sorted."""
+        if category is Category.ACTION:
+            return [self.action] if self.action is not None else []
+        return sorted(self.held if category is Category.HELD else self.salient)
 
 
 def extract_candidate_pairs(

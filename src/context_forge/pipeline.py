@@ -17,11 +17,11 @@ Selection is event-driven. A category's terms at frame t depend only on
 its accepted segments as of t and on t itself, and they change at
 action boundaries, not at every frame. So each lane keeps its last
 selection and recomputes it only when a push made it *dirty* or t has
-reached its *flip frame* (see ``_Lane``). When all three lanes select
-the same terms as at the previous frame, that frame's ``ActionContext``
-is reused and ``assemble`` is skipped. Outputs are the same as
-selecting afresh at every frame, as ``synth.oracle_summarize_video``
-does.
+reached its *flip frame*, where an active segment it selected from
+lapses (see ``_Lane``). When all three lanes select the same terms as
+at the previous frame, that frame's ``ActionContext`` is reused and
+``assemble`` is skipped. Outputs are the same as selecting afresh at
+every frame, as ``synth.oracle_summarize_video`` does.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .aggregation import (
 from .assembly import assemble
 from .core import (
     ActionContext,
-    ActionPair,
     Category,
     FrameRecord,
     Segment,
@@ -72,13 +71,15 @@ class _Lane:
 
     The selection is recomputed only when the lane is *dirty*, meaning a
     push since the last selection created, extended or accepted an
-    accepted run, or when ``t`` reaches the *flip frame*: the earliest
-    frame after the last selection at which a segment it selected from
-    can change activity. That is the segment's start, the frame after
-    its end, or, for an open run, the frame after its lapse
-    (``end_frame + p_l + 1``). Nothing else can change the selection.
-    Overlap elimination does not depend on ``t``. A push that touches
-    only pending runs leaves the accepted segments as they were, because
+    accepted run, or when ``t`` reaches the *flip frame*. Selection at
+    ``t`` runs once every processed frame before ``t``, and none at or
+    after it, has been pushed, so every segment it sees has started and
+    ended before ``t``. Until the next push, such a segment changes
+    activity only by lapsing, at ``end_frame + p_l + 1`` if it is
+    active, so the flip frame is the earliest lapse among the active
+    segments. Nothing else can change the selection. Overlap
+    elimination does not depend on ``t``. A push that touches only
+    pending runs leaves the accepted segments as they were, because
     pending runs are not segments. A run is retired only once its lapse
     has passed, so it was already inactive, and its closed segment
     equals its open one. Components that settle in between wait in the
@@ -107,18 +108,10 @@ class _Lane:
             self.settled_kept.extend(sorted(eliminate_overlaps(settled), key=recency_order))
         segments = [*self.settled_kept, *eliminate_overlaps(self.aggregator.tail_at(t))]
         self.terms = context_for_frame(segments, t, self.length, self.mode)
-        self.flip = _flip_frame(segments, t, self.aggregator.p_l)
+        active_ends = [seg.end_frame for seg in segments if seg.active]
+        self.flip = min(active_ends, default=math.inf) + self.aggregator.p_l + 1
         self.dirty = False
         return self.terms
-
-
-def _flip_frame(segments: list[Segment], t: int, p_l: int) -> float:
-    """Earliest frame after ``t`` at which one of ``segments`` can change
-    activity, or infinity if none can."""
-    frames = [seg.start_frame for seg in segments]
-    frames += [seg.end_frame + 1 for seg in segments]
-    frames += [seg.end_frame + p_l + 1 for seg in segments if seg.active]
-    return min((frame for frame in frames if frame > t), default=math.inf)
 
 
 def summarize_video(
@@ -137,13 +130,12 @@ def summarize_video(
             raise ValidationError("summarize_video: mixed video ids")
 
     processed = [r for r in ordered if r.frame_id % cfg.stride == 0]
-    action, held, salient = lanes = [_Lane(category, cfg) for category in Category]
+    lanes = [_Lane(category, cfg) for category in Category]
 
     def push(record: FrameRecord) -> None:
         ctx = extract_frame_context(record, cfg)
-        action.push(ctx.frame_id, [ctx.action] if ctx.action is not None else [])
-        held.push(ctx.frame_id, ctx.held)
-        salient.push(ctx.frame_id, ctx.salient)
+        for lane in lanes:
+            lane.push(ctx.frame_id, ctx.terms(lane.aggregator.category))
 
     results: list[tuple[str, int, ActionContext]] = []
     pending = iter(processed)
@@ -154,14 +146,10 @@ def summarize_video(
         while queued is not None and queued.frame_id < t:
             push(queued)
             queued = next(pending, None)
-        selected = (action.select(t), held.select(t), salient.select(t))
+        selected = [lane.select(t) for lane in lanes]
         if selected != last_selected:
             last_selected = selected
-            context = assemble(
-                [term for term in selected[0] if isinstance(term, ActionPair)],
-                [str(term) for term in selected[1]],
-                [str(term) for term in selected[2]],
-            )
+            context = assemble(*selected)
         results.append((video_id, t, context))
 
     while queued is not None:

@@ -5,12 +5,12 @@ production paths it checks: the aggregation reference rescans the whole
 stream per term, the average-precision reference enumerates score
 thresholds and recounts from scratch, and the attention/loss references
 use explicit Python loops. The one exception is the summarization
-reference: it reuses the aggregation, overlap-elimination and selection
-steps (each tested on its own) but re-resolves
-every segment of the video at every frame, where the pipeline freezes
-settled overlap components. Scenario generation runs on SplitMix64, a
-fixed and documented PRNG, so identical seeds produce identical
-scenarios on any platform or implementation.
+reference: it reuses the per-category term projection, aggregation,
+overlap-elimination and selection steps (each tested on its own) but
+re-resolves every segment of the video at every frame, where the
+pipeline freezes settled overlap components. Scenario generation runs
+on SplitMix64, a fixed and documented PRNG, so identical seeds produce
+identical scenarios on any platform or implementation.
 """
 
 from __future__ import annotations
@@ -210,16 +210,7 @@ def category_stream(
     stream: Sequence[FrameContext], category: Category
 ) -> list[tuple[int, list[Term]]]:
     """Project a context stream onto one category's (frame, terms) stream."""
-    out: list[tuple[int, list[Term]]] = []
-    for ctx in stream:
-        if category is Category.ACTION:
-            terms: list[Term] = [ctx.action] if ctx.action is not None else []
-        elif category is Category.HELD:
-            terms = sorted(ctx.held)
-        else:
-            terms = sorted(ctx.salient)
-        out.append((ctx.frame_id, terms))
-    return out
+    return [(ctx.frame_id, ctx.terms(category)) for ctx in stream]
 
 
 def oracle_aggregate(
@@ -291,30 +282,18 @@ def oracle_summarize_video(
         t = record.frame_id
         while contexts and contexts[0].frame_id < t:
             ctx = contexts.pop(0)
-            action = [ctx.action] if ctx.action is not None else []
-            aggregators[Category.ACTION].push(ctx.frame_id, action)
-            aggregators[Category.HELD].push(ctx.frame_id, ctx.held)
-            aggregators[Category.SALIENT].push(ctx.frame_id, ctx.salient)
-        terms = {
-            c: context_for_frame(
+            for c in Category:
+                aggregators[c].push(ctx.frame_id, ctx.terms(c))
+        terms = [
+            context_for_frame(
                 eliminate_overlaps(aggregators[c].segments_at(t)),
                 t,
                 cfg.context_lengths.get(c),
                 modes[c],
             )
             for c in Category
-        }
-        results.append(
-            (
-                video_id,
-                t,
-                assemble(
-                    [a for a in terms[Category.ACTION] if isinstance(a, ActionPair)],
-                    [str(h) for h in terms[Category.HELD]],
-                    [str(o) for o in terms[Category.SALIENT]],
-                ),
-            )
-        )
+        ]
+        results.append((video_id, t, assemble(*terms)))
     return results
 
 

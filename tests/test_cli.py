@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from context_forge import __version__
+from context_forge import __version__, cli
 from context_forge.cli import main
+from context_forge.core import InvariantError
 
 DATA = Path(__file__).parent / "data"
 
@@ -67,6 +68,40 @@ class TestVersionAndErrors:
             "summarize", "--frames", str(frames), "--config", str(cfg), "--out", str(tmp_path / "o")
         )
         assert proc.returncode == 1
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("summarize", "--frames", "f.jsonl", "--out", "o.jsonl", "--jobs", "abc"),
+            ("summarize", "--frames", "f.jsonl", "--out", "o.jsonl", "--jobs", "0"),
+            ("evaluate", "--preds", "p.jsonl"),
+        ],
+    )
+    def test_usage_error_is_validation_error(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 1, proc.stderr
+        assert "error: " in proc.stderr
+
+    @pytest.mark.parametrize("line", ["merge_table=cup->a;b", "vocab_noun=a;b", "generic_nouns=x;y"])
+    def test_config_label_with_separator_cites_line(self, tmp_path, capsys, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        frames = tmp_path / "frames.jsonl"
+        frames.write_text(json.dumps({"video_id": "v", "frame_id": 0}) + "\n")
+        argv = ["summarize", "--frames", str(frames), "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert f"{cfg}:line 1: " in capsys.readouterr().err
+
+    def test_invariant_violation_reported_once(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise InvariantError("lanes disagree")
+
+        monkeypatch.setattr(cli, "summarize_video", fail)
+        frames = tmp_path / "frames.jsonl"
+        frames.write_text(json.dumps({"video_id": "v", "frame_id": 0}) + "\n")
+        assert main(["summarize", "--frames", str(frames), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.count("lanes disagree") == 1
 
 
 class TestSynthAndSummarize:

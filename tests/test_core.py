@@ -159,6 +159,14 @@ class TestConfigParsing:
             "merge_table=home appliance->machine,pressure cooker->machine",
         ]
 
+    @pytest.mark.parametrize(
+        "fields", [{"d": True}, {"k": 2.5}, {"theta_iou": 1}, {"p_o": PerCategory(1, True, 10)}]
+    )
+    def test_wrong_type_rejected(self, fields):
+        # serialize_config would write a value that load_config rejects
+        with pytest.raises(ValidationError, match="is not of type"):
+            SummarizerConfig(**fields)
+
     def test_derived_lookups_built_once_outside_the_fields(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("vocab_noun=apple\ngeneric_nouns=thing\nmerge_table=a->b\n")

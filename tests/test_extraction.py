@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from context_forge.core import (
     ActionPair,
     BoundingBox,
+    Category,
     FrameRecord,
     PosTag,
     SummarizerConfig,
@@ -13,6 +14,7 @@ from context_forge.core import (
     ValidationError,
 )
 from context_forge.extraction import (
+    FrameContext,
     extract_candidate_pairs,
     extract_frame_context,
     match_held_objects,
@@ -230,3 +232,20 @@ class TestExtractFrameContext:
         assert ctx.action is None
         assert ctx.held == frozenset()
         assert ctx.salient == frozenset()
+
+
+class TestFrameContextTerms:
+    def test_projection_per_category(self):
+        ctx = FrameContext(
+            frame_id=3,
+            action=ActionPair("cut", "wood"),
+            held=frozenset({"knife", "board"}),
+            salient=frozenset({"wood", "apple", "bowl"}),
+        )
+        assert ctx.terms(Category.ACTION) == [ActionPair("cut", "wood")]
+        assert ctx.terms(Category.HELD) == ["board", "knife"]
+        assert ctx.terms(Category.SALIENT) == ["apple", "bowl", "wood"]
+
+    def test_no_action(self):
+        ctx = FrameContext(frame_id=0, action=None, held=frozenset({"cup"}), salient=frozenset())
+        assert [ctx.terms(c) for c in Category] == [[], ["cup"], []]

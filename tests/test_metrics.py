@@ -299,6 +299,15 @@ class TestContextQuality:
         assert report.missing_embeddings >= 1
         assert -1.0 <= report.avg_embed_sim_noun <= 1.0
 
+    def test_zero_vector_word_is_not_missing(self):
+        vectors = {"take": np.eye(300)[0], "knife": np.zeros(300)}
+        contexts = {0: ctx(pairs=[ActionPair("take", "knife")])}
+        report = context_quality(contexts, {0: gt(noun="knife", verb="take")}, EmbeddingTable(vectors))
+        # only words absent from the table count, in the context or the ground truth
+        assert report.missing_embeddings == 0
+        assert report.avg_embed_sim_noun == 0.0
+        assert report.avg_embed_sim_verb == 1.0
+
     def test_multiword_labels_average_word_vectors(self):
         table = _unit_table(["pressure", "cooker", "take"])
         contexts = {0: ctx(salient=["pressure cooker"])}

@@ -344,3 +344,52 @@ def test_pending_only_push_leaves_selection_cached(monkeypatch):
     # when the run's lapse (p_l 7) has passed.
     assert calls == {0: 3, 6: 1, 13: 1}
     assert [ctx.text for _, _, ctx in results] == [""] * 6 + ["cut wood; ; "] * 10
+
+
+def noisy_records():
+    _, stream = gen_scenario(11, n_frames=240, drop_rate=0.15, spurious_rate=0.05)
+    return scenario_to_frame_records(stream, "v")
+
+
+@pytest.mark.parametrize("case", ["noisy", *ADVERSARIAL])
+@pytest.mark.parametrize("config", EDGE_CONFIGS.keys())
+def test_selection_sees_only_segments_ended_before_t(monkeypatch, case, config):
+    # A lane's flip frame is the earliest lapse of an active segment. That
+    # holds because selection at t sees no segment reaching t or beyond.
+    seen = []
+    original = pipeline.context_for_frame
+
+    def checking(segments, t, *args):
+        seen.append(t)
+        assert all(seg.end_frame < t for seg in segments), t
+        return original(segments, t, *args)
+
+    monkeypatch.setattr(pipeline, "context_for_frame", checking)
+    records = noisy_records() if case == "noisy" else ADVERSARIAL[case]()
+    summarize_video("v", records, EDGE_CONFIGS[config])
+    assert seen
+
+
+# context_for_frame calls per frame of noisy_records(), one digit a frame:
+# the frames at which the three lanes recompute their selections.
+RECOMPUTES = {
+    1: (
+        "30001012121222222222333333323322333323332322333332232332333233233322201102121001"
+        "00011010000101000000000011211122211222212213122332333313233332213323321332333233"
+        "23232333313333231221012101000010000000000000000000000010000001000000000000010000"
+    ),
+    3: (
+        "30001001001001001001001002002001002003002002103002002102003003003002001101101001"
+        "00010010000000000000000000100000100100200200100200200200100200100300300300300200"
+        "21020020010020020020010001001000000000000000000000000010000001000000000000010000"
+    ),
+}
+
+
+@pytest.mark.parametrize("stride", RECOMPUTES)
+def test_lanes_recompute_at_pinned_frames(monkeypatch, stride):
+    calls = Counter()
+    count_calls(monkeypatch, pipeline, "context_for_frame", calls, key=lambda segs, t, *_: t)
+    records = noisy_records()
+    summarize_video("v", records, SummarizerConfig(stride=stride))
+    assert "".join(str(calls[r.frame_id]) for r in records) == RECOMPUTES[stride]
