@@ -8,14 +8,22 @@ failure, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
+import os
+import stat
 import sys
+import tempfile
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
+from operator import attrgetter
+from typing import Callable, Iterator
 
 from . import __version__
 from .core import (
+    ActionContext,
     ContextForgeError,
     InvariantError,
     SummarizerConfig,
@@ -25,12 +33,15 @@ from .core import (
     load_embeddings,
 )
 from .metrics import EvalReport, Variant, context_quality, top5_map
-from .pipeline import summarize_video
+from .pipeline import VideoStats, summarize_video
 from .records import (
+    FrameGroup,
     context_to_dict,
     dumps_record,
+    frame_groups,
     read_contexts,
     read_frame_records,
+    read_group,
     read_ground_truth,
     read_predictions,
     write_frame_records,
@@ -44,27 +55,123 @@ def _load_config(path: str | None) -> SummarizerConfig:
     return load_config(path) if path else SummarizerConfig()
 
 
+_COPY_CHUNK = 1 << 20
+
+
+@contextlib.contextmanager
+def _sorted_output(out: str) -> Iterator[Callable[[str, str], None]]:
+    """Yield ``write(video_id, text)``; on success ``out`` holds the texts sorted by video id.
+
+    The texts go to a temporary file beside ``out`` (the target of a
+    symlinked ``out``), which is renamed onto ``out`` once all are written.
+    When the ids did not arrive in ascending order, the texts are first
+    copied in sorted order, a chunk at a time, to a second temporary file.
+    An existing ``out`` that is not a regular file, such as ``/dev/stdout``,
+    is never renamed over: the sorted texts are copied into it. A failed run
+    deletes the temporary files, so ``out`` keeps its old contents.
+    """
+    # mkstemp makes a private file: give the output the mode that opening
+    # ``out`` for writing would leave it with
+    try:
+        st = os.stat(out)
+        regular, mode = stat.S_ISREG(st.st_mode), stat.S_IMODE(st.st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        regular, mode = True, 0o666 & ~umask
+    target = os.path.realpath(out)
+    temps: list[str] = []
+
+    def temp():
+        try:
+            fd, name = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".tmp",
+                                        dir=os.path.dirname(target) if regular else None)
+        except OSError as exc:  # name the output, not the temporary file
+            raise OSError(exc.errno, exc.strerror, out) from None
+        temps.append(name)
+        return open(fd, "w+b")
+
+    index: list[tuple[str, int, int]] = []  # (video id, offset, length) of each text
+    try:
+        with temp() as fh:
+
+            def write(video_id: str, text: str) -> None:
+                data = text.encode("utf-8")
+                index.append((video_id, fh.tell(), len(data)))
+                fh.write(data)
+
+            yield write
+            if not regular or index != sorted(index):
+                with temp() if regular else open(out, "wb") as dst:
+                    for _, offset, length in sorted(index):
+                        fh.seek(offset)
+                        while length:
+                            chunk = fh.read(min(length, _COPY_CHUNK))
+                            dst.write(chunk)
+                            length -= len(chunk)
+        if regular:
+            os.chmod(temps[-1], mode)
+            os.replace(temps[-1], target)
+    finally:
+        for name in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(name)
+
+
+def _render(results: list[tuple[str, int, ActionContext]]) -> str:
+    return "".join(dumps_record(context_to_dict(*result)) + "\n" for result in results)
+
+
+def _videos_in_process(path: str, cfg: SummarizerConfig) -> Iterator[tuple[str, VideoStats]]:
+    """Each video's rendered contexts and stats, in input order, one video in memory at a time."""
+    for video_id, frames in itertools.groupby(read_frame_records(path), key=attrgetter("video_id")):
+        results, stats = summarize_video(video_id, list(frames), cfg)
+        yield _render(results), stats
+
+
+def _summarize_group(group: FrameGroup, path: str, cfg: SummarizerConfig) -> tuple[str, VideoStats]:
+    """A worker's task: decode one video's lines, summarize them and render the contexts."""
+    frames = read_group(group, path)
+    results, stats = summarize_video(frames[0].video_id, frames, cfg)
+    return _render(results), stats
+
+
+def _videos_in_workers(path: str, cfg: SummarizerConfig, jobs: int) -> Iterator[tuple[str, VideoStats]]:
+    """``_videos_in_process`` with each video decoded and summarized by one of ``jobs`` workers.
+
+    This process only splits the file by video, and keeps at most
+    ``2 * jobs`` videos in flight. Results are taken in input order, so the
+    error raised is the first in the file, as with one process.
+    """
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        in_flight: deque[Future] = deque()
+        for group in frame_groups(path):
+            in_flight.append(pool.submit(_summarize_group, group, path, cfg))
+            if len(in_flight) == 2 * jobs:
+                yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_summarize(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs {args.jobs} must be at least 1")
     cfg = _load_config(args.config)
-    groups = itertools.groupby(read_frame_records(args.frames), key=lambda r: r.video_id)
-    videos = {video_id: list(frames) for video_id, frames in groups}  # the reader keeps ids unique
-    if args.jobs == 1 or len(videos) <= 1:
-        outcomes = list(map(summarize_video, videos, videos.values(), itertools.repeat(cfg)))
+    if args.jobs == 1:
+        videos = _videos_in_process(args.frames, cfg)
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(summarize_video, videos, videos.values(), itertools.repeat(cfg)))
-    # each video's contexts come in frame order, so sorting videos sorts the output
-    outcomes.sort(key=lambda outcome: outcome[1].video_id)
-
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for results, _ in outcomes:
-            for video_id, frame_id, ctx in results:
-                fh.write(dumps_record(context_to_dict(video_id, frame_id, ctx)) + "\n")
+        videos = _videos_in_workers(args.frames, cfg, args.jobs)
+    all_stats = []
+    with _sorted_output(args.out) as write, contextlib.closing(videos):
+        for text, stats in videos:
+            write(stats.video_id, text)
+            all_stats.append(stats)
 
     print(f"# config_hash={config_hash(cfg)} version={__version__}", file=sys.stderr)
-    for _, stats in outcomes:
+    for stats in sorted(all_stats, key=attrgetter("video_id")):
         seg = " ".join(f"{k}={v}" for k, v in sorted(stats.n_segments.items()))
         print(
             f"video={stats.video_id} frames={stats.n_frames} processed={stats.n_processed} {seg}",

@@ -385,12 +385,23 @@ def _check_range(key: str, ok, value) -> None:
         raise ValidationError(f"config: {key}={value!r} out of range")
 
 
+def _round_trips(parse, value) -> bool:
+    try:
+        return parse(_render_config_value(parse, value)) == value
+    except (TypeError, ValueError, ValidationError):  # a value that does not render, or renders unparsable
+        return False
+
+
 def _validate_config(cfg: SummarizerConfig) -> None:
+    # serialize_config must render what load_config reads back: numbers of
+    # the exact type, and text values that parse back to themselves
     for key, (path, parse, ok) in _CONFIG_KEYS.items():
         value = _config_value(cfg, path)
-        # exact types, so serialize_config renders what load_config reads back
-        if parse in (int, float) and type(value) is not parse:
-            raise ValidationError(f"config: {key}={value!r} is not of type {parse.__name__}")
+        if parse in (int, float):
+            if type(value) is not parse:
+                raise ValidationError(f"config: {key}={value!r} is not of type {parse.__name__}")
+        elif not _round_trips(parse, value):
+            raise ValidationError(f"config: {key}={value!r} does not read back from its serialized form")
         _check_range(key, ok, value)
 
 

@@ -11,7 +11,7 @@ preds/gt: {"video_id", "frame_id", "entries": [{"box","noun","verb","ttc","score
 contexts: {"video_id", "frame_id", "text", "action_terms": [[verb,noun]...],
            "held": [...], "salient": [...]}
 
-Every reader goes through ``_read``, which decodes one line at a time,
+Every reader goes through ``_objects``, which decodes one line at a time,
 and every field through ``_get``/``_as``, which decode strictly: an
 integer is a JSON integer, a number is a finite JSON number (never a
 string, a boolean or null), and lists and objects are type-checked
@@ -94,12 +94,12 @@ def _get(obj: dict, key: str, kind: type, default=_REQUIRED):
     return _as(value, kind, key)
 
 
-def _read(path: str, decode: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
-    """Decode each non-blank line of ``path`` to (line number, item).
+def _objects(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[int, str, dict]]:
+    """(line number, stripped line, JSON object) for each non-blank numbered line.
 
-    A bad line raises ``ParseError`` at ``path:line``.
+    A line that is not one JSON object raises ``ParseError`` at ``path:line``.
     """
-    for lineno, raw in read_lines(path):
+    for lineno, raw in lines:
         line = raw.strip()
         if not line:
             continue
@@ -107,14 +107,13 @@ def _read(path: str, decode: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
             obj = json.loads(line)
             if "\\u" in line:  # an escape may spell a lone surrogate, which UTF-8 cannot encode
                 json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            obj = _as(obj, dict, "record")
         except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
             message = f"invalid JSON: {getattr(exc, 'msg', exc)}"
             raise ParseError(message, line=lineno, path=path) from None
-        try:
-            item = decode(_as(obj, dict, "record"))
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=path) from None
-        yield lineno, item
+        yield lineno, line, obj
 
 
 def _read_keyed(path: str, decode: Callable[[dict, int], T]) -> dict[FrameKey, T]:
@@ -127,7 +126,11 @@ def _read_keyed(path: str, decode: Callable[[dict, int], T]) -> dict[FrameKey, T
             raise ValidationError(f"duplicate frame {key[0]}:{key[1]}")
         return key, decode(obj, key[1])
 
-    for _, (key, value) in _read(path, keyed):
+    for lineno, _, obj in _objects(read_lines(path), path):
+        try:
+            key, value = keyed(obj)
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=lineno, path=path) from None
         out[key] = value
     return out
 
@@ -177,30 +180,98 @@ def _frame_record(obj: dict) -> FrameRecord:
     )
 
 
-def read_frame_records(path: str) -> Iterator[FrameRecord]:
-    """Stream frame records. A video's lines must be contiguous and its frame ids distinct.
+def _frame_lines(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[int, str, dict, bool]]:
+    """(line number, line, object, whether the line starts a video) per non-blank frames line.
 
-    A repeated frame id is raised once the whole file has parsed, so that a
-    malformed line anywhere in the file is reported first.
+    The one place for the rule that a video's lines are contiguous: a line
+    that returns to an earlier video raises ``ParseError``. Only
+    ``video_id`` is decoded here.
     """
     finished: set[str | None] = set()
-    frame_ids: set[int] = set()
-    video_id = duplicate = None
-    for lineno, record in _read(path, _frame_record):
-        if record.video_id != video_id:
-            if record.video_id in finished:
-                message = f"frames for video {record.video_id!r} are not contiguous"
+    video_id = None
+    for lineno, line, obj in _objects(lines, path):
+        try:
+            line_video = _get(obj, "video_id", str)
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=lineno, path=path) from None
+        starts = line_video != video_id
+        if starts:
+            if line_video in finished:
+                message = f"frames for video {line_video!r} are not contiguous"
                 raise ParseError(message, line=lineno, path=path)
             finished.add(video_id)
-            video_id = record.video_id
+            video_id = line_video
+        yield lineno, line, obj, starts
+
+
+def _frame_records(lines: Iterable[tuple[int, str]], path: str) -> Iterator[FrameRecord]:
+    """Decode the numbered lines of a frames file, ``path`` naming them in errors.
+
+    A video's frame ids must be distinct. A repeated id is raised when the
+    next video starts or the lines end, so that any other bad line of its
+    video is reported first, and a video's records never include one.
+    """
+    frame_ids: set[int] = set()
+    duplicate = None
+    for lineno, _, obj, starts in _frame_lines(lines, path):
+        if starts:
+            if duplicate is not None:
+                raise duplicate
             frame_ids.clear()
+        try:
+            record = _frame_record(obj)
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=lineno, path=path) from None
         if record.frame_id in frame_ids and duplicate is None:
-            message = f"video {video_id!r}: duplicate frame id {record.frame_id}"
+            message = f"video {record.video_id!r}: duplicate frame id {record.frame_id}"
             duplicate = ParseError(message, line=lineno, path=path)
         frame_ids.add(record.frame_id)
         yield record
     if duplicate is not None:
         raise duplicate
+
+
+def read_frame_records(path: str) -> Iterator[FrameRecord]:
+    """Stream a frames file's records, one line at a time (see ``_frame_records``)."""
+    return _frame_records(read_lines(path), path)
+
+
+FrameGroup = tuple[list[tuple[int, str]], Exception | None]
+
+
+def frame_groups(path: str) -> Iterator[FrameGroup]:
+    """Split a frames file into one group per video, for ``read_group`` to decode elsewhere.
+
+    A group is the video's numbered non-blank lines and ``None``. Only
+    ``video_id`` is decoded here. A line that fails here ends the split:
+    the last group holds the lines of its unfinished video and the error,
+    which ``read_group`` raises after decoding those lines. Groups read in
+    order thus raise the error that ``read_frame_records`` raises.
+    """
+    lines: list[tuple[int, str]] = []
+    try:
+        for lineno, line, _, starts in _frame_lines(read_lines(path), path):
+            if starts and lines:
+                yield lines, None
+                lines = []
+            lines.append((lineno, line))
+    except (ParseError, OSError) as exc:
+        yield lines, exc
+        return
+    if lines:
+        yield lines, None
+
+
+def read_group(group: FrameGroup, path: str) -> list[FrameRecord]:
+    """Decode one video's group from ``frame_groups``, then raise its error if it has one."""
+    lines, error = group
+
+    def numbered() -> Iterator[tuple[int, str]]:
+        yield from lines
+        if error is not None:
+            raise error
+
+    return list(_frame_records(numbered(), path))
 
 
 def frame_record_to_dict(record: FrameRecord) -> dict:

@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from context_forge import __version__, cli
 from context_forge.cli import main
 from context_forge.core import InvariantError
+from context_forge.records import dumps_record, frame_record_to_dict
+from context_forge.synth import gen_scenario, scenario_to_frame_records
 
 DATA = Path(__file__).parent / "data"
 
@@ -167,6 +171,119 @@ class TestSynthAndSummarize:
         proc = run_cli("summarize", "--frames", str(frames), "--out", str(out))
         assert proc.returncode == 0
         assert out.read_bytes() == (DATA / "golden_contexts.jsonl").read_bytes()
+
+
+def scenario_lines(n_videos, n_frames=1125, distinct=12):
+    """JSON lines of ``n_videos`` videos, cycling through ``distinct`` noisy gen_scenario streams."""
+    streams = [
+        gen_scenario(seed=i, n_frames=n_frames, n_terms=4, drop_rate=0.1, spurious_rate=0.05)[1]
+        for i in range(min(n_videos, distinct))
+    ]
+    return [
+        [
+            dumps_record(frame_record_to_dict(r))
+            for r in scenario_to_frame_records(streams[v % len(streams)], f"v{v:02d}")
+        ]
+        for v in range(n_videos)
+    ]
+
+
+def write_videos(path, videos):
+    path.write_text("".join(line + "\n" for lines in videos for line in lines))
+
+
+class TestStreamingSummarize:
+    def test_memory_holds_one_video(self, tmp_path, capsys):
+        peaks = {}
+        for n_videos in (12, 48):
+            frames = tmp_path / f"frames{n_videos}.jsonl"
+            write_videos(frames, scenario_lines(n_videos))
+            tracemalloc.start()
+            try:
+                assert main(["summarize", "--frames", str(frames), "--out", str(tmp_path / "ctx.jsonl")]) == 0
+                peaks[n_videos] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[48] <= 1.2 * peaks[12], peaks
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_malformed_last_line_leaves_no_output(self, tmp_path, capsys, jobs):
+        frames = tmp_path / "frames.jsonl"
+        write_videos(frames, scenario_lines(3, n_frames=40) + [["{truncated"]])
+        out = tmp_path / "ctx.jsonl"
+        argv = ["summarize", "--frames", str(frames), "--out", str(out), "--jobs", jobs]
+        assert main(argv) == 1
+        assert f"{frames}:line 121: invalid JSON" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.jsonl"]
+        out.write_bytes(b"old contents\n")
+        assert main(argv) == 1
+        assert out.read_bytes() == b"old contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ctx.jsonl", "frames.jsonl"]
+
+    def test_output_independent_of_input_order(self, tmp_path):
+        videos = scenario_lines(5, n_frames=60)
+        frames = tmp_path / "sorted.jsonl"
+        write_videos(frames, videos)
+        shuffled = tmp_path / "shuffled.jsonl"
+        rng = random.Random(0)
+        write_videos(shuffled, [rng.sample(lines, len(lines)) for lines in reversed(videos)])
+        want = run_cli("summarize", "--frames", str(frames), "--out", str(tmp_path / "want.jsonl"))
+        assert want.returncode == 0
+        for jobs in ("1", "2", "4"):
+            out = tmp_path / f"ctx{jobs}.jsonl"
+            proc = run_cli("summarize", "--frames", str(shuffled), "--out", str(out), "--jobs", jobs)
+            assert (proc.returncode, proc.stderr) == (0, want.stderr)
+            assert out.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    def test_out_may_be_the_frames_file(self, tmp_path, capsys):
+        frames = tmp_path / "frames.jsonl"
+        write_videos(frames, scenario_lines(2, n_frames=30))
+        want = tmp_path / "want.jsonl"
+        assert main(["summarize", "--frames", str(frames), "--out", str(want)]) == 0
+        assert main(["summarize", "--frames", str(frames), "--out", str(frames)]) == 0
+        assert frames.read_bytes() == want.read_bytes()
+
+    def test_out_in_a_missing_directory_is_io_error_naming_it(self, tmp_path, capsys):
+        frames = tmp_path / "frames.jsonl"
+        write_videos(frames, scenario_lines(1, n_frames=30))
+        out = tmp_path / "missing" / "ctx.jsonl"
+        assert main(["summarize", "--frames", str(frames), "--out", str(out)]) == 2
+        assert f"No such file or directory: '{out}'" in capsys.readouterr().err
+
+    def test_out_keeps_the_mode_open_would_give_it(self, tmp_path, capsys):
+        frames = tmp_path / "frames.jsonl"
+        write_videos(frames, scenario_lines(1, n_frames=30))
+        fresh, existing = tmp_path / "fresh.jsonl", tmp_path / "existing.jsonl"
+        existing.write_text("old\n")
+        existing.chmod(0o640)
+        for out in (fresh, existing):
+            assert main(["summarize", "--frames", str(frames), "--out", str(out)]) == 0
+        with open(tmp_path / "opened", "w"):
+            pass
+        assert fresh.stat().st_mode == (tmp_path / "opened").stat().st_mode
+        assert existing.stat().st_mode & 0o777 == 0o640
+
+    def test_symlinked_out_writes_its_target(self, tmp_path, capsys):
+        frames = tmp_path / "frames.jsonl"
+        write_videos(frames, scenario_lines(2, n_frames=30))
+        want = tmp_path / "want.jsonl"
+        assert main(["summarize", "--frames", str(frames), "--out", str(want)]) == 0
+        (tmp_path / "sub").mkdir()
+        target = tmp_path / "sub" / "target.jsonl"
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        assert main(["summarize", "--frames", str(frames), "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_bytes() == want.read_bytes()
+        assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["target.jsonl"]
+
+    def test_non_regular_out_is_written_not_replaced(self, tmp_path):
+        frames = tmp_path / "frames.jsonl"
+        write_videos(frames, list(reversed(scenario_lines(2, n_frames=30))))
+        want = tmp_path / "want.jsonl"
+        assert run_cli("summarize", "--frames", str(frames), "--out", str(want)).returncode == 0
+        proc = run_cli("summarize", "--frames", str(frames), "--out", "/dev/stdout")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == want.read_text()
 
 
 class TestEvaluate:

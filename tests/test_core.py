@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from context_forge.core import (
     ActionPair,
@@ -86,6 +86,15 @@ merge_table=pressure cooker->machine, home appliance->machine
 """
 
 
+# Labels as load_config reads them: normalized, with no "," or ";", and no
+# "->", which would split a merge-table entry elsewhere.
+LABELS = (
+    st.text(st.characters(min_codepoint=32, max_codepoint=0x24F, blacklist_characters=",;>"), max_size=10)
+    .map(normalize_label)
+    .filter(bool)
+)
+
+
 class TestConfigParsing:
     def test_unknown_key_cites_line(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -166,6 +175,40 @@ class TestConfigParsing:
         # serialize_config would write a value that load_config rejects
         with pytest.raises(ValidationError, match="is not of type"):
             SummarizerConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"vocab_noun": frozenset({"a;b"})},
+            {"merge_table": (("x", "y;z"),)},
+            {"vocab_noun": frozenset({"Cup"})},
+            {"generic_nouns": frozenset({" thing"})},
+            {"merge_table": (("b", "x"), ("a", "y"))},
+            {"merge_table": (("a->b", "c"),)},
+            {"vocab_verb": frozenset({1})},
+        ],
+    )
+    def test_labels_that_do_not_read_back_rejected(self, fields):
+        # each would serialize to a file that load_config rejects or reads back unequal
+        with pytest.raises(ValidationError, match="does not read back"):
+            SummarizerConfig(**fields)
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        vocab=st.frozensets(LABELS, max_size=4),
+        generic=st.frozensets(LABELS, max_size=3),
+        merges=st.dictionaries(LABELS, LABELS, max_size=4),
+        k=st.integers(0, 12),
+        t_delta=st.floats(0.0, 10.0),
+    )
+    def test_label_fields_round_trip(self, tmp_path, vocab, generic, merges, k, t_delta):
+        cfg = SummarizerConfig(
+            vocab_noun=vocab, vocab_verb=vocab, generic_nouns=generic,
+            merge_table=tuple(sorted(merges.items())), k=k, t_delta=t_delta,
+        )
+        path = tmp_path / "c.cfg"
+        path.write_text(serialize_config(cfg), encoding="utf-8")
+        assert load_config(path) == cfg
 
     def test_derived_lookups_built_once_outside_the_fields(self, tmp_path):
         path = tmp_path / "c.cfg"

@@ -65,8 +65,11 @@ def valid_lines(kind):
     return [json.dumps(first), json.dumps(RECORDS[kind])]
 
 
-def run(tmp_path, capsys, command, kind, line2):
-    """Run ``command`` with ``line2`` as line 2 of its ``kind`` input; return (code, stderr, path)."""
+def run(tmp_path, capsys, command, kind, line2, jobs=1):
+    """Run ``command`` with ``line2`` as line 2 of its ``kind`` input; return (code, stderr, path).
+
+    summarize runs with ``--jobs jobs``.
+    """
     paths = {}
     for name in ("frames", "preds", "gt", "contexts", "embeddings", "config"):
         lines = valid_lines(name)
@@ -77,7 +80,7 @@ def run(tmp_path, capsys, command, kind, line2):
         paths[name].write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     out = str(tmp_path / "out")
     argv = {
-        "summarize": ["summarize", "--frames", paths["frames"], "--out", out],
+        "summarize": ["summarize", "--frames", paths["frames"], "--out", out, "--jobs", jobs],
         "evaluate": ["evaluate", "--preds", paths["preds"], "--gt", paths["gt"], "--out", out],
         "quality": [
             "quality", "--contexts", paths["contexts"], "--gt", paths["gt"],
@@ -198,6 +201,39 @@ def test_malformed_line_exits_1_naming_path_and_line(tmp_path, capsys, case):
     code, err, path = run(tmp_path, capsys, command, kind, line2)
     assert code == 1, err
     assert f"{path}:line {n}: " in err
+
+
+# Frames files of three videos whose bad line is in the last video, so a
+# worker raises it under --jobs 2, and a repeated frame id that is reported
+# when its video ends, before a bad line of the next video.
+LAST_VIDEO_BAD = {
+    "last-video-bad-field": "\n".join([
+        json.dumps(dict(FRAME, frame_id=1)), json.dumps(dict(FRAME, video_id="w")),
+        json.dumps(dict(FRAME, video_id="w", frame_id=1)), json.dumps(dict(FRAME, video_id="w", frame_id="abc")),
+    ]),
+    "last-video-bad-json": "\n".join([json.dumps(FRAME), json.dumps(dict(FRAME, video_id="w")), "{truncated"]),
+    "duplicate-frame-then-bad-video": "\n".join([
+        json.dumps(dict(FRAME, video_id="u")), json.dumps(dict(FRAME, video_id="w", frame_id="x")),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(
+    [c for c, (_, kind, _) in {**REJECTED, **ALREADY_REJECTED}.items() if kind == "frames"] + list(LAST_VIDEO_BAD)
+))
+def test_frames_errors_same_under_jobs(tmp_path, capsys, case):
+    """Workers decode their own lines, and report the error one process reports, at its path:line."""
+    line2 = LAST_VIDEO_BAD.get(case) or {**REJECTED, **ALREADY_REJECTED}[case][2]
+    code, err, path = run(tmp_path, capsys, "summarize", "frames", line2)
+    assert code == 1 and err.count(f"{path}:line ") == 1, err
+    assert run(tmp_path, capsys, "summarize", "frames", line2, jobs=2) == (code, err, path)
+    assert not (tmp_path / "out").exists()
+
+
+def test_duplicate_frame_reported_when_its_video_ends(tmp_path, capsys):
+    code, err, path = run(tmp_path, capsys, "summarize", "frames", LAST_VIDEO_BAD["duplicate-frame-then-bad-video"])
+    assert code == 1
+    assert f"{path}:line 2: video 'u': duplicate frame id 0" in err
 
 
 def test_context_labels_normalized_on_read(tmp_path, capsys):
