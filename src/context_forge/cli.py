@@ -137,18 +137,20 @@ def _summarize_group(group: FrameGroup, path: str, cfg: SummarizerConfig) -> tup
 
 
 def _videos_in_workers(path: str, cfg: SummarizerConfig, jobs: int) -> Iterator[tuple[str, VideoStats]]:
-    """``_videos_in_process`` with each video decoded and summarized by one of ``jobs`` workers.
+    """``_videos_in_process`` with each video decoded and summarized by worker processes.
 
-    This process only splits the file by video, and keeps at most
-    ``2 * jobs`` videos in flight. Results are taken in input order, so the
-    error raised is the first in the file, as with one process.
+    The pool has ``jobs`` workers, but no more than there are CPUs. This
+    process only splits the file by video, and keeps at most twice as many
+    videos in flight as there are workers. Results are taken in input
+    order, so the error raised is the first in the file, as with one process.
     """
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    workers = min(jobs, os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers)
     try:
         in_flight: deque[Future] = deque()
         for group in frame_groups(path):
             in_flight.append(pool.submit(_summarize_group, group, path, cfg))
-            if len(in_flight) == 2 * jobs:
+            if len(in_flight) == 2 * workers:
                 yield in_flight.popleft().result()
         while in_flight:
             yield in_flight.popleft().result()
@@ -262,6 +264,8 @@ def cmd_fuse_check(args: argparse.Namespace) -> int:
     from .fusion import load_params, random_fusion_params, save_params
     from .checks import run_invariant_checks
 
+    if args.seed < 0:
+        raise ValidationError(f"--seed {args.seed} must be at least 0")
     if args.params:
         scales = load_params(args.params)
     else:

@@ -497,8 +497,13 @@ class EmbeddingTable:
                 )
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"EmbeddingTable: non-finite vector for {word!r}")
+            key = normalize_label(word)
+            if not key:
+                raise ValidationError(f"EmbeddingTable: empty word {word!r}")
+            if key in table:
+                raise ValidationError(f"EmbeddingTable: {word!r} repeats the word {key!r}")
             arr.setflags(write=False)
-            table[normalize_label(word)] = arr
+            table[key] = arr
         self._table = table
 
     def __len__(self) -> int:

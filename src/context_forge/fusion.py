@@ -241,6 +241,8 @@ class FusionParams:
     layers: list[EncoderLayerParams] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        if min(self.channels, self.height, self.width) < 1:
+            raise ShapeError(f"empty feature map: {self.channels} channels, {self.height}x{self.width}")
         if self.patch_size <= 0 or self.height % self.patch_size or self.width % self.patch_size:
             raise ShapeError(
                 f"feature map {self.height}x{self.width} not divisible by patch {self.patch_size}"
@@ -519,8 +521,8 @@ def load_params(path: str) -> list[FusionParams]:
     if offset > len(data):
         raise BundleError("bundle header truncated")
     dims = list(_DIMS.iter_unpack(data[_HEADER.size : offset]))
-    if any(patch == 0 for patch, *_ in dims):
-        raise BundleError("bundle declares a zero patch size")
+    if any(0 in scale_dims for scale_dims in dims):
+        raise BundleError("bundle declares a zero patch size or an empty feature map")
 
     def take(shapes: Shapes) -> dict[str, np.ndarray]:
         nonlocal offset

@@ -1,10 +1,12 @@
 """Per-video summarization pipeline: frame records -> action contexts.
 
 Every input frame is a prediction frame. Frames whose index is a
-multiple of the stride are processed by the extractors exactly once and
-their contexts cached; aggregation advances causally, so the context
-for frame t sees only processed frames strictly before t but may reach
-arbitrarily far back through segments carried in aggregator state.
+multiple of the stride are *processed*: extracted once and pushed into
+the aggregators. One pass over the frames in order selects frame t's
+context and only then, if t is processed, pushes t. So the context for
+t sees every processed frame strictly before t and none at or after it,
+and it may reach arbitrarily far back through segments carried in
+aggregator state.
 
 Overlaps are resolved incrementally, so cost grows linearly with video
 length. Each overlap component is resolved once, when it settles (see
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from operator import attrgetter
 
 from .aggregation import (
     SelectionMode,
@@ -48,7 +50,7 @@ from .core import (
     Term,
     ValidationError,
 )
-from .extraction import extract_frame_context
+from .extraction import FrameContext, extract_frame_context
 
 _MODES = {
     Category.ACTION: SelectionMode.CURRENT_AND_PAST,
@@ -71,13 +73,12 @@ class _Lane:
 
     The selection is recomputed only when the lane is *dirty*, meaning a
     push since the last selection created, extended or accepted an
-    accepted run, or when ``t`` reaches the *flip frame*. Selection at
-    ``t`` runs once every processed frame before ``t``, and none at or
-    after it, has been pushed, so every segment it sees has started and
-    ended before ``t``. Until the next push, such a segment changes
-    activity only by lapsing, at ``end_frame + p_l + 1`` if it is
-    active, so the flip frame is the earliest lapse among the active
-    segments. Nothing else can change the selection. Overlap
+    accepted run, or when ``t`` reaches the *flip frame*. Because frame
+    ``t`` is pushed only after it is selected, every segment selection
+    sees has started and ended before ``t``. Until the next push, such a
+    segment changes activity only by lapsing, at ``end_frame + p_l + 1``
+    if it is active, so the flip frame is the earliest lapse among the
+    active segments. Nothing else can change the selection. Overlap
     elimination does not depend on ``t``. A push that touches only
     pending runs leaves the accepted segments as they were, because
     pending runs are not segments. A run is retired only once its lapse
@@ -96,8 +97,8 @@ class _Lane:
         self.dirty = True
         self.flip = -math.inf
 
-    def push(self, frame_id: int, terms: Iterable[Term]) -> None:
-        if self.aggregator.push(frame_id, terms):
+    def push(self, ctx: FrameContext) -> None:
+        if self.aggregator.push(ctx.frame_id, ctx.terms(self.aggregator.category)):
             self.dirty = True
 
     def select(self, t: int) -> list[Term]:
@@ -122,49 +123,27 @@ def summarize_video(
     """Produce one ActionContext per input frame, in frame order."""
     if not frames:
         return [], VideoStats(video_id, 0, 0, {c.value: 0 for c in Category})
-    ordered = sorted(frames, key=lambda r: r.frame_id)
-    for a, b in zip(ordered, ordered[1:]):
-        if a.frame_id == b.frame_id:
-            raise ValidationError(f"video {video_id!r}: duplicate frame id {a.frame_id}")
-        if a.video_id != b.video_id:
-            raise ValidationError("summarize_video: mixed video ids")
-
-    processed = [r for r in ordered if r.frame_id % cfg.stride == 0]
     lanes = [_Lane(category, cfg) for category in Category]
-
-    def push(record: FrameRecord) -> None:
-        ctx = extract_frame_context(record, cfg)
-        for lane in lanes:
-            lane.push(ctx.frame_id, ctx.terms(lane.aggregator.category))
-
     results: list[tuple[str, int, ActionContext]] = []
-    pending = iter(processed)
-    queued = next(pending, None)
-    last_selected = None
-    for record in ordered:
+    n_processed = 0
+    previous = last_selected = None
+    for record in sorted(frames, key=attrgetter("frame_id")):
         t = record.frame_id
-        while queued is not None and queued.frame_id < t:
-            push(queued)
-            queued = next(pending, None)
+        if previous is not None and previous.frame_id == t:
+            raise ValidationError(f"video {video_id!r}: duplicate frame id {t}")
+        if previous is not None and previous.video_id != record.video_id:
+            raise ValidationError("summarize_video: mixed video ids")
+        previous = record
         selected = [lane.select(t) for lane in lanes]
         if selected != last_selected:
             last_selected = selected
             context = assemble(*selected)
         results.append((video_id, t, context))
+        if t % cfg.stride == 0:
+            frame_ctx = extract_frame_context(record, cfg)
+            for lane in lanes:
+                lane.push(frame_ctx)
+            n_processed += 1
 
-    while queued is not None:
-        push(queued)
-        queued = next(pending, None)
-
-    horizon = ordered[-1].frame_id
-    counts = {
-        lane.aggregator.category.value: len(lane.aggregator.segments_at(horizon))
-        for lane in lanes
-    }
-    stats = VideoStats(
-        video_id=video_id,
-        n_frames=len(ordered),
-        n_processed=len(processed),
-        n_segments=counts,
-    )
-    return results, stats
+    counts = {lane.aggregator.category.value: len(lane.aggregator.segments_at(t)) for lane in lanes}
+    return results, VideoStats(video_id, len(results), n_processed, counts)

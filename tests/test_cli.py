@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -14,13 +15,17 @@ from context_forge.records import dumps_record, frame_record_to_dict
 from context_forge.synth import gen_scenario, scenario_to_frame_records
 
 DATA = Path(__file__).parent / "data"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args):
+    # the package's own sources come first, installed or not
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "context_forge.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     return proc
 
@@ -235,6 +240,46 @@ class TestStreamingSummarize:
             assert (proc.returncode, proc.stderr) == (0, want.stderr)
             assert out.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
+    def test_jobs_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            """Runs each task at submit; records its size and the most tasks
+            submitted but not yet collected."""
+
+            def __init__(self, max_workers):
+                self.max_workers, self.pending, self.peak = max_workers, 0, 0
+                pools.append(self)
+
+            def submit(self, fn, *args):
+                self.pending += 1
+                self.peak = max(self.peak, self.pending)
+                value = fn(*args)
+                pool = self
+
+                class Done:
+                    def result(self):
+                        pool.pending -= 1
+                        return value
+
+                return Done()
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        frames = tmp_path / "frames.jsonl"
+        write_videos(frames, scenario_lines(9, n_frames=30))
+        want = tmp_path / "want.jsonl"
+        assert main(["summarize", "--frames", str(frames), "--out", str(want)]) == 0
+        want_err = capsys.readouterr().err
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "ctx.jsonl"
+        assert main(["summarize", "--frames", str(frames), "--out", str(out), "--jobs", "64"]) == 0
+        assert capsys.readouterr().err == want_err
+        assert out.read_bytes() == want.read_bytes()
+        assert [(pool.max_workers, pool.peak) for pool in pools] == [(2, 4)]
+
     def test_out_may_be_the_frames_file(self, tmp_path, capsys):
         frames = tmp_path / "frames.jsonl"
         write_videos(frames, scenario_lines(2, n_frames=30))
@@ -441,6 +486,18 @@ class TestFuseCheck:
         bundle.write_bytes(b"JUNKJUNKJUNK")
         proc = run_cli("fuse-check", "--params", str(bundle))
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("params", [False, True])
+    def test_negative_seed_is_validation_error(self, tmp_path, params):
+        bundle = tmp_path / "params.bin"
+        args = ["fuse-check", "--seed", "-1"]
+        if params:
+            assert run_cli("fuse-check", "--seed", "4", "--out", str(bundle)).returncode == 0
+            args += ["--params", str(bundle)]
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert "error: --seed -1 must be at least 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestInProcessMain:

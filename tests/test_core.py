@@ -327,3 +327,12 @@ class TestEmbeddings:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValidationError):
             EmbeddingTable({"apple": np.ones(10)})
+
+    def test_words_colliding_after_normalization_rejected(self):
+        with pytest.raises(ValidationError, match="repeats the word 'cup'"):
+            EmbeddingTable({"Cup": np.ones(300), "cup": np.zeros(300)})
+
+    @pytest.mark.parametrize("word", ["", "  \t "])
+    def test_blank_word_rejected(self, word):
+        with pytest.raises(ValidationError, match="empty word"):
+            EmbeddingTable({word: np.ones(300), "cup": np.zeros(300)})

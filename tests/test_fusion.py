@@ -57,6 +57,16 @@ def zero_width_huge_depth(data):
     return data[: DIMS_AT + 16]
 
 
+def write_one_scale_bundle(path, dims, d_model=16, d_lang=12, n_heads=4, n_layers=1, hidden=64):
+    """Write a bundle of one (P, C, H, W) scale holding exactly as many values
+    as its header declares, even for dims FusionParams refuses to build."""
+    shapes = [*fusion._scale_shapes(*dims, d_model, d_lang).values()]
+    shapes += n_layers * [*fusion._layer_shapes(d_model, n_heads, hidden).values()]
+    values = np.ones(sum(math.prod(shape) for shape in shapes), dtype="<f8")
+    header = (fusion._MAGIC, fusion._VERSION, d_model, d_lang, n_heads, n_layers, hidden, 1)
+    path.write_bytes(fusion._HEADER.pack(*header) + fusion._DIMS.pack(*dims) + values.tobytes())
+
+
 MALFORMED_HEADERS = {
     "cut-after-10-bytes": lambda data: data[:10],
     "dims-truncated": lambda data: data[: DIMS_AT + 20],
@@ -619,6 +629,22 @@ class TestParameterBundle:
             path.write_bytes(MALFORMED_HEADERS[case](path.read_bytes()))
             assert main(["fuse-check", "--params", str(path)]) == 1
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", [(4, 0, 8, 8), (4, 3, 0, 8)], ids=["no-channels", "no-rows"])
+    def test_empty_feature_map_rejected(self, tmp_path, capsys, dims):
+        path = tmp_path / "params.bin"
+        write_one_scale_bundle(path, (4, 3, 8, 8))
+        assert len(load_params(str(path))) == 1  # the writer makes consistent bundles
+        write_one_scale_bundle(path, dims)
+        with pytest.raises(BundleError, match="empty feature map"):
+            load_params(str(path))
+        assert main(["fuse-check", "--params", str(path)]) == 1
+        assert "empty feature map" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", [(4, 0, 16, 16), (4, 3, 0, 16), (4, 3, 16, 0)])
+    def test_params_with_empty_feature_map_rejected(self, dims):
+        with pytest.raises(ShapeError, match="empty feature map"):
+            random_fusion_params(0, scale_shapes=(dims,))
 
     @pytest.mark.parametrize(
         "kwargs", [dict(n_heads=2), dict(mlp_hidden=32)], ids=["heads", "mlp-width"]

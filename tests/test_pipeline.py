@@ -85,6 +85,13 @@ class TestSummarizeVideo:
         with pytest.raises(ValidationError, match="duplicate"):
             summarize_video("v", frames, SummarizerConfig())
 
+    @pytest.mark.parametrize("odd_frame", [0, 4, 9])
+    def test_mixed_video_ids_rejected(self, odd_frame):
+        # the odd record sorts first, in the middle and last
+        frames = [empty_record("w" if f == odd_frame else "v", f) for f in reversed(range(10))]
+        with pytest.raises(ValidationError, match="mixed video ids"):
+            summarize_video("v", frames, SummarizerConfig())
+
     def test_salient_context_uses_current_only(self):
         planted, stream = gen_scenario(33, n_frames=240)
         records = scenario_to_frame_records(stream, "v")
