@@ -182,6 +182,12 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_report(out: str, cfg: SummarizerConfig, key: str, value) -> None:
+    payload = {"version": __version__, "config_hash": config_hash(cfg), key: value}
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(dumps_record(payload) + "\n")
+
+
 def _format_eval_report(report: EvalReport) -> str:
     lines = [
         f"variant {report.variant.value}: mAP {report.map_value:.4f} "
@@ -206,30 +212,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for variant in variants
     ]
 
-    header = f"# context-forge {__version__} config_hash={config_hash(cfg)}"
-    print(header)
+    print(f"# context-forge {__version__} config_hash={config_hash(cfg)}")
     for report in reports:
         print(_format_eval_report(report))
     if args.out:
-        payload = {
-            "version": __version__,
-            "config_hash": config_hash(cfg),
-            "reports": [
-                {
-                    "variant": r.variant.value,
-                    "map": r.map_value,
-                    "n_frames": r.n_frames,
-                    "n_predictions": r.n_predictions,
-                    "per_class": {
-                        key: {"ap": c.ap, "n_gt": c.n_gt, "n_pred": c.n_pred}
-                        for key, c in r.per_class.items()
-                    },
-                }
-                for r in reports
-            ],
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps_record(payload) + "\n")
+        _write_report(args.out, cfg, "reports", [
+            {
+                "variant": r.variant.value,
+                "map": r.map_value,
+                "n_frames": r.n_frames,
+                "n_predictions": r.n_predictions,
+                "per_class": {key: dataclasses.asdict(c) for key, c in r.per_class.items()},
+            }
+            for r in reports
+        ])
     return 0
 
 
@@ -239,24 +235,17 @@ def cmd_quality(args: argparse.Namespace) -> int:
     gts = read_ground_truth(args.gt, min_ttc=cfg.min_ttc)
     table = load_embeddings(args.embeddings)
 
-    expanded_contexts = {}
-    expanded_gts = {}
-    for key, entries in gts.items():
-        for idx, gt in enumerate(entries):
-            unit = (key[0], key[1], idx)
-            expanded_gts[unit] = gt
-            if key in contexts:
-                expanded_contexts[unit] = contexts[key]
-    report = context_quality(expanded_contexts, expanded_gts, table)
+    # one scoring unit per ground-truth entry: (video_id, frame_id, entry index)
+    units = {(*key, idx): gt for key, entries in gts.items() for idx, gt in enumerate(entries)}
+    unit_contexts = {unit: contexts[unit[:2]] for unit in units if unit[:2] in contexts}
+    report = context_quality(unit_contexts, units, table)
 
     quality = dataclasses.asdict(report)
     print(f"# context-forge {__version__} config_hash={config_hash(cfg)}")
     for name, value in quality.items():
         print(f"{name} {value:.6f}" if isinstance(value, float) else f"{name} {value}")
     if args.out:
-        payload = {"version": __version__, "config_hash": config_hash(cfg), "quality": quality}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps_record(payload) + "\n")
+        _write_report(args.out, cfg, "quality", quality)
     return 0
 
 

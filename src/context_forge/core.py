@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -321,6 +322,10 @@ def _at_least(low: float):
     return lambda value: value >= low
 
 
+def _context_length(value: int) -> bool:
+    return 0 <= value <= sys.maxsize  # a context length sizes a deque, whose maxlen stops there
+
+
 def _parse_label_set(raw: str) -> frozenset[str]:
     return frozenset(check_label(normalize_label(p)) for p in raw.split(",") if p.strip())
 
@@ -359,9 +364,9 @@ _CONFIG_KEYS = {
     "p_l_action": ("p_l.action", int, _at_least(0)),
     "p_l_held": ("p_l.held", int, _at_least(0)),
     "p_l_salient": ("p_l.salient", int, _at_least(0)),
-    "l_action": ("context_lengths.action", int, _at_least(0)),
-    "l_held": ("context_lengths.held", int, _at_least(0)),
-    "l_salient": ("context_lengths.salient", int, _at_least(0)),
+    "l_action": ("context_lengths.action", int, _context_length),
+    "l_held": ("context_lengths.held", int, _context_length),
+    "l_salient": ("context_lengths.salient", int, _context_length),
     "theta_iou": ("theta_iou", float, lambda value: 0 <= value <= 1),
     "min_ttc": ("min_ttc", float, _at_least(0)),
     "iou_thresh": ("iou_thresh", float, lambda value: 0 <= value <= 1),
@@ -410,6 +415,9 @@ def _parse_config_line(key: str, raw: str):
         raise ValidationError(f"unknown key {key!r}")
     _, parse, ok = _CONFIG_KEYS[key]
     if parse is int or parse is float:
+        # int() and float() also take '_' separators and non-ASCII digits; JSON numbers do not
+        if not raw.isascii() or "_" in raw:
+            raise ValidationError(f"key {key!r}: {raw!r} is not a plain ASCII number")
         try:
             value = parse(raw)
         except ValueError:
@@ -425,9 +433,9 @@ def _parse_config_line(key: str, raw: str):
 def load_config(path: str | Path) -> SummarizerConfig:
     """Parse a flat ``key=value`` config file; unspecified keys keep defaults.
 
-    Unknown keys are errors, and so are numbers that are not finite or
-    out of range; each names its ``path:line``. Blank lines and ``#``
-    comments are ignored.
+    Unknown keys are errors, and so are numbers that are not plain ASCII,
+    not finite or out of range; each names its ``path:line``. Blank lines
+    and ``#`` comments are ignored.
     """
     seen: set[str] = set()
     fields: dict = {}
@@ -479,6 +487,15 @@ def config_hash(cfg: SummarizerConfig) -> str:
 
 
 EMBEDDING_DIM = 300
+# The largest squared norm an embedding vector may have. A mean of such
+# vectors is no longer than the longest of them, so no norm computed from
+# them overflows; a vector with a non-finite value fails the same bound.
+MAX_SQUARED_NORM = 1e300
+
+
+def _norm_within_bound(vector: np.ndarray) -> bool:
+    with np.errstate(over="ignore"):  # an overflowing squared norm is inf, which fails the bound
+        return bool(vector @ vector <= MAX_SQUARED_NORM)
 
 
 class EmbeddingTable:
@@ -495,8 +512,11 @@ class EmbeddingTable:
                     f"EmbeddingTable: vector for {word!r} has shape {arr.shape}, "
                     f"expected ({EMBEDDING_DIM},)"
                 )
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"EmbeddingTable: non-finite vector for {word!r}")
+            if not _norm_within_bound(arr):
+                raise ValidationError(
+                    f"EmbeddingTable: vector for {word!r} is not finite or its squared norm "
+                    f"exceeds {MAX_SQUARED_NORM:g}"
+                )
             key = normalize_label(word)
             if not key:
                 raise ValidationError(f"EmbeddingTable: empty word {word!r}")
@@ -517,7 +537,12 @@ class EmbeddingTable:
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Load a tab-separated embedding file: ``word<TAB>v1<TAB>...<TAB>v300``."""
+    """Load a tab-separated embedding file: ``word<TAB>v1<TAB>...<TAB>v300``.
+
+    Values are plain ASCII numbers, and each vector's squared norm is at
+    most ``MAX_SQUARED_NORM``; any other line is a ``ParseError`` at its
+    ``path:line``.
+    """
     vectors: dict[str, np.ndarray] = {}
     for lineno, line in read_lines(path):
         if not line:
@@ -531,11 +556,17 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                 raise ValidationError("empty word")
             if word in vectors:
                 raise ValidationError(f"duplicate word {word!r}")
-            values = [float(p) for p in parts[1:]]
-            # a finite sum proves every value finite; only a non-finite one needs the full check
-            if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-                raise ValidationError("non-finite embedding value")
+            # float() also takes '_' separators and non-ASCII digits: one scan of
+            # all the values, not a check per value, rules them out
+            values = line[len(parts[0]):]
+            if not values.isascii() or "_" in values:
+                raise ValidationError("embedding values must be plain ASCII numbers")
+            vector = np.array([float(p) for p in parts[1:]], dtype=np.float64)
+            if not _norm_within_bound(vector):
+                raise ValidationError(
+                    f"embedding value not finite, or squared norm above {MAX_SQUARED_NORM:g}"
+                )
         except (ValueError, ValidationError) as exc:  # ValueError: a value that is not a number
             raise ParseError(str(exc), line=lineno, path=str(path)) from None
-        vectors[word] = np.array(values, dtype=np.float64)
+        vectors[word] = vector
     return EmbeddingTable(vectors)

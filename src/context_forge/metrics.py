@@ -15,7 +15,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from itertools import accumulate, groupby
+from operator import itemgetter
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,40 +62,31 @@ class Variant(Enum):
             raise ValidationError(f"unknown variant {text!r}; expected one of {valid}")
 
 
-_BOX_VARIANTS = {Variant.NOUN, Variant.NOUN_VERB, Variant.NOUN_TTC, Variant.OVERALL}
-_VERB_VARIANTS = {Variant.NOUN_VERB, Variant.OVERALL, Variant.VERB_ONLY}
-_TTC_VARIANTS = {Variant.NOUN_TTC, Variant.OVERALL}
+class _Rule(NamedTuple):
+    """What a hit must share with its ground truth under one variant."""
+
+    noun: bool
+    verb: bool
+    box: bool  # a box overlap of at least iou_thresh
+    ttc: bool  # a time-to-contact difference below t_delta
+
+
+_RULES = {
+    Variant.NOUN: _Rule(noun=True, verb=False, box=True, ttc=False),
+    Variant.NOUN_VERB: _Rule(noun=True, verb=True, box=True, ttc=False),
+    Variant.NOUN_TTC: _Rule(noun=True, verb=False, box=True, ttc=True),
+    Variant.OVERALL: _Rule(noun=True, verb=True, box=True, ttc=True),
+    Variant.NOUN_ONLY: _Rule(noun=True, verb=False, box=False, ttc=False),
+    Variant.VERB_ONLY: _Rule(noun=False, verb=True, box=False, ttc=False),
+}
 
 
 def class_key(noun: str, verb: str, variant: Variant) -> str:
-    """Class identity under a variant. Labels never contain ',' so the join is unambiguous."""
-    if variant in (Variant.NOUN, Variant.NOUN_TTC, Variant.NOUN_ONLY):
-        return noun
-    if variant is Variant.VERB_ONLY:
-        return verb
-    return f"{noun},{verb}"
-
-
-def _constraints_hold(
-    pred: ObjectInteraction,
-    gt: ObjectInteraction,
-    overlap: float,
-    variant: Variant,
-    iou_thresh: float,
-    t_delta: float,
-) -> bool:
-    if variant is Variant.VERB_ONLY:
-        if pred.verb != gt.verb:
-            return False
-    elif pred.noun != gt.noun:
-        return False
-    if variant in _VERB_VARIANTS and pred.verb != gt.verb:
-        return False
-    if variant in _BOX_VARIANTS and overlap < iou_thresh:
-        return False
-    if variant in _TTC_VARIANTS and not (abs(pred.ttc - gt.ttc) < t_delta):
-        return False
-    return True
+    """The labels a variant's hits share. Labels never contain ',' so the join is unambiguous."""
+    rule = _RULES[variant]
+    if rule.noun and rule.verb:
+        return f"{noun},{verb}"
+    return noun if rule.noun else verb
 
 
 @dataclass(frozen=True)
@@ -120,16 +113,23 @@ def match_top5(
     for earlier, later in zip(preds, preds[1:]):
         if later.score > earlier.score:
             raise ValidationError("match_top5: predictions not sorted by descending score")
+    same_noun, same_verb, near_box, near_ttc = _RULES[variant]
     matched = [False] * len(gts)
     results: list[MatchResult] = []
     for pred in preds[:TOP_K_PER_FRAME]:
+        inter = pred.interaction
         best_idx = -1
         best_overlap = -1.0
         for idx, gt in enumerate(gts):
             if matched[idx]:
                 continue
-            overlap = iou(pred.interaction.box, gt.box)
-            if not _constraints_hold(pred.interaction, gt, overlap, variant, iou_thresh, t_delta):
+            overlap = iou(inter.box, gt.box)
+            if (
+                (same_noun and inter.noun != gt.noun)
+                or (same_verb and inter.verb != gt.verb)
+                or (near_box and overlap < iou_thresh)
+                or (near_ttc and not abs(inter.ttc - gt.ttc) < t_delta)
+            ):
                 continue
             if overlap > best_overlap:
                 best_idx, best_overlap = idx, overlap
@@ -158,8 +158,8 @@ class EvalReport:
 
 
 def _canonical_top5(preds: Sequence[Prediction]) -> list[Prediction]:
-    indexed = sorted(enumerate(preds), key=lambda item: (-item[1].score, item[0]))
-    return [pred for _, pred in indexed[:TOP_K_PER_FRAME]]
+    # a stable sort: tied scores keep their input order
+    return sorted(preds, key=lambda pred: -pred.score)[:TOP_K_PER_FRAME]
 
 
 def _average_precision(scored_hits: list[tuple[float, bool]], n_positive: int) -> float:
@@ -170,29 +170,19 @@ def _average_precision(scored_hits: list[tuple[float, bool]], n_positive: int) -
     """
     if n_positive <= 0 or not scored_hits:
         return 0.0
-    points: list[tuple[float, float]] = []
-    tp = fp = 0
-    i = 0
-    while i < len(scored_hits):
-        j = i
-        while j < len(scored_hits) and scored_hits[j][0] == scored_hits[i][0]:
-            if scored_hits[j][1]:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        points.append((tp / n_positive, tp / (tp + fp)))
-        i = j
-    interpolated = [0.0] * len(points)
-    running = 0.0
-    for idx in range(len(points) - 1, -1, -1):
-        running = max(running, points[idx][1])
-        interpolated[idx] = running
+    recalls, precisions = [], []
+    tp = ranked = 0
+    for _, tied in groupby(scored_hits, key=itemgetter(0)):
+        for _, hit in tied:
+            tp += hit
+            ranked += 1
+        recalls.append(tp / n_positive)
+        precisions.append(tp / ranked)
+    # interpolated precision: the best precision at this recall or beyond
+    interpolated = list(accumulate(reversed(precisions), max))[::-1]
     ap = 0.0
-    prev_recall = 0.0
-    for (recall, _), precision in zip(points, interpolated):
+    for recall, prev_recall, precision in zip(recalls, [0.0, *recalls], interpolated):
         ap += (recall - prev_recall) * precision
-        prev_recall = recall
     return ap
 
 
@@ -211,10 +201,9 @@ def top5_map(
     truth (all misses); frames present only in ``gts`` contribute
     positives.
     """
-    gt_counts: Counter[str] = Counter()
-    for frame_gts in gts.values():
-        for gt in frame_gts:
-            gt_counts[class_key(gt.noun, gt.verb, variant)] += 1
+    gt_counts = Counter(
+        class_key(gt.noun, gt.verb, variant) for frame_gts in gts.values() for gt in frame_gts
+    )
 
     per_class_items: dict[str, list] = defaultdict(list)
     n_predictions = 0
@@ -222,19 +211,19 @@ def top5_map(
     for frame_key in all_keys:
         frame_preds = _canonical_top5(preds.get(frame_key, []))
         n_predictions += len(frame_preds)
-        results = match_top5(
+        # frame then rank order: the stable sort below breaks score ties by frame, then rank
+        for result in match_top5(
             frame_preds, list(gts.get(frame_key, [])), variant, iou_thresh, t_delta
-        )
-        for idx, result in enumerate(results):
+        ):
             inter = result.prediction.interaction
             key = class_key(inter.noun, inter.verb, variant)
-            per_class_items[key].append((result.prediction.score, result.hit, frame_key, idx))
+            per_class_items[key].append((result.prediction.score, result.hit))
 
     per_class: dict[str, ClassResult] = {}
     ap_values = []
     for key in sorted(gt_counts):
-        items = sorted(per_class_items.get(key, []), key=lambda it: (-it[0], it[2], it[3]))
-        ap = _average_precision([(score, hit) for score, hit, _, _ in items], gt_counts[key])
+        items = sorted(per_class_items.get(key, []), key=lambda item: -item[0])
+        ap = _average_precision(items, gt_counts[key])
         per_class[key] = ClassResult(ap=100.0 * ap, n_gt=gt_counts[key], n_pred=len(items))
         ap_values.append(ap)
 
@@ -263,13 +252,6 @@ class QualityReport:
     missing_embeddings: int
 
 
-def _context_noun_labels(ctx: ActionContext) -> list[str]:
-    nouns = [pair.noun for pair in ctx.action_segments]
-    nouns.extend(ctx.held_objects)
-    nouns.extend(ctx.salient_objects)
-    return nouns
-
-
 def _mean_direction(words: list[str], table: EmbeddingTable) -> tuple[np.ndarray | None, int]:
     """Normalized mean of the words' vectors; returns (vector|None, missing count)."""
     vectors = []
@@ -288,13 +270,6 @@ def _mean_direction(words: list[str], table: EmbeddingTable) -> tuple[np.ndarray
     if norm == 0.0:
         return None, missing
     return mean / norm, missing
-
-
-def _label_words(labels: list[str]) -> list[str]:
-    words: list[str] = []
-    for label in labels:
-        words.extend(label.split())
-    return words
 
 
 def context_quality(
@@ -327,7 +302,9 @@ def context_quality(
     for key in keys:
         ctx = contexts.get(key, empty)
         gt = gts[key]
-        noun_labels = _context_noun_labels(ctx)
+        noun_labels = [
+            *(pair.noun for pair in ctx.action_segments), *ctx.held_objects, *ctx.salient_objects
+        ]
         verb_labels = [pair.verb for pair in ctx.action_segments]
 
         if noun_labels or verb_labels:
@@ -337,11 +314,12 @@ def context_quality(
         if gt.verb in verb_labels:
             verb_hits += 1
         salient_slots += len(ctx.salient_objects)
-        salient_matches += sum(1 for label in ctx.salient_objects if label == gt.noun)
+        salient_matches += ctx.salient_objects.count(gt.noun)
         if gt.noun in ctx.salient_objects:
             recall_hits += 1
 
-        ctx_noun_dir, miss_a = _mean_direction(_label_words(noun_labels), table)
+        noun_words = [word for label in noun_labels for word in label.split()]
+        ctx_noun_dir, miss_a = _mean_direction(noun_words, table)
         ctx_verb_dir, miss_b = _mean_direction(verb_labels, table)
         gt_noun_dir, miss_c = _mean_direction([gt.noun], table)
         gt_verb_dir, miss_d = _mean_direction([gt.verb], table)

@@ -61,7 +61,7 @@ _MAX_FLOAT_INT = int(sys.float_info.max)
 
 
 def dumps_record(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _as(value, kind: type, what: str):
@@ -184,8 +184,8 @@ def _frame_lines(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[
     """(line number, line, object, whether the line starts a video) per non-blank frames line.
 
     The one place for the rule that a video's lines are contiguous: a line
-    that returns to an earlier video raises ``ParseError``. Only
-    ``video_id`` is decoded here.
+    that returns to an earlier video raises ``ParseError``. Each whole line
+    is parsed as JSON, but of its fields only ``video_id`` is checked here.
     """
     finished: set[str | None] = set()
     video_id = None
@@ -242,8 +242,9 @@ FrameGroup = tuple[list[tuple[int, str]], Exception | None]
 def frame_groups(path: str) -> Iterator[FrameGroup]:
     """Split a frames file into one group per video, for ``read_group`` to decode elsewhere.
 
-    A group is the video's numbered non-blank lines and ``None``. Only
-    ``video_id`` is decoded here. A line that fails here ends the split:
+    A group is the video's numbered non-blank lines and ``None``. Each line
+    is parsed as JSON here to read its ``video_id``, and ``read_group``
+    parses it again to decode the record. A line that fails here ends the split:
     the last group holds the lines of its unfinished video and the error,
     which ``read_group`` raises after decoding those lines. Groups read in
     order thus raise the error that ``read_frame_records`` raises.

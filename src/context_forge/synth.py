@@ -5,10 +5,11 @@ production paths it checks: the aggregation reference rescans the whole
 stream per term, the average-precision reference enumerates score
 thresholds and recounts from scratch, and the attention/loss references
 use explicit Python loops. The one exception is the summarization
-reference: it reuses the per-category term projection, aggregation,
-overlap-elimination and selection steps (each tested on its own) but
-re-resolves every segment of the video at every frame, where the
-pipeline freezes settled overlap components. Scenario generation runs
+reference: it aggregates with the brute-force reference above, but
+reuses the per-category term projection, extraction, overlap-elimination,
+selection and assembly steps (each tested on its own), and re-resolves
+every segment of the video at every frame, where the pipeline freezes
+settled overlap components. Scenario generation runs
 on SplitMix64, a fixed and documented PRNG, so identical seeds produce
 identical scenarios on any platform or implementation.
 """
@@ -19,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .aggregation import SelectionMode, StreamAggregator, context_for_frame, eliminate_overlaps
+from .aggregation import SelectionMode, context_for_frame, eliminate_overlaps
 from .assembly import assemble
 from .core import (
     ActionContext,
@@ -274,19 +275,18 @@ def oracle_summarize_video(
         Category.HELD: SelectionMode.CURRENT_AND_PAST,
         Category.SALIENT: SelectionMode.CURRENT_ONLY,
     }
-    aggregators = {c: StreamAggregator(c, cfg.p_o.get(c), cfg.p_l.get(c)) for c in Category}
     ordered = sorted(frames, key=lambda r: r.frame_id)
     contexts = [extract_frame_context(r, cfg) for r in ordered if r.frame_id % cfg.stride == 0]
     results = []
     for record in ordered:
         t = record.frame_id
-        while contexts and contexts[0].frame_id < t:
-            ctx = contexts.pop(0)
-            for c in Category:
-                aggregators[c].push(ctx.frame_id, ctx.terms(c))
+        seen = [ctx for ctx in contexts if ctx.frame_id < t]
+        # the empty frame t is the horizon, so activity is decided at t
         terms = [
             context_for_frame(
-                eliminate_overlaps(aggregators[c].segments_at(t)),
+                eliminate_overlaps(oracle_aggregate(
+                    category_stream(seen, c) + [(t, [])], cfg.p_o.get(c), cfg.p_l.get(c), c
+                )),
                 t,
                 cfg.context_lengths.get(c),
                 modes[c],

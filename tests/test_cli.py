@@ -200,16 +200,16 @@ def write_videos(path, videos):
 class TestStreamingSummarize:
     def test_memory_holds_one_video(self, tmp_path, capsys):
         peaks = {}
-        for n_videos in (12, 48):
+        for n_videos in (8, 32):
             frames = tmp_path / f"frames{n_videos}.jsonl"
-            write_videos(frames, scenario_lines(n_videos))
+            write_videos(frames, scenario_lines(n_videos, n_frames=300))
             tracemalloc.start()
             try:
                 assert main(["summarize", "--frames", str(frames), "--out", str(tmp_path / "ctx.jsonl")]) == 0
                 peaks[n_videos] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[48] <= 1.2 * peaks[12], peaks
+        assert peaks[32] <= 1.2 * peaks[8], peaks
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_malformed_last_line_leaves_no_output(self, tmp_path, capsys, jobs):

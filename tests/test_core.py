@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +177,12 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match="is not of type"):
             SummarizerConfig(**fields)
 
+    def test_context_length_beyond_sys_maxsize_rejected(self):
+        # a context length sizes a deque, whose maxlen must fit in a C ssize_t
+        SummarizerConfig(context_lengths=PerCategory(3, sys.maxsize, 3))
+        with pytest.raises(ValidationError, match="out of range"):
+            SummarizerConfig(context_lengths=PerCategory(3, 2**70, 3))
+
     @pytest.mark.parametrize(
         "fields",
         [
@@ -331,6 +338,15 @@ class TestEmbeddings:
     def test_words_colliding_after_normalization_rejected(self):
         with pytest.raises(ValidationError, match="repeats the word 'cup'"):
             EmbeddingTable({"Cup": np.ones(300), "cup": np.zeros(300)})
+
+    @pytest.mark.parametrize("value", [1e151, math.inf, math.nan])
+    def test_vector_beyond_norm_bound_rejected(self, value):
+        # a squared norm above 1e300 could overflow a later norm into inf, and a NaN report
+        EmbeddingTable({"cup": np.full(300, 1e148)})
+        vec = np.zeros(300)
+        vec[7] = value
+        with pytest.raises(ValidationError, match="squared norm"):
+            EmbeddingTable({"cup": vec})
 
     @pytest.mark.parametrize("word", ["", "  \t "])
     def test_blank_word_rejected(self, word):

@@ -308,6 +308,15 @@ class TestContextQuality:
         assert report.avg_embed_sim_noun == 0.0
         assert report.avg_embed_sim_verb == 1.0
 
+    def test_vectors_at_the_norm_bound_keep_finite_similarities(self):
+        # each squared norm just under the table's bound; their mean's norm must not overflow
+        big = np.full(300, 5.7e148)
+        table = EmbeddingTable({"take": big, "cup": big, "knife": big})
+        contexts = {0: ctx(pairs=[ActionPair("take", "cup")], held=["knife"])}
+        report = context_quality(contexts, {0: gt(noun="cup", verb="take")}, table)
+        assert report.avg_embed_sim_noun == pytest.approx(1.0, abs=1e-12)
+        assert report.avg_embed_sim_verb == pytest.approx(1.0, abs=1e-12)
+
     def test_multiword_labels_average_word_vectors(self):
         table = _unit_table(["pressure", "cooker", "take"])
         contexts = {0: ctx(salient=["pressure cooker"])}

@@ -178,6 +178,13 @@ REJECTED = {
     "contexts-lone-surrogate-escape": ("quality", "contexts", mutated("contexts", setter("held", ["\ud800"]))),
     "embeddings-invalid-utf8": ("quality", "embeddings", "\udcff\t" + "\t".join(VECTOR)),
     "config-invalid-utf8": ("summarize", "config", "vocab_noun=\udcc3"),
+    "config-context-length-beyond-sys-maxsize": ("summarize", "config", "l_held=99999999999999999999"),
+    "config-int-underscore": ("summarize", "config", "stride=1_0"),
+    "config-int-non-ascii-digit": ("summarize", "config", "window=\u0663"),
+    "config-float-non-ascii-digit": ("summarize", "config", "t_delta=0.\u0665"),
+    "embedding-underscore": ("quality", "embeddings", "take\t" + "\t".join(["1_0"] + VECTOR[1:])),
+    "embedding-non-ascii-digit": ("quality", "embeddings", "take\t" + "\t".join(["\u0663"] + VECTOR[1:])),
+    "embedding-norm-overflow": ("quality", "embeddings", "take\t" + "\t".join(["1e308"] * 300)),
 }
 
 # Malformed inputs that were already rejected at path:line; kept as
