@@ -21,12 +21,16 @@ starts at or after the *frontier*: the earliest start of a live run,
 accepted or not (a pending run can still be accepted with its start in
 the past). A run is retired as soon as no later push can extend it, so
 a term that never reappears does not pin the frontier. Components that
-end before the frontier are *settled*: ``StreamAggregator.take_settled``
-hands their segments out once, and ``tail_at`` reports the rest.
+end before the frontier are *settled*. Closed segments are kept in one
+list sorted by start, and settled components form a growing prefix of
+it: ``StreamAggregator.take_settled`` hands each segment of that prefix
+out once, and ``tail_at`` reports the rest of the list plus the open
+runs.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -76,8 +80,8 @@ class StreamAggregator:
         self.category = category
         self.p_o = p_o
         self.p_l = p_l
-        self._closed: list[Segment] = []
-        self._unsettled: list[Segment] = []
+        self._closed: list[Segment] = []  # in _segment_order
+        self._taken = 0  # _closed[:_taken] is what take_settled has handed out
         self._runs: dict[Term, _RunState] = {}  # live runs, ordered by last_seen
         self._last_frame: int | None = None
 
@@ -127,8 +131,10 @@ class StreamAggregator:
                 occurrences=run.occurrences,
                 active=False,
             )
-            self._closed.append(seg)
-            self._unsettled.append(seg)
+            # a retiring run was live at every earlier take_settled (or began later), so
+            # it starts at or after that call's frontier, after every segment handed out
+            # then: insort never lands inside _closed[:_taken]
+            bisect.insort(self._closed, seg, key=_segment_order)
 
     def _check_observation(self, t: int) -> None:
         if self._last_frame is not None and t < self._last_frame:
@@ -165,26 +171,26 @@ class StreamAggregator:
         component has settled. Each segment is returned by exactly one
         call.
         """
-        if not self._unsettled:
+        closed, taken = self._closed, self._taken
+        if taken == len(closed):
             return []
         frontier = min((run.start for run in self._runs.values()), default=math.inf)
-        pending = sorted(self._unsettled, key=_segment_order)
-        settled = 0
+        settled = taken
         reach = -math.inf
-        for i, seg in enumerate(pending):
-            reach = max(reach, seg.end_frame)
+        for i in range(taken, len(closed)):
+            reach = max(reach, closed[i].end_frame)
             if reach >= frontier:
                 break
-            if i + 1 == len(pending) or reach < pending[i + 1].start_frame:
+            if i + 1 == len(closed) or reach < closed[i + 1].start_frame:
                 settled = i + 1
-        self._unsettled = pending[settled:]
-        return pending[:settled]
+        self._taken = settled
+        return closed[taken:settled]
 
     def tail_at(self, t: int) -> list[Segment]:
         """Accepted segments of unsettled components as of frame ``t``:
         closed segments not yet taken plus open runs, activity decided at ``t``."""
         self._check_observation(t)
-        return self._unsettled + self._open_segments(t)
+        return self._closed[self._taken:] + self._open_segments(t)
 
 
 def aggregate(

@@ -4,7 +4,9 @@ Each check pairs a production path with an independent expectation
 (brute-force reference, algebraic identity, or exact inverse) and
 reports one pass/fail line. Tolerances are part of the contract:
 softmax rows and permutation equivariance at 1e-6, reference
-comparisons at 1e-12, patch round trips bit-exact.
+comparisons at 1e-12, patch round trips bit-exact. Worst differences
+are accumulated with ``np.maximum``, which, unlike ``max``, keeps a NaN,
+so a NaN difference prints ``nan`` and fails its check.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def _check_softmax(rng: np.random.Generator) -> CheckResult:
         rows = rng.integers(1, 8)
         cols = rng.integers(1, 8)
         weights = row_softmax(rng.normal(0.0, 5.0, (rows, cols)))
-        worst = max(worst, float(np.abs(weights.sum(axis=1) - 1.0).max()))
+        worst = float(np.maximum(worst, np.abs(weights.sum(axis=1) - 1.0).max()))
     return CheckResult("softmax-row-sums", worst <= 1e-6, f"max |row sum - 1| = {worst:.3e}")
 
 
@@ -74,7 +76,8 @@ def _check_attention_reference(rng: np.random.Generator) -> CheckResult:
         q = rng.normal(0.0, 1.0, (n, d))
         k = rng.normal(0.0, 1.0, (n, d))
         v = rng.normal(0.0, 1.0, (n, d))
-        worst = max(worst, float(np.abs(attention(q, k, v) - reference_attention(q, k, v)).max()))
+        diff = np.abs(attention(q, k, v) - reference_attention(q, k, v)).max()
+        worst = float(np.maximum(worst, diff))
     return CheckResult("attention-vs-reference", worst <= 1e-12, f"max |diff| = {worst:.3e}")
 
 
@@ -93,18 +96,14 @@ def _check_attention_convexity(rng: np.random.Generator) -> CheckResult:
 
 def _check_fuse_shapes(scales: Sequence[FusionParams], rng: np.random.Generator) -> CheckResult:
     maps = [rng.normal(0.0, 1.0, (p.channels, p.height, p.width)) for p in scales]
-    lang = rng.normal(0.0, 1.0, (3, scales[0].d_lang))
-    fused = fuse(maps, lang, scales)
-    for index, (inp, out) in enumerate(zip(maps, fused)):
-        if inp.shape != out.shape:
-            return CheckResult("fuse-shape-contract", False, f"scale {index} changed shape")
-    empty = np.zeros((0, scales[0].d_lang))
-    fused_empty = fuse(maps, empty, scales)
-    for index, (inp, out) in enumerate(zip(maps, fused_empty)):
-        if inp.shape != out.shape:
-            return CheckResult(
-                "fuse-shape-contract", False, f"scale {index} changed shape with empty language"
-            )
+    languages = [
+        (rng.normal(0.0, 1.0, (3, scales[0].d_lang)), ""),
+        (np.zeros((0, scales[0].d_lang)), " with empty language"),
+    ]
+    for lang, suffix in languages:
+        for index, (inp, out) in enumerate(zip(maps, fuse(maps, lang, scales))):
+            if inp.shape != out.shape:
+                return CheckResult("fuse-shape-contract", False, f"scale {index} changed shape{suffix}")
     return CheckResult("fuse-shape-contract", True, "output shapes equal input shapes (incl. L=0)")
 
 
@@ -126,7 +125,7 @@ def _check_permutation_equivariance(
         permuted = _permute_patches(maps[index], params.patch_size, perm)
         shuffled = fuse_single_scale(permuted, lang, params)  # scales fuse independently
         expected = _permute_patches(base[index], params.patch_size, perm)
-        worst = max(worst, float(np.abs(shuffled - expected).max()))
+        worst = float(np.maximum(worst, np.abs(shuffled - expected).max()))
     return CheckResult(
         "permutation-equivariance", worst <= 1e-6, f"max |diff| = {worst:.3e} with zeroed embeddings"
     )
@@ -159,7 +158,7 @@ def _check_loss_reference(rng: np.random.Generator) -> CheckResult:
             probs, targets, boxes, box_targets, noun_logits, noun_targets,
             verb_logits, verb_targets, ttc_pred, ttc_gt, lam, n_cls, n_reg,
         )
-        worst = max(worst, abs(total - sum(terms.values())))
+        worst = float(np.maximum(worst, abs(total - sum(terms.values()))))
     return CheckResult("loss-vs-reference", worst <= 1e-12, f"max |diff| = {worst:.3e}")
 
 

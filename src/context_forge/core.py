@@ -299,20 +299,14 @@ class SummarizerConfig:
     # built once per config. The cache is not a field: equality, hashing
     # and serialize_config ignore it.
 
+    @cached_property
     def merge_map(self) -> dict[str, str]:
         """Merge table as a source -> target lookup, shared by all callers: do not mutate."""
-        return self._merge_map
-
-    def action_noun_vocab(self) -> frozenset[str]:
-        """Noun domain admitted into action pairs: configured nouns plus generics."""
-        return self._action_noun_vocab
-
-    @cached_property
-    def _merge_map(self) -> dict[str, str]:
         return dict(self.merge_table)
 
     @cached_property
-    def _action_noun_vocab(self) -> frozenset[str]:
+    def action_noun_vocab(self) -> frozenset[str]:
+        """Noun domain admitted into action pairs: configured nouns plus generics."""
         if not self.vocab_noun:
             return frozenset()
         return self.vocab_noun | self.generic_nouns
@@ -493,9 +487,25 @@ EMBEDDING_DIM = 300
 MAX_SQUARED_NORM = 1e300
 
 
-def _norm_within_bound(vector: np.ndarray) -> bool:
+def _add_embedding(table: dict[str, np.ndarray], word: str, vector: np.ndarray | list[float]) -> None:
+    """Check one embedding entry and add it to ``table`` under its normalized word."""
+    vector = np.asarray(vector, dtype=np.float64)
+    if vector.shape != (EMBEDDING_DIM,):
+        raise ValidationError(
+            f"vector for {word!r} has shape {vector.shape}, expected ({EMBEDDING_DIM},)"
+        )
     with np.errstate(over="ignore"):  # an overflowing squared norm is inf, which fails the bound
-        return bool(vector @ vector <= MAX_SQUARED_NORM)
+        if not vector @ vector <= MAX_SQUARED_NORM:
+            raise ValidationError(
+                f"vector for {word!r} is not finite or its squared norm exceeds {MAX_SQUARED_NORM:g}"
+            )
+    key = normalize_label(word)
+    if not key:
+        raise ValidationError(f"empty word {word!r}")
+    if key in table:
+        raise ValidationError(f"duplicate word: {word!r} repeats the word {key!r}")
+    vector.setflags(write=False)
+    table[key] = vector
 
 
 class EmbeddingTable:
@@ -504,33 +514,15 @@ class EmbeddingTable:
     def __init__(self, vectors: Mapping[str, np.ndarray]):
         if not vectors:
             raise ValidationError("EmbeddingTable: empty table")
-        table: dict[str, np.ndarray] = {}
-        for word, vec in vectors.items():
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.shape != (EMBEDDING_DIM,):
-                raise ValidationError(
-                    f"EmbeddingTable: vector for {word!r} has shape {arr.shape}, "
-                    f"expected ({EMBEDDING_DIM},)"
-                )
-            if not _norm_within_bound(arr):
-                raise ValidationError(
-                    f"EmbeddingTable: vector for {word!r} is not finite or its squared norm "
-                    f"exceeds {MAX_SQUARED_NORM:g}"
-                )
-            key = normalize_label(word)
-            if not key:
-                raise ValidationError(f"EmbeddingTable: empty word {word!r}")
-            if key in table:
-                raise ValidationError(f"EmbeddingTable: {word!r} repeats the word {key!r}")
-            arr.setflags(write=False)
-            table[key] = arr
-        self._table = table
+        self._table: dict[str, np.ndarray] = {}
+        for word, vector in vectors.items():
+            try:
+                _add_embedding(self._table, word, vector)
+            except ValidationError as exc:
+                raise ValidationError(f"EmbeddingTable: {exc}") from None
 
     def __len__(self) -> int:
         return len(self._table)
-
-    def __contains__(self, word: str) -> bool:
-        return normalize_label(word) in self._table
 
     def lookup(self, word: str) -> np.ndarray | None:
         return self._table.get(normalize_label(word))
@@ -539,8 +531,8 @@ class EmbeddingTable:
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Load a tab-separated embedding file: ``word<TAB>v1<TAB>...<TAB>v300``.
 
-    Values are plain ASCII numbers, and each vector's squared norm is at
-    most ``MAX_SQUARED_NORM``; any other line is a ``ParseError`` at its
+    Values are plain ASCII numbers, and each line passes the same checks as
+    an ``EmbeddingTable`` entry; any other line is a ``ParseError`` at its
     ``path:line``.
     """
     vectors: dict[str, np.ndarray] = {}
@@ -548,25 +540,13 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         if not line:
             continue
         parts = line.split("\t")
-        word = normalize_label(parts[0])
         try:
-            if len(parts) != EMBEDDING_DIM + 1:
-                raise ValidationError(f"expected word + {EMBEDDING_DIM} values, got {len(parts)} fields")
-            if not word:
-                raise ValidationError("empty word")
-            if word in vectors:
-                raise ValidationError(f"duplicate word {word!r}")
             # float() also takes '_' separators and non-ASCII digits: one scan of
             # all the values, not a check per value, rules them out
             values = line[len(parts[0]):]
             if not values.isascii() or "_" in values:
                 raise ValidationError("embedding values must be plain ASCII numbers")
-            vector = np.array([float(p) for p in parts[1:]], dtype=np.float64)
-            if not _norm_within_bound(vector):
-                raise ValidationError(
-                    f"embedding value not finite, or squared norm above {MAX_SQUARED_NORM:g}"
-                )
+            _add_embedding(vectors, parts[0], [float(p) for p in parts[1:]])
         except (ValueError, ValidationError) as exc:  # ValueError: a value that is not a number
             raise ParseError(str(exc), line=lineno, path=str(path)) from None
-        vectors[word] = vector
     return EmbeddingTable(vectors)

@@ -83,16 +83,10 @@ def select_frame_action(caption_pairs: Sequence[Sequence[ActionPair]]) -> Action
     Returns None when no caption produced a candidate.
     """
     counts: Counter[ActionPair] = Counter()
-    first_seen: dict[ActionPair, int] = {}
-    position = 0
     for caption in caption_pairs:
-        for pair in caption:
-            counts[pair] += 1
-            first_seen.setdefault(pair, position)
-            position += 1
-    if not counts:
-        return None
-    return max(counts, key=lambda p: (counts[p], -first_seen[p]))
+        counts.update(caption)
+    # a Counter keeps first-seen order, and max returns the first of equal counts
+    return max(counts, key=counts.__getitem__, default=None)
 
 
 def select_salient(
@@ -161,7 +155,7 @@ def match_held_objects(
 
 def extract_frame_context(record: FrameRecord, cfg: SummarizerConfig) -> FrameContext:
     """Run all three extractors over one frame record."""
-    action_vocab = cfg.action_noun_vocab()
+    action_vocab = cfg.action_noun_vocab
     per_caption = [
         extract_candidate_pairs(caption, cfg.d, action_vocab, cfg.vocab_verb)
         for caption in record.captions
@@ -169,7 +163,7 @@ def extract_frame_context(record: FrameRecord, cfg: SummarizerConfig) -> FrameCo
     action = select_frame_action(per_caption)
     salient = select_salient(record.label_scores, cfg.k, cfg.vocab_noun)
     held = match_held_objects(
-        record.active_boxes, record.detections, cfg.theta_iou, cfg.merge_map()
+        record.active_boxes, record.detections, cfg.theta_iou, cfg.merge_map
     )
     return FrameContext(
         frame_id=record.frame_id,

@@ -523,6 +523,11 @@ def load_params(path: str) -> list[FusionParams]:
     dims = list(_DIMS.iter_unpack(data[_HEADER.size : offset]))
     if any(0 in scale_dims for scale_dims in dims):
         raise BundleError("bundle declares a zero patch size or an empty feature map")
+    # one pass over every value after the header, before any array is built
+    # (after them, the freed mask made loads of a 5.6 MB bundle 3-4x slower)
+    values = np.frombuffer(data, "<f8", count=(len(data) - offset) // 8, offset=offset)
+    if not np.isfinite(values).all():
+        raise BundleError(f"{path}: bundle holds a NaN or infinite value")
 
     def take(shapes: Shapes) -> dict[str, np.ndarray]:
         nonlocal offset

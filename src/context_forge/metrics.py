@@ -268,7 +268,13 @@ def _mean_direction(words: list[str], table: EmbeddingTable) -> tuple[np.ndarray
     mean = vectors[0] if len(vectors) == 1 else np.mean(vectors, axis=0)
     norm = float(np.linalg.norm(mean))
     if norm == 0.0:
-        return None, missing
+        # a nonzero mean whose squared norm underflows to 0: scale its
+        # largest value to 1 first, which leaves the direction as it was
+        largest = float(np.abs(mean).max())
+        if largest == 0.0:
+            return None, missing
+        mean = mean / largest
+        norm = float(np.linalg.norm(mean))
     return mean / norm, missing
 
 
@@ -285,8 +291,6 @@ def context_quality(
     before comparing with the ground-truth word; words absent from the
     table are skipped and counted.
     """
-    if len(table) == 0:
-        raise ValidationError("context_quality: empty embedding table")
     keys = sorted(gts)
     n = len(keys)
     if n == 0:

@@ -18,12 +18,13 @@ is re-resolved whenever a selection is recomputed.
 Selection is event-driven. A category's terms at frame t depend only on
 its accepted segments as of t and on t itself, and they change at
 action boundaries, not at every frame. So each lane keeps its last
-selection and recomputes it only when a push made it *dirty* or t has
-reached its *flip frame*, where an active segment it selected from
-lapses (see ``_Lane``). When all three lanes select the same terms as
-at the previous frame, that frame's ``ActionContext`` is reused and
-``assemble`` is skipped. Outputs are the same as selecting afresh at
-every frame, as ``synth.oracle_summarize_video`` does.
+selection and recomputes it only when t has reached its *flip frame*:
+the frame where an active segment it selected from lapses, or at once
+after a push that changed its accepted runs (see ``_Lane``). When all
+three lanes select the same terms as at the previous frame, that frame's
+``ActionContext`` is reused and ``assemble`` is skipped. Outputs are the
+same as selecting afresh at every frame, as
+``synth.oracle_summarize_video`` does.
 """
 
 from __future__ import annotations
@@ -71,21 +72,20 @@ class _Lane:
     """One category's aggregator, the last kept settled segments that
     selection can still reach, and the last selection.
 
-    The selection is recomputed only when the lane is *dirty*, meaning a
-    push since the last selection created, extended or accepted an
-    accepted run, or when ``t`` reaches the *flip frame*. Because frame
-    ``t`` is pushed only after it is selected, every segment selection
-    sees has started and ended before ``t``. Until the next push, such a
-    segment changes activity only by lapsing, at ``end_frame + p_l + 1``
-    if it is active, so the flip frame is the earliest lapse among the
-    active segments. Nothing else can change the selection. Overlap
-    elimination does not depend on ``t``. A push that touches only
-    pending runs leaves the accepted segments as they were, because
-    pending runs are not segments. A run is retired only once its lapse
-    has passed, so it was already inactive, and its closed segment
-    equals its open one. Components that settle in between wait in the
-    aggregator, and ``take_settled`` hands them out exactly at the next
-    recomputation.
+    The selection is recomputed exactly when ``t`` reaches the *flip
+    frame*. A push that creates, extends or accepts an accepted run sets
+    it to ``-inf``. Otherwise, because frame ``t`` is pushed only after it
+    is selected, every segment selection sees has started and ended before
+    ``t``. Until the next push, such a segment changes activity only by
+    lapsing, at ``end_frame + p_l + 1`` if it is active, so the flip frame
+    is the earliest lapse among the active segments. Nothing else can
+    change the selection. Overlap elimination does not depend on ``t``. A
+    push that touches only pending runs leaves the accepted segments as
+    they were, because pending runs are not segments. A run is retired
+    only once its lapse has passed, so it was already inactive, and its
+    closed segment equals its open one. Components that settle in between
+    wait in the aggregator, and ``take_settled`` hands them out exactly at
+    the next recomputation.
     """
 
     def __init__(self, category: Category, cfg: SummarizerConfig):
@@ -94,15 +94,14 @@ class _Lane:
         self.mode = _MODES[category]
         self.settled_kept: deque[Segment] = deque(maxlen=max(0, self.length - 1))
         self.terms: list[Term] = []
-        self.dirty = True
         self.flip = -math.inf
 
     def push(self, ctx: FrameContext) -> None:
         if self.aggregator.push(ctx.frame_id, ctx.terms(self.aggregator.category)):
-            self.dirty = True
+            self.flip = -math.inf
 
     def select(self, t: int) -> list[Term]:
-        if not self.dirty and t < self.flip:
+        if t < self.flip:
             return self.terms
         settled = self.aggregator.take_settled()
         if settled:
@@ -111,7 +110,6 @@ class _Lane:
         self.terms = context_for_frame(segments, t, self.length, self.mode)
         active_ends = [seg.end_frame for seg in segments if seg.active]
         self.flip = min(active_ends, default=math.inf) + self.aggregator.p_l + 1
-        self.dirty = False
         return self.terms
 
 

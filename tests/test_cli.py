@@ -452,6 +452,25 @@ class TestQuality:
         assert lines[-2:] == ["n_frames 1", "missing_embeddings 0"]
 
 
+    def test_tiny_vectors_keep_their_direction(self, tmp_path):
+        # 300 x 1e-170 has a squared norm that underflows to 0, yet it is no zero vector
+        contexts = tmp_path / "ctx.jsonl"
+        contexts.write_text(json.dumps({
+            "video_id": "v", "frame_id": 0, "text": "take cup; knife; ",
+            "action_terms": [["take", "cup"]], "held": ["knife"], "salient": [],
+        }) + "\n")
+        gt = tmp_path / "g.jsonl"
+        write_gt(gt, [("v", 0, [PERFECT_ENTRY])])
+        emb = tmp_path / "emb.tsv"
+        tiny = "\t" + "\t".join(["1e-170"] * 300) + "\n"
+        emb.write_text("cup" + tiny + "take" + tiny + "knife" + tiny)
+        proc = run_cli(
+            "quality", "--contexts", str(contexts), "--gt", str(gt), "--embeddings", str(emb)
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "avg_embed_sim_noun 1.000000" in proc.stdout
+        assert "avg_embed_sim_verb 1.000000" in proc.stdout
+
     def test_reads_summarize_output(self, tmp_path):
         """Every summarize context passes the reader's text check."""
         from context_forge.records import read_contexts

@@ -130,8 +130,8 @@ class TestConfigParsing:
         cfg = load_config(path)
         assert cfg.vocab_noun == frozenset({"knife", "cup", "apple"})
         assert cfg.generic_nouns == frozenset({"something", "object"})
-        assert cfg.merge_map() == {"pressure cooker": "machine", "home appliance": "machine"}
-        assert cfg.action_noun_vocab() == frozenset(
+        assert cfg.merge_map == {"pressure cooker": "machine", "home appliance": "machine"}
+        assert cfg.action_noun_vocab == frozenset(
             {"knife", "cup", "apple", "something", "object"}
         )
 
@@ -222,12 +222,12 @@ class TestConfigParsing:
         path.write_text("vocab_noun=apple\ngeneric_nouns=thing\nmerge_table=a->b\n")
         cfg, fresh = load_config(path), load_config(path)
         digest = config_hash(cfg)
-        assert cfg.merge_map() is cfg.merge_map() == {"a": "b"}
-        assert cfg.action_noun_vocab() is cfg.action_noun_vocab() == {"apple", "thing"}
+        assert cfg.merge_map is cfg.merge_map == {"a": "b"}
+        assert cfg.action_noun_vocab is cfg.action_noun_vocab == {"apple", "thing"}
         # built lookups change neither equality, hashing, the digest nor pickling
         assert cfg == fresh and hash(cfg) == hash(fresh) and config_hash(cfg) == digest
         back = pickle.loads(pickle.dumps(cfg))
-        assert back == cfg and back.merge_map() == {"a": "b"} and config_hash(back) == digest
+        assert back == cfg and back.merge_map == {"a": "b"} and config_hash(back) == digest
 
     @given(
         d=st.integers(0, 10),
@@ -305,6 +305,16 @@ def _write_embeddings(path, words, dim=300):
     path.write_text("\n".join(rows) + "\n")
 
 
+# One bad entry each: (word, vector, words of the error message).
+BAD_EMBEDDING_ENTRIES = {
+    "wrong-length": ("knife", np.ones(299), r"shape \(299,\), expected \(300,\)"),
+    "nan": ("knife", np.full(300, math.nan), "squared norm"),
+    "norm-overflow": ("knife", np.full(300, 1e151), "squared norm"),
+    "blank-word": (" ", np.ones(300), "empty word"),
+    "case-collision": ("Cup", np.ones(300), "duplicate word: 'Cup' repeats the word 'cup'"),
+}
+
+
 class TestEmbeddings:
     def test_load_and_lookup_case_insensitive(self, tmp_path):
         path = tmp_path / "emb.tsv"
@@ -347,6 +357,22 @@ class TestEmbeddings:
         vec[7] = value
         with pytest.raises(ValidationError, match="squared norm"):
             EmbeddingTable({"cup": vec})
+
+    @pytest.mark.parametrize(
+        "word,vector,message", BAD_EMBEDDING_ENTRIES.values(), ids=BAD_EMBEDDING_ENTRIES.keys()
+    )
+    def test_bad_entry_rejected_alike_by_loader_and_table(self, tmp_path, word, vector, message):
+        # the entry follows a valid "cup"; both entry points state the same rule
+        cup = np.eye(300)[0]
+        with pytest.raises(ValidationError, match=message) as table_error:
+            EmbeddingTable({"cup": cup, word: vector})
+        path = tmp_path / "emb.tsv"
+        lines = [("cup", cup), (word, vector)]
+        path.write_text("".join(f"{w}\t" + "\t".join(map(repr, v.tolist())) + "\n" for w, v in lines))
+        with pytest.raises(ParseError, match=message) as load_error:
+            load_embeddings(path)
+        reason = str(table_error.value).removeprefix("EmbeddingTable: ")
+        assert str(load_error.value) == f"{path}:line 2: {reason}"
 
     @pytest.mark.parametrize("word", ["", "  \t "])
     def test_blank_word_rejected(self, word):

@@ -116,6 +116,8 @@ class TestCutoffMonotonicity:
         large = Counter(extract_candidate_pairs(tokens, hi))
         assert all(large[pair] >= count for pair, count in small.items())
 
+FEW_PAIRS = [ActionPair("cut", "wood"), ActionPair("hold", "wood"), ActionPair("cut", "apple")]
+
 
 class TestSelectFrameAction:
     def test_majority(self):
@@ -129,6 +131,13 @@ class TestSelectFrameAction:
 
     def test_empty(self):
         assert select_frame_action([[], [], []]) is None
+
+    @given(st.lists(st.lists(st.sampled_from(FEW_PAIRS), max_size=4), max_size=5))
+    def test_matches_brute_force(self, captions):
+        # highest count, then the earliest first position over the flattened captions
+        flat = [pair for caption in captions for pair in caption]
+        expected = max(flat, key=lambda p: (flat.count(p), -flat.index(p)), default=None)
+        assert select_frame_action(captions) == expected
 
 
 class TestSelectSalient:

@@ -314,6 +314,14 @@ class TestEquivarianceGuard:
         assert main(["fuse-check", "--seed", "2"]) == 3
         assert "FAIL permutation-equivariance: " in capsys.readouterr().out
 
+    def test_nan_difference_fails(self):
+        scales = random_fusion_params(0)
+        scales[0].w_patch.fill(math.nan)
+        results = {r.name: r for r in run_invariant_checks(scales, seed=0)}
+        result = results["permutation-equivariance"]
+        assert not result.passed
+        assert result.detail.startswith("max |diff| = nan")
+
     def test_equivariant_kernel_passes(self, monkeypatch):
         real = fusion.fuse_single_scale
         self.patch_kernel(monkeypatch, lambda fmap, lang, params: 2.0 * real(fmap, lang, params))
@@ -640,6 +648,24 @@ class TestParameterBundle:
             load_params(str(path))
         assert main(["fuse-check", "--params", str(path)]) == 1
         assert "empty feature map" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda scales: scales[0].w_patch.fill(math.nan),
+            lambda scales: np.put(scales[1].layers[0].w_out, 3, math.inf),
+        ],
+        ids=["nan-w-patch", "inf-w-out"],
+    )
+    def test_non_finite_bundle_rejected(self, tmp_path, capsys, corrupt):
+        path = tmp_path / "params.bin"
+        scales = random_fusion_params(0)
+        corrupt(scales)
+        save_params(str(path), scales)
+        with pytest.raises(BundleError, match="NaN or infinite"):
+            load_params(str(path))
+        assert main(["fuse-check", "--params", str(path)]) == 1
+        assert f"{path}: bundle holds a NaN or infinite value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dims", [(4, 0, 16, 16), (4, 3, 0, 16), (4, 3, 16, 0)])
     def test_params_with_empty_feature_map_rejected(self, dims):
