@@ -205,13 +205,9 @@ def aggregate(
     horizon deciding which segments are still active.
     """
     agg = StreamAggregator(category, p_o, p_l)
-    last_frame: int | None = None
     for frame_id, terms in stream:
         agg.push(frame_id, terms)
-        last_frame = frame_id
-    if last_frame is None:
-        return []
-    return agg.segments_at(last_frame)
+    return agg.segments_at(stream[-1][0]) if stream else []
 
 
 def eliminate_overlaps(segments: Sequence[Segment]) -> list[Segment]:

@@ -19,7 +19,7 @@ import traceback
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import __version__
 from .core import (
@@ -55,20 +55,16 @@ def _load_config(path: str | None) -> SummarizerConfig:
     return load_config(path) if path else SummarizerConfig()
 
 
-_COPY_CHUNK = 1 << 20
-
-
-@contextlib.contextmanager
-def _sorted_output(out: str) -> Iterator[Callable[[str, str], None]]:
-    """Yield ``write(video_id, text)``; on success ``out`` holds the texts sorted by video id.
+def _write_sorted(out: str, videos: Iterator[tuple[str, VideoStats]]) -> list[VideoStats]:
+    """Write each video's text to ``out`` in video-id order; return the stats in that order.
 
     The texts go to a temporary file beside ``out`` (the target of a
     symlinked ``out``), which is renamed onto ``out`` once all are written.
     When the ids did not arrive in ascending order, the texts are first
-    copied in sorted order, a chunk at a time, to a second temporary file.
-    An existing ``out`` that is not a regular file, such as ``/dev/stdout``,
-    is never renamed over: the sorted texts are copied into it. A failed run
-    deletes the temporary files, so ``out`` keeps its old contents.
+    copied in sorted order to a second temporary file. An existing ``out``
+    that is not a regular file, such as ``/dev/stdout``, is never renamed
+    over: the sorted texts are copied into it. A failed run closes ``videos``
+    (shutting a worker pool down) and deletes the temporary files.
     """
     # mkstemp makes a private file: give the output the mode that opening
     # ``out`` for writing would leave it with
@@ -91,24 +87,20 @@ def _sorted_output(out: str) -> Iterator[Callable[[str, str], None]]:
         temps.append(name)
         return open(fd, "w+b")
 
-    index: list[tuple[str, int, int]] = []  # (video id, offset, length) of each text
+    # (video id, offset, length, stats) of each text; offsets differ, so no sort compares stats
+    index: list[tuple[str, int, int, VideoStats]] = []
     try:
-        with temp() as fh:
-
-            def write(video_id: str, text: str) -> None:
-                data = text.encode("utf-8")
-                index.append((video_id, fh.tell(), len(data)))
-                fh.write(data)
-
-            yield write
-            if not regular or index != sorted(index):
+        with contextlib.closing(videos), temp() as fh:
+            for text, stats in videos:
+                offset = fh.tell()
+                fh.write(text.encode("utf-8"))
+                index.append((stats.video_id, offset, fh.tell() - offset, stats))
+            ordered = sorted(index)
+            if not regular or index != ordered:
                 with temp() if regular else open(out, "wb") as dst:
-                    for _, offset, length in sorted(index):
+                    for _, offset, length, _ in ordered:
                         fh.seek(offset)
-                        while length:
-                            chunk = fh.read(min(length, _COPY_CHUNK))
-                            dst.write(chunk)
-                            length -= len(chunk)
+                        dst.write(fh.read(length))
         if regular:
             os.chmod(temps[-1], mode)
             os.replace(temps[-1], target)
@@ -116,6 +108,7 @@ def _sorted_output(out: str) -> Iterator[Callable[[str, str], None]]:
         for name in temps:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(name)
+    return [stats for *_, stats in ordered]
 
 
 def _render(results: list[tuple[str, int, ActionContext]]) -> str:
@@ -133,6 +126,7 @@ def _summarize_group(group: FrameGroup, path: str, cfg: SummarizerConfig) -> tup
     """A worker's task: decode one video's lines, summarize them and render the contexts."""
     frames = read_group(group, path)
     results, stats = summarize_video(frames[0].video_id, frames, cfg)
+    del frames  # free the decoded records before the text is rendered
     return _render(results), stats
 
 
@@ -166,14 +160,10 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         videos = _videos_in_process(args.frames, cfg)
     else:
         videos = _videos_in_workers(args.frames, cfg, args.jobs)
-    all_stats = []
-    with _sorted_output(args.out) as write, contextlib.closing(videos):
-        for text, stats in videos:
-            write(stats.video_id, text)
-            all_stats.append(stats)
+    all_stats = _write_sorted(args.out, videos)
 
     print(f"# config_hash={config_hash(cfg)} version={__version__}", file=sys.stderr)
-    for stats in sorted(all_stats, key=attrgetter("video_id")):
+    for stats in all_stats:
         seg = " ".join(f"{k}={v}" for k, v in sorted(stats.n_segments.items()))
         print(
             f"video={stats.video_id} frames={stats.n_frames} processed={stats.n_processed} {seg}",

@@ -30,11 +30,9 @@ class ValidationError(ContextForgeError):
 
 
 class ParseError(ValidationError):
-    """An input document could not be parsed; carries a line number."""
+    """An input document could not be parsed; the message starts with the path and line when known."""
 
     def __init__(self, message: str, line: int | None = None, path: str | None = None):
-        self.line = line
-        self.path = path
         prefix = ""
         if path is not None:
             prefix += f"{path}:"
@@ -489,13 +487,13 @@ MAX_SQUARED_NORM = 1e300
 
 def _add_embedding(table: dict[str, np.ndarray], word: str, vector: np.ndarray | list[float]) -> None:
     """Check one embedding entry and add it to ``table`` under its normalized word."""
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.shape != (EMBEDDING_DIM,):
+    array = np.asarray(vector, dtype=np.float64)
+    if array.shape != (EMBEDDING_DIM,):
         raise ValidationError(
-            f"vector for {word!r} has shape {vector.shape}, expected ({EMBEDDING_DIM},)"
+            f"vector for {word!r} has shape {array.shape}, expected ({EMBEDDING_DIM},)"
         )
     with np.errstate(over="ignore"):  # an overflowing squared norm is inf, which fails the bound
-        if not vector @ vector <= MAX_SQUARED_NORM:
+        if not array @ array <= MAX_SQUARED_NORM:
             raise ValidationError(
                 f"vector for {word!r} is not finite or its squared norm exceeds {MAX_SQUARED_NORM:g}"
             )
@@ -504,8 +502,10 @@ def _add_embedding(table: dict[str, np.ndarray], word: str, vector: np.ndarray |
         raise ValidationError(f"empty word {word!r}")
     if key in table:
         raise ValidationError(f"duplicate word: {word!r} repeats the word {key!r}")
-    vector.setflags(write=False)
-    table[key] = vector
+    if array is vector and array.flags.writeable:  # the caller's own array: freeze a copy
+        array = array.copy()
+    array.setflags(write=False)
+    table[key] = array
 
 
 class EmbeddingTable:
@@ -549,4 +549,6 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             _add_embedding(vectors, parts[0], [float(p) for p in parts[1:]])
         except (ValueError, ValidationError) as exc:  # ValueError: a value that is not a number
             raise ParseError(str(exc), line=lineno, path=str(path)) from None
+    if not vectors:
+        raise ValidationError(f"{path}: no embeddings")
     return EmbeddingTable(vectors)

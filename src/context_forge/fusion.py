@@ -503,6 +503,13 @@ def save_params(path: str, scales: Sequence[FusionParams]) -> None:
 def load_params(path: str) -> list[FusionParams]:
     with open(path, "rb") as fh:
         data = fh.read()
+    try:
+        return _decode_params(data)
+    except ValidationError as exc:  # name the bundle, keeping the error's type
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _decode_params(data: bytes) -> list[FusionParams]:
     if data[:4] != _MAGIC:
         raise BundleError("not a fusion parameter bundle (bad magic)")
     if len(data) < _HEADER.size:
@@ -527,7 +534,7 @@ def load_params(path: str) -> list[FusionParams]:
     # (after them, the freed mask made loads of a 5.6 MB bundle 3-4x slower)
     values = np.frombuffer(data, "<f8", count=(len(data) - offset) // 8, offset=offset)
     if not np.isfinite(values).all():
-        raise BundleError(f"{path}: bundle holds a NaN or infinite value")
+        raise BundleError("bundle holds a NaN or infinite value")
 
     def take(shapes: Shapes) -> dict[str, np.ndarray]:
         nonlocal offset

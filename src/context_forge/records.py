@@ -119,19 +119,14 @@ def _objects(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[int,
 def _read_keyed(path: str, decode: Callable[[dict, int], T]) -> dict[FrameKey, T]:
     """Read a file keyed by (video_id, frame_id); ``decode(obj, frame_id)`` gives each value."""
     out: dict[FrameKey, T] = {}
-
-    def keyed(obj: dict) -> tuple[FrameKey, T]:
-        key = (_get(obj, "video_id", str), _get(obj, "frame_id", int))
-        if key in out:
-            raise ValidationError(f"duplicate frame {key[0]}:{key[1]}")
-        return key, decode(obj, key[1])
-
     for lineno, _, obj in _objects(read_lines(path), path):
         try:
-            key, value = keyed(obj)
+            key = (_get(obj, "video_id", str), _get(obj, "frame_id", int))
+            if key in out:
+                raise ValidationError(f"duplicate frame {key[0]}:{key[1]}")
+            out[key] = decode(obj, key[1])
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=path) from None
-        out[key] = value
     return out
 
 

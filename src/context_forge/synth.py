@@ -231,13 +231,12 @@ def oracle_aggregate(
         return []
     horizon = frames[-1]
 
-    all_terms: set[Term] = set()
-    for _, terms in stream:
-        all_terms.update(terms)
+    term_sets = [(frame_id, set(terms)) for frame_id, terms in stream]
+    all_terms: set[Term] = set().union(*(terms for _, terms in term_sets))
 
     segments = []
     for term in sorted(all_terms, key=term_text):
-        occurrences = [frame_id for frame_id, terms in stream if term in set(terms)]
+        occurrences = [frame_id for frame_id, terms in term_sets if term in terms]
         runs: list[list[int]] = []
         for frame_id in occurrences:
             if runs and frame_id - runs[-1][-1] <= p_l:
@@ -266,26 +265,25 @@ def oracle_summarize_video(
 ) -> list[tuple[str, int, ActionContext]]:
     """Reference for ``pipeline.summarize_video``'s contexts.
 
-    At every frame it resolves overlaps over every accepted segment of
-    the video, so its cost grows quadratically with video length; keep
-    inputs short.
+    At every frame it aggregates every processed frame before it afresh
+    and resolves overlaps over the result, so its cost grows quadratically
+    with video length; keep inputs short.
     """
     modes = {
         Category.ACTION: SelectionMode.CURRENT_AND_PAST,
         Category.HELD: SelectionMode.CURRENT_AND_PAST,
         Category.SALIENT: SelectionMode.CURRENT_ONLY,
     }
-    ordered = sorted(frames, key=lambda r: r.frame_id)
-    contexts = [extract_frame_context(r, cfg) for r in ordered if r.frame_id % cfg.stride == 0]
+    # each category's (frame, terms) stream of the processed frames before t
+    streams: dict[Category, list[tuple[int, list[Term]]]] = {c: [] for c in Category}
     results = []
-    for record in ordered:
+    for record in sorted(frames, key=lambda r: r.frame_id):
         t = record.frame_id
-        seen = [ctx for ctx in contexts if ctx.frame_id < t]
         # the empty frame t is the horizon, so activity is decided at t
         terms = [
             context_for_frame(
                 eliminate_overlaps(oracle_aggregate(
-                    category_stream(seen, c) + [(t, [])], cfg.p_o.get(c), cfg.p_l.get(c), c
+                    streams[c] + [(t, [])], cfg.p_o.get(c), cfg.p_l.get(c), c
                 )),
                 t,
                 cfg.context_lengths.get(c),
@@ -294,6 +292,10 @@ def oracle_summarize_video(
             for c in Category
         ]
         results.append((video_id, t, assemble(*terms)))
+        if t % cfg.stride == 0:
+            ctx = extract_frame_context(record, cfg)
+            for c in Category:
+                streams[c].append((t, ctx.terms(c)))
     return results
 
 

@@ -10,8 +10,8 @@ import pytest
 
 from context_forge import __version__, cli
 from context_forge.cli import main
-from context_forge.core import InvariantError
-from context_forge.records import dumps_record, frame_record_to_dict
+from context_forge.core import InvariantError, SummarizerConfig
+from context_forge.records import dumps_record, frame_groups, frame_record_to_dict
 from context_forge.synth import gen_scenario, scenario_to_frame_records
 
 DATA = Path(__file__).parent / "data"
@@ -210,6 +210,25 @@ class TestStreamingSummarize:
             finally:
                 tracemalloc.stop()
         assert peaks[32] <= 1.2 * peaks[8], peaks
+
+    def test_worker_renders_without_the_records(self, tmp_path):
+        # a --jobs N worker holds no more than the --jobs 1 path on the same video
+        frames = tmp_path / "frames.jsonl"
+        write_videos(frames, scenario_lines(1))
+        cfg = SummarizerConfig()
+        (group,) = frame_groups(str(frames))
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        in_process = peak(lambda: list(cli._videos_in_process(str(frames), cfg)))
+        worker = peak(lambda: cli._summarize_group(group, str(frames), cfg))
+        assert worker <= 1.1 * in_process, (worker, in_process)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_malformed_last_line_leaves_no_output(self, tmp_path, capsys, jobs):
@@ -470,6 +489,21 @@ class TestQuality:
         assert proc.returncode == 0, proc.stderr
         assert "avg_embed_sim_noun 1.000000" in proc.stdout
         assert "avg_embed_sim_verb 1.000000" in proc.stdout
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    def test_empty_embeddings_file_named(self, tmp_path, capsys, text):
+        contexts = tmp_path / "ctx.jsonl"
+        contexts.write_text(json.dumps({
+            "video_id": "v", "frame_id": 0, "text": "take cup; ; cup",
+            "action_terms": [["take", "cup"]], "held": [], "salient": ["cup"],
+        }) + "\n")
+        gt = tmp_path / "g.jsonl"
+        write_gt(gt, [("v", 0, [PERFECT_ENTRY])])
+        emb = tmp_path / "emb.tsv"
+        emb.write_text(text)
+        argv = ["quality", "--contexts", str(contexts), "--gt", str(gt), "--embeddings", str(emb)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {emb}: no embeddings\n"
 
     def test_reads_summarize_output(self, tmp_path):
         """Every summarize context passes the reader's text check."""

@@ -349,6 +349,14 @@ class TestEmbeddings:
         with pytest.raises(ValidationError, match="repeats the word 'cup'"):
             EmbeddingTable({"Cup": np.ones(300), "cup": np.zeros(300)})
 
+    def test_table_leaves_the_callers_array_alone(self):
+        a = np.eye(300)[0].copy()
+        table = EmbeddingTable({"cup": a})
+        a[0] = 2
+        vector = table.lookup("cup")
+        assert vector[0] == 1.0
+        assert not vector.flags.writeable
+
     @pytest.mark.parametrize("value", [1e151, math.inf, math.nan])
     def test_vector_beyond_norm_bound_rejected(self, value):
         # a squared norm above 1e300 could overflow a later norm into inf, and a NaN report

@@ -667,6 +667,25 @@ class TestParameterBundle:
         assert main(["fuse-check", "--params", str(path)]) == 1
         assert f"{path}: bundle holds a NaN or infinite value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: b"NOPE" + data[4:],
+            lambda data: data[: len(data) // 2],
+            lambda data: data + bytes(8),
+        ],
+        ids=["bad-magic", "truncated", "trailing-bytes"],
+    )
+    def test_bundle_error_names_the_bundle(self, tmp_path, capsys, corrupt):
+        path = tmp_path / "params.bin"
+        save_params(str(path), random_fusion_params(0))
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(BundleError) as error:
+            load_params(str(path))
+        assert str(error.value).startswith(f"{path}: ")
+        assert main(["fuse-check", "--params", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     @pytest.mark.parametrize("dims", [(4, 0, 16, 16), (4, 3, 0, 16), (4, 3, 16, 0)])
     def test_params_with_empty_feature_map_rejected(self, dims):
         with pytest.raises(ShapeError, match="empty feature map"):
