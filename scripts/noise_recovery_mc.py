@@ -23,7 +23,7 @@ from collections import defaultdict
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from context_forge.core import Category
+from context_forge.core import Category, SummarizerConfig
 from context_forge.synth import (
     category_stream,
     gen_scenario,
@@ -31,9 +31,7 @@ from context_forge.synth import (
     segment_recovered,
 )
 
-DEFAULT_P_O = {Category.ACTION: 1, Category.HELD: 7, Category.SALIENT: 10}
-P_L = 7
-STRIDE = 3
+CONFIG = SummarizerConfig()  # the reference operating point
 
 
 def recovery_rates(seeds, drop_rate, spurious_rate, n_frames, segment_frames):
@@ -51,12 +49,13 @@ def recovery_rates(seeds, drop_rate, spurious_rate, n_frames, segment_frames):
         found = {}
         for category in Category:
             sampled = [
-                (f, terms) for f, terms in category_stream(stream, category) if f % STRIDE == 0
+                (f, terms) for f, terms in category_stream(stream, category) if f % CONFIG.stride == 0
             ]
-            found[category] = oracle_aggregate(sampled, DEFAULT_P_O[category], P_L, category)
+            p_o, p_l = CONFIG.p_o.get(category), CONFIG.p_l.get(category)
+            found[category] = oracle_aggregate(sampled, p_o, p_l, category)
         for seg in planted:
             totals[seg.category] += 1
-            hits[seg.category] += segment_recovered(seg, found[seg.category], P_L)
+            hits[seg.category] += segment_recovered(seg, found[seg.category], CONFIG.p_l.get(seg.category))
     return hits, totals
 
 

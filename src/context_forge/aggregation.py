@@ -270,7 +270,7 @@ def context_for_frame(
         seg for seg in segments if seg.end_frame < t and not _is_active_at(seg, t)
     ]
     past.sort(key=recency_order)
-    chosen = past[len(past) - (length - 1):] if length > 1 else []
+    chosen = past[len(past) - (length - 1):]
     terms = [seg.term for seg in chosen]
     if current is not None:
         terms.append(current.term)

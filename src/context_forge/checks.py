@@ -48,7 +48,7 @@ def _check_softmax(rng: np.random.Generator) -> CheckResult:
 
 
 def _check_patch_roundtrip(scales: Sequence[FusionParams], rng: np.random.Generator) -> CheckResult:
-    patch_sizes = [p.patch_size for p in scales] or [4, 4, 2, 1]
+    patch_sizes = [p.patch_size for p in scales]
     for trial in range(100):
         patch = patch_sizes[trial % len(patch_sizes)]
         c = int(rng.integers(1, 4))

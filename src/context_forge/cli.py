@@ -346,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ContextForgeError) as exc:
+    except ContextForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

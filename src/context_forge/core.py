@@ -62,8 +62,9 @@ def check_label(label: str) -> str:
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield (line number, line without its line break) for each line of a UTF-8 file.
+    """Yield (line number, line without its line break) for each non-blank line of a UTF-8 file.
 
+    A blank line is empty or all whitespace; every reader skips it here.
     Lines are decoded one at a time, so invalid UTF-8 is a ``ParseError`` at its line.
     """
     with open(path, "rb") as fh:
@@ -72,13 +73,14 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ParseError(f"invalid UTF-8: {exc.reason}", line=lineno, path=str(path)) from None
-            yield lineno, line.rstrip("\r\n")
+            if not line.isspace():  # a read line is never empty: it holds at least its line break
+                yield lineno, line.rstrip("\r\n")
 
 
 def _require_finite(name: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
-            raise ValidationError(f"{name}: non-finite coordinate {v!r}")
+            raise ValidationError(f"{name}: non-finite value {v!r}")
 
 
 class Category(Enum):
@@ -150,7 +152,6 @@ class Prediction:
     frame_id: int
 
     def __post_init__(self) -> None:
-        _require_finite("Prediction.score", self.score)
         if not (0.0 <= self.score <= 1.0):
             raise ValidationError(f"Prediction: score {self.score} outside [0, 1]")
 
@@ -213,7 +214,6 @@ class FrameRecord:
         if self.frame_id < 0:
             raise ValidationError(f"FrameRecord: negative frame_id {self.frame_id}")
         for label, score in self.label_scores.items():
-            _require_finite(f"label score for {label!r}", score)
             if not (-1.0 <= score <= 1.0):
                 raise ValidationError(f"FrameRecord: score {score} for {label!r} outside [-1, 1]")
 
@@ -433,7 +433,7 @@ def load_config(path: str | Path) -> SummarizerConfig:
     fields: dict = {}
     for lineno, raw in read_lines(path):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
         key, sep, value = (part.strip() for part in line.partition("="))
         try:
@@ -487,7 +487,7 @@ MAX_SQUARED_NORM = 1e300
 
 def _add_embedding(table: dict[str, np.ndarray], word: str, vector: np.ndarray | list[float]) -> None:
     """Check one embedding entry and add it to ``table`` under its normalized word."""
-    array = np.asarray(vector, dtype=np.float64)
+    array = np.array(vector, dtype=np.float64)  # the table's own copy
     if array.shape != (EMBEDDING_DIM,):
         raise ValidationError(
             f"vector for {word!r} has shape {array.shape}, expected ({EMBEDDING_DIM},)"
@@ -502,8 +502,6 @@ def _add_embedding(table: dict[str, np.ndarray], word: str, vector: np.ndarray |
         raise ValidationError(f"empty word {word!r}")
     if key in table:
         raise ValidationError(f"duplicate word: {word!r} repeats the word {key!r}")
-    if array is vector and array.flags.writeable:  # the caller's own array: freeze a copy
-        array = array.copy()
     array.setflags(write=False)
     table[key] = array
 
@@ -537,8 +535,6 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     """
     vectors: dict[str, np.ndarray] = {}
     for lineno, line in read_lines(path):
-        if not line:
-            continue
         parts = line.split("\t")
         try:
             # float() also takes '_' separators and non-ASCII digits: one scan of
@@ -551,4 +547,6 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             raise ParseError(str(exc), line=lineno, path=str(path)) from None
     if not vectors:
         raise ValidationError(f"{path}: no embeddings")
-    return EmbeddingTable(vectors)
+    table = EmbeddingTable.__new__(EmbeddingTable)  # adopt the entries, each checked above
+    table._table = vectors
+    return table

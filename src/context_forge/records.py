@@ -95,14 +95,11 @@ def _get(obj: dict, key: str, kind: type, default=_REQUIRED):
 
 
 def _objects(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[int, str, dict]]:
-    """(line number, stripped line, JSON object) for each non-blank numbered line.
+    """(line number, line, JSON object) for each numbered line.
 
     A line that is not one JSON object raises ``ParseError`` at ``path:line``.
     """
-    for lineno, raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in lines:
         try:
             obj = json.loads(line)
             if "\\u" in line:  # an escape may spell a lone surrogate, which UTF-8 cannot encode
@@ -176,7 +173,7 @@ def _frame_record(obj: dict) -> FrameRecord:
 
 
 def _frame_lines(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[int, str, dict, bool]]:
-    """(line number, line, object, whether the line starts a video) per non-blank frames line.
+    """(line number, line, object, whether the line starts a video) per frames line.
 
     The one place for the rule that a video's lines are contiguous: a line
     that returns to an earlier video raises ``ParseError``. Each whole line

@@ -101,11 +101,11 @@ def gen_scenario(
 ) -> tuple[list[Segment], list[FrameContext]]:
     """Plant non-overlapping segments per category and emit a noisy stream.
 
-    Per frame and category, the planted term is dropped independently
-    with probability ``drop_rate``; with probability ``spurious_rate`` a
-    uniformly random term of the category is injected (replacing the
-    action, or joining the held/salient sets). Fully determined by
-    ``seed``.
+    Per frame and category, in ``Category`` order, the planted term is
+    dropped independently with probability ``drop_rate``; with probability
+    ``spurious_rate`` a uniformly random term of the category is injected
+    (replacing the action, or joining the held/salient sets). Fully
+    determined by ``seed``.
     """
     if not (0.0 <= drop_rate < 1.0 and 0.0 <= spurious_rate < 1.0):
         raise ValidationError("noise rates must lie in [0, 1)")
@@ -117,8 +117,8 @@ def gen_scenario(
     terms = scenario_terms(n_terms)
 
     planted: list[Segment] = []
-    term_at: dict[Category, dict[int, Term]] = {}
-    for category in (Category.ACTION, Category.HELD, Category.SALIENT):
+    noise: list[tuple[dict[int, Term], list[Term]]] = []  # per category: planted term by frame, all terms
+    for category in Category:
         occupancy: dict[int, Term] = {}
         cursor = rng.randint(0, 9)
         while True:
@@ -139,34 +139,21 @@ def gen_scenario(
             for f in range(cursor, cursor + length):
                 occupancy[f] = term
             cursor += length + rng.randint(*gap_frames)
-        term_at[category] = occupancy
+        noise.append((occupancy, terms[category]))
 
     stream: list[FrameContext] = []
     for f in range(n_frames):
-        action: ActionPair | None = None
-        planted_action = term_at[Category.ACTION].get(f)
-        if planted_action is not None and rng.uniform() >= drop_rate:
-            action = planted_action
-        if rng.uniform() < spurious_rate:
-            action = rng.choice(terms[Category.ACTION])
-
-        held: set[str] = set()
-        planted_held = term_at[Category.HELD].get(f)
-        if planted_held is not None and rng.uniform() >= drop_rate:
-            held.add(planted_held)
-        if rng.uniform() < spurious_rate:
-            held.add(rng.choice(terms[Category.HELD]))
-
-        salient: set[str] = set()
-        planted_salient = term_at[Category.SALIENT].get(f)
-        if planted_salient is not None and rng.uniform() >= drop_rate:
-            salient.add(planted_salient)
-        if rng.uniform() < spurious_rate:
-            salient.add(rng.choice(terms[Category.SALIENT]))
-
-        stream.append(
-            FrameContext(frame_id=f, action=action, held=frozenset(held), salient=frozenset(salient))
-        )
+        drawn: list[list[Term]] = []
+        for occupancy, choices in noise:
+            observed = []
+            planted_term = occupancy.get(f)
+            if planted_term is not None and rng.uniform() >= drop_rate:
+                observed.append(planted_term)
+            if rng.uniform() < spurious_rate:
+                observed.append(rng.choice(choices))
+            drawn.append(observed)
+        action, held, salient = drawn
+        stream.append(FrameContext(f, action[-1] if action else None, frozenset(held), frozenset(salient)))
     return planted, stream
 
 

@@ -490,7 +490,7 @@ class TestQuality:
         assert "avg_embed_sim_noun 1.000000" in proc.stdout
         assert "avg_embed_sim_verb 1.000000" in proc.stdout
 
-    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    @pytest.mark.parametrize("text", ["", "\n\n", " \t \n"], ids=["empty", "blank", "whitespace"])
     def test_empty_embeddings_file_named(self, tmp_path, capsys, text):
         contexts = tmp_path / "ctx.jsonl"
         contexts.write_text(json.dumps({

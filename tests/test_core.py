@@ -288,6 +288,14 @@ class TestInteractionTypes:
         with pytest.raises(ValidationError):
             FrameRecord(video_id="v", frame_id=0, label_scores={"cup": 1.5})
 
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_fail_the_range_check(self, score):
+        gt = ObjectInteraction(BoundingBox(0, 0, 1, 1), "cup", "take", 0.5)
+        with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+            Prediction(gt, score, 0)
+        with pytest.raises(ValidationError, match=r"outside \[-1, 1\]"):
+            FrameRecord(video_id="v", frame_id=0, label_scores={"cup": score})
+
 
 class TestNormalize:
     @given(st.text(max_size=30))
@@ -324,6 +332,23 @@ class TestEmbeddings:
         assert table.lookup("APPLE") is not None
         assert table.lookup("knife") is not None
         assert table.lookup("absent") is None
+
+    def test_loader_checks_each_entry_once(self, tmp_path, monkeypatch):
+        from context_forge import core
+
+        calls = []
+        add = core._add_embedding
+
+        def counted(table, word, vector):
+            calls.append(word)
+            add(table, word, vector)
+
+        monkeypatch.setattr(core, "_add_embedding", counted)
+        path = tmp_path / "emb.tsv"
+        _write_embeddings(path, ["apple", "Knife", "cup"])
+        table = load_embeddings(path)
+        assert calls == ["apple", "Knife", "cup"]
+        assert len(table) == 3 and table.lookup("knife") is not None
 
     def test_wrong_dimension_cites_line(self, tmp_path):
         path = tmp_path / "emb.tsv"

@@ -185,6 +185,8 @@ REJECTED = {
     "embedding-underscore": ("quality", "embeddings", "take\t" + "\t".join(["1_0"] + VECTOR[1:])),
     "embedding-non-ascii-digit": ("quality", "embeddings", "take\t" + "\t".join(["\u0663"] + VECTOR[1:])),
     "embedding-norm-overflow": ("quality", "embeddings", "take\t" + "\t".join(["1e308"] * 300)),
+    # only JSON's own whitespace may pad a record; a form feed is not blank around one
+    "form-feed-padding": ("evaluate", "gt", json.dumps(RECORDS["gt"]) + "\x0c"),
 }
 
 # Malformed inputs that were already rejected at path:line; kept as
@@ -272,6 +274,18 @@ def test_valid_inputs_pass(tmp_path, capsys):
     for command, kind in TARGETS:
         code, err, _ = run(tmp_path, capsys, command, kind, valid_lines(kind)[1])
         assert code == 0, (command, kind, err)
+
+
+@pytest.mark.parametrize("blank", ["   ", "\t", " \t "], ids=["spaces", "tab", "mixed"])
+@pytest.mark.parametrize("command,kind", TARGETS, ids=[f"{c}-{k}" for c, k in TARGETS])
+def test_whitespace_only_line_is_blank(tmp_path, capsys, command, kind, blank):
+    """A whitespace-only line between two entries is skipped, as an empty line is, in every format."""
+    code, err, _ = run(tmp_path, capsys, command, kind, valid_lines(kind)[1])
+    assert code == 0, err
+    expected = (tmp_path / "out").read_bytes()
+    code, err, _ = run(tmp_path, capsys, command, kind, blank + "\n" + valid_lines(kind)[1])
+    assert code == 0, err
+    assert (tmp_path / "out").read_bytes() == expected
 
 
 @pytest.mark.parametrize("flag", ["--n-frames", "--n-videos"])

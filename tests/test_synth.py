@@ -1,6 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
-from context_forge.core import Category, SummarizerConfig, ValidationError
+from context_forge.core import Category, SummarizerConfig, ValidationError, term_text
 from context_forge.extraction import extract_frame_context
 from context_forge.metrics import Variant
 from context_forge.synth import (
@@ -67,6 +70,26 @@ class TestGenScenario:
             gen_scenario(0, drop_rate=1.0)
         with pytest.raises(ValidationError):
             gen_scenario(0, spurious_rate=-0.1)
+
+    @pytest.mark.parametrize("seed,drop,spurious,digest", [
+        (1, 0.0, 0.0, "db7b7e22169b2b88ee654a80d88cbfb1bc4e87d267f90187563d639840b44b71"),
+        (1, 0.5, 0.5, "3614948d000293cc8d68d4c9101748b96f69cda87c982c229dae3078795a8370"),
+        (1, 0.3, 0.9, "399de4a330c25d0c86a663358f23637ca6a6506da4ba0b3fb3dc1496e938a604"),
+        (2, 0.0, 0.0, "18d595997b6ae79225c2362d975ce45371a11c783f4b3aa1337819ee9136ade7"),
+        (2, 0.5, 0.5, "88ca9d3805b7eaa6a5d5f68804bdccf931f10da03460d36f9db40ffe79af1c01"),
+        (2, 0.3, 0.9, "e27a4c831ced5a631894d2739884093a470307635eb2214c297dedf345102d69"),
+        (3, 0.0, 0.0, "0a2db0146de4bbb66ed2d321b42bab2c9e43a2fba4fdfb5ee0fd71fd4a7b1ab2"),
+        (3, 0.5, 0.5, "25899cec8dddb2bc12a3bad6e394806c2714b2bda2d53eff26e551c72e26bad9"),
+        (3, 0.3, 0.9, "0b278219ad764676146aa139701872de72f9b3f49b081ef945061c8b7d0f3696"),
+    ])
+    def test_draw_order_pinned(self, seed, drop, spurious, digest):
+        """Scenarios stay draw-for-draw the same under each mix of drops and spurious terms."""
+        planted, stream = gen_scenario(seed, drop_rate=drop, spurious_rate=spurious)
+        doc = [
+            [(s.category.value, term_text(s.term), s.start_frame, s.end_frame, s.occurrences) for s in planted],
+            [(c.frame_id, c.action and term_text(c.action), sorted(c.held), sorted(c.salient)) for c in stream],
+        ]
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
 
     def test_noise_free_recovery_is_exact(self):
         planted, stream = gen_scenario(13, n_frames=400)
