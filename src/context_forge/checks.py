@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import ValidationError
 from .fusion import (
     FusionParams,
     attention,
@@ -163,6 +164,8 @@ def _check_loss_reference(rng: np.random.Generator) -> CheckResult:
 
 
 def run_invariant_checks(scales: Sequence[FusionParams], seed: int = 0) -> list[CheckResult]:
+    if not scales:
+        raise ValidationError("run_invariant_checks: empty bundle (no scales)")
     rng = np.random.default_rng(seed + 7919)
     return [
         _check_softmax(rng),

@@ -130,15 +130,13 @@ def _summarize_group(group: FrameGroup, path: str, cfg: SummarizerConfig) -> tup
     return _render(results), stats
 
 
-def _videos_in_workers(path: str, cfg: SummarizerConfig, jobs: int) -> Iterator[tuple[str, VideoStats]]:
-    """``_videos_in_process`` with each video decoded and summarized by worker processes.
+def _videos_in_workers(path: str, cfg: SummarizerConfig, workers: int) -> Iterator[tuple[str, VideoStats]]:
+    """``_videos_in_process`` with each video decoded and summarized by ``workers`` processes.
 
-    The pool has ``jobs`` workers, but no more than there are CPUs. This
-    process only splits the file by video, and keeps at most twice as many
-    videos in flight as there are workers. Results are taken in input
+    This process only splits the file by video, and keeps at most twice as
+    many videos in flight as there are workers. Results are taken in input
     order, so the error raised is the first in the file, as with one process.
     """
-    workers = min(jobs, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         in_flight: deque[Future] = deque()
@@ -156,10 +154,11 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs {args.jobs} must be at least 1")
     cfg = _load_config(args.config)
-    if args.jobs == 1:
+    workers = min(args.jobs, os.cpu_count() or 1)  # a pool of one would only parse each line twice
+    if workers == 1:
         videos = _videos_in_process(args.frames, cfg)
     else:
-        videos = _videos_in_workers(args.frames, cfg, args.jobs)
+        videos = _videos_in_workers(args.frames, cfg, workers)
     all_stats = _write_sorted(args.out, videos)
 
     print(f"# config_hash={config_hash(cfg)} version={__version__}", file=sys.stderr)

@@ -377,11 +377,6 @@ def _config_value(cfg: SummarizerConfig, path: str):
     return getattr(value, part) if part else value
 
 
-def _check_range(key: str, ok, value) -> None:
-    if ok is not None and not ok(value):
-        raise ValidationError(f"config: {key}={value!r} out of range")
-
-
 def _round_trips(parse, value) -> bool:
     try:
         return parse(_render_config_value(parse, value)) == value
@@ -389,23 +384,31 @@ def _round_trips(parse, value) -> bool:
         return False
 
 
+def _check_value(key: str, value) -> None:
+    # the rules of one value, in a built config and on a config line alike: serialize_config
+    # must render what load_config reads back, so a number has the exact type, a float is
+    # finite, and a text value parses back to itself
+    _, parse, ok = _CONFIG_KEYS[key]
+    if parse is int or parse is float:
+        if type(value) is not parse:
+            raise ValidationError(f"config: {key}={value!r} is not of type {parse.__name__}")
+        if parse is float and not math.isfinite(value):
+            raise ValidationError(f"config: {key}={value!r} is not finite")
+    elif not _round_trips(parse, value):
+        raise ValidationError(f"config: {key}={value!r} does not read back from its serialized form")
+    if ok is not None and not ok(value):
+        raise ValidationError(f"config: {key}={value!r} out of range")
+
+
 def _validate_config(cfg: SummarizerConfig) -> None:
-    # serialize_config must render what load_config reads back: numbers of
-    # the exact type, and text values that parse back to themselves
-    for key, (path, parse, ok) in _CONFIG_KEYS.items():
-        value = _config_value(cfg, path)
-        if parse in (int, float):
-            if type(value) is not parse:
-                raise ValidationError(f"config: {key}={value!r} is not of type {parse.__name__}")
-        elif not _round_trips(parse, value):
-            raise ValidationError(f"config: {key}={value!r} does not read back from its serialized form")
-        _check_range(key, ok, value)
+    for key, (path, _, _) in _CONFIG_KEYS.items():
+        _check_value(key, _config_value(cfg, path))
 
 
 def _parse_config_line(key: str, raw: str):
     if key not in _CONFIG_KEYS:
         raise ValidationError(f"unknown key {key!r}")
-    _, parse, ok = _CONFIG_KEYS[key]
+    parse = _CONFIG_KEYS[key][1]
     if parse is int or parse is float:
         # int() and float() also take '_' separators and non-ASCII digits; JSON numbers do not
         if not raw.isascii() or "_" in raw:
@@ -413,12 +416,10 @@ def _parse_config_line(key: str, raw: str):
         try:
             value = parse(raw)
         except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ValidationError(f"key {key!r}: {raw!r} is not a finite {parse.__name__}")
+            raise ValidationError(f"key {key!r}: {raw!r} is not a finite {parse.__name__}") from None
     else:
         value = parse(raw)
-    _check_range(key, ok, value)
+    _check_value(key, value)
     return value
 
 

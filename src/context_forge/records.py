@@ -11,7 +11,7 @@ preds/gt: {"video_id", "frame_id", "entries": [{"box","noun","verb","ttc","score
 contexts: {"video_id", "frame_id", "text", "action_terms": [[verb,noun]...],
            "held": [...], "salient": [...]}
 
-Every reader goes through ``_objects``, which decodes one line at a time,
+Every reader decodes one line at a time with ``_object``,
 and every field through ``_get``/``_as``, which decode strictly: an
 integer is a JSON integer, a number is a finite JSON number (never a
 string, a boolean or null), and lists and objects are type-checked
@@ -94,30 +94,23 @@ def _get(obj: dict, key: str, kind: type, default=_REQUIRED):
     return _as(value, kind, key)
 
 
-def _objects(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[int, str, dict]]:
-    """(line number, line, JSON object) for each numbered line.
-
-    A line that is not one JSON object raises ``ParseError`` at ``path:line``.
-    """
-    for lineno, line in lines:
-        try:
-            obj = json.loads(line)
-            if "\\u" in line:  # an escape may spell a lone surrogate, which UTF-8 cannot encode
-                json.dumps(obj, ensure_ascii=False).encode("utf-8")
-            obj = _as(obj, dict, "record")
-        except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-            message = f"invalid JSON: {getattr(exc, 'msg', exc)}"
-            raise ParseError(message, line=lineno, path=path) from None
-        except ValidationError as exc:
-            raise ParseError(str(exc), line=lineno, path=path) from None
-        yield lineno, line, obj
+def _object(line: str) -> dict:
+    """Decode one line as one JSON object; anything else raises ``ValidationError``."""
+    try:
+        obj = json.loads(line)
+        if "\\u" in line:  # an escape may spell a lone surrogate, which UTF-8 cannot encode
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        return _as(obj, dict, "record")
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+        raise ValidationError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
 
 
 def _read_keyed(path: str, decode: Callable[[dict, int], T]) -> dict[FrameKey, T]:
     """Read a file keyed by (video_id, frame_id); ``decode(obj, frame_id)`` gives each value."""
     out: dict[FrameKey, T] = {}
-    for lineno, _, obj in _objects(read_lines(path), path):
+    for lineno, line in read_lines(path):
         try:
+            obj = _object(line)
             key = (_get(obj, "video_id", str), _get(obj, "frame_id", int))
             if key in out:
                 raise ValidationError(f"duplicate frame {key[0]}:{key[1]}")
@@ -181,18 +174,18 @@ def _frame_lines(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[
     """
     finished: set[str | None] = set()
     video_id = None
-    for lineno, line, obj in _objects(lines, path):
+    for lineno, line in lines:
         try:
+            obj = _object(line)
             line_video = _get(obj, "video_id", str)
+            starts = line_video != video_id
+            if starts:
+                if line_video in finished:
+                    raise ValidationError(f"frames for video {line_video!r} are not contiguous")
+                finished.add(video_id)
+                video_id = line_video
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=path) from None
-        starts = line_video != video_id
-        if starts:
-            if line_video in finished:
-                message = f"frames for video {line_video!r} are not contiguous"
-                raise ParseError(message, line=lineno, path=path)
-            finished.add(video_id)
-            video_id = line_video
         yield lineno, line, obj, starts
 
 

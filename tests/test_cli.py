@@ -299,6 +299,18 @@ class TestStreamingSummarize:
         assert out.read_bytes() == want.read_bytes()
         assert [(pool.max_workers, pool.peak) for pool in pools] == [(2, 4)]
 
+    def test_jobs_on_one_cpu_start_no_pool(self, tmp_path, capsys, monkeypatch):
+        # a pool of one worker would parse every line twice
+        def no_pool(max_workers):
+            raise RuntimeError("a pool was started")
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "ctx.jsonl"
+        argv = ["summarize", "--frames", str(DATA / "golden_frames.jsonl"), "--out", str(out), "--jobs", "4"]
+        assert main(argv) == 0
+        assert out.read_bytes() == (DATA / "golden_contexts.jsonl").read_bytes()
+
     def test_out_may_be_the_frames_file(self, tmp_path, capsys):
         frames = tmp_path / "frames.jsonl"
         write_videos(frames, scenario_lines(2, n_frames=30))

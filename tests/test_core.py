@@ -177,6 +177,20 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match="is not of type"):
             SummarizerConfig(**fields)
 
+    @pytest.mark.parametrize("key", ["min_ttc", "t_delta", "box_loss_lambda"])
+    def test_non_finite_float_rejected(self, key):
+        # serialize_config would write 'inf', which load_config rejects
+        with pytest.raises(ValidationError, match="is not finite"):
+            SummarizerConfig(**{key: math.inf})
+
+    @pytest.mark.parametrize("value", [5e-324, sys.float_info.max])
+    @pytest.mark.parametrize("key", ["min_ttc", "t_delta", "box_loss_lambda"])
+    def test_extreme_finite_floats_round_trip(self, tmp_path, key, value):
+        cfg = SummarizerConfig(**{key: value})
+        path = tmp_path / "c.cfg"
+        path.write_text(serialize_config(cfg))
+        assert load_config(path) == cfg
+
     def test_context_length_beyond_sys_maxsize_rejected(self):
         # a context length sizes a deque, whose maxlen must fit in a C ssize_t
         SummarizerConfig(context_lengths=PerCategory(3, sys.maxsize, 3))

@@ -327,6 +327,10 @@ class TestEquivarianceGuard:
         self.patch_kernel(monkeypatch, lambda fmap, lang, params: 2.0 * real(fmap, lang, params))
         assert all(r.passed for r in run_invariant_checks(random_fusion_params(0), seed=2))
 
+    def test_empty_bundle_rejected(self):
+        with pytest.raises(ValidationError, match="empty bundle"):
+            run_invariant_checks([])
+
 
 class TestEncoderLayer:
     @given(n=st.integers(1, 6), seed=st.integers(0, 100))
