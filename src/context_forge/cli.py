@@ -161,7 +161,7 @@ def cmd_summarize(args: argparse.Namespace) -> int:
         videos = _videos_in_workers(args.frames, cfg, workers)
     all_stats = _write_sorted(args.out, videos)
 
-    print(f"# config_hash={config_hash(cfg)} version={__version__}", file=sys.stderr)
+    print(_provenance(cfg), file=sys.stderr)
     for stats in all_stats:
         seg = " ".join(f"{k}={v}" for k, v in sorted(stats.n_segments.items()))
         print(
@@ -169,6 +169,11 @@ def cmd_summarize(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 0
+
+
+def _provenance(cfg: SummarizerConfig) -> str:
+    """The first line summarize, evaluate and quality print: the version and the config hash."""
+    return f"# context-forge {__version__} config_hash={config_hash(cfg)}"
 
 
 def _write_report(out: str, cfg: SummarizerConfig, key: str, value) -> None:
@@ -201,7 +206,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for variant in variants
     ]
 
-    print(f"# context-forge {__version__} config_hash={config_hash(cfg)}")
+    print(_provenance(cfg))
     for report in reports:
         print(_format_eval_report(report))
     if args.out:
@@ -230,7 +235,7 @@ def cmd_quality(args: argparse.Namespace) -> int:
     report = context_quality(unit_contexts, units, table)
 
     quality = dataclasses.asdict(report)
-    print(f"# context-forge {__version__} config_hash={config_hash(cfg)}")
+    print(_provenance(cfg))
     for name, value in quality.items():
         print(f"{name} {value:.6f}" if isinstance(value, float) else f"{name} {value}")
     if args.out:

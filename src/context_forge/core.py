@@ -314,10 +314,6 @@ def _at_least(low: float):
     return lambda value: value >= low
 
 
-def _context_length(value: int) -> bool:
-    return 0 <= value <= sys.maxsize  # a context length sizes a deque, whose maxlen stops there
-
-
 def _parse_label_set(raw: str) -> frozenset[str]:
     return frozenset(check_label(normalize_label(p)) for p in raw.split(",") if p.strip())
 
@@ -356,9 +352,9 @@ _CONFIG_KEYS = {
     "p_l_action": ("p_l.action", int, _at_least(0)),
     "p_l_held": ("p_l.held", int, _at_least(0)),
     "p_l_salient": ("p_l.salient", int, _at_least(0)),
-    "l_action": ("context_lengths.action", int, _context_length),
-    "l_held": ("context_lengths.held", int, _context_length),
-    "l_salient": ("context_lengths.salient", int, _context_length),
+    "l_action": ("context_lengths.action", int, _at_least(0)),
+    "l_held": ("context_lengths.held", int, _at_least(0)),
+    "l_salient": ("context_lengths.salient", int, _at_least(0)),
     "theta_iou": ("theta_iou", float, lambda value: 0 <= value <= 1),
     "min_ttc": ("min_ttc", float, _at_least(0)),
     "iou_thresh": ("iou_thresh", float, lambda value: 0 <= value <= 1),
@@ -389,6 +385,11 @@ def _check_value(key: str, value) -> None:
     # must render what load_config reads back, so a number has the exact type, a float is
     # finite, and a text value parses back to itself
     _, parse, ok = _CONFIG_KEYS[key]
+    if isinstance(value, int) and abs(value) > sys.maxsize:
+        # every config int stops where a deque's maxlen does, and str() refuses an int of
+        # over 4,300 digits, so a longer one is not shown
+        shown = value if value.bit_length() <= 128 else f"<{value.bit_length()}-bit int>"
+        raise ValidationError(f"config: {key}={shown} out of range")
     if parse is int or parse is float:
         if type(value) is not parse:
             raise ValidationError(f"config: {key}={value!r} is not of type {parse.__name__}")
@@ -411,12 +412,12 @@ def _parse_config_line(key: str, raw: str):
     parse = _CONFIG_KEYS[key][1]
     if parse is int or parse is float:
         # int() and float() also take '_' separators and non-ASCII digits; JSON numbers do not
-        if not raw.isascii() or "_" in raw:
-            raise ValidationError(f"key {key!r}: {raw!r} is not a plain ASCII number")
         try:
+            if not raw.isascii() or "_" in raw:
+                raise ValueError(raw)
             value = parse(raw)
         except ValueError:
-            raise ValidationError(f"key {key!r}: {raw!r} is not a finite {parse.__name__}") from None
+            raise ValidationError(f"key {key!r}: {raw!r} is not a plain ASCII {parse.__name__}") from None
     else:
         value = parse(raw)
     _check_value(key, value)

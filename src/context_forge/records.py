@@ -149,9 +149,10 @@ def _detection(value) -> tuple[str, BoundingBox, float]:
 
 
 def _frame_record(obj: dict) -> FrameRecord:
+    """The record of one line that ``_frame_lines`` has checked: it read ``video_id`` and ``frame_id``."""
     return FrameRecord(
-        video_id=_get(obj, "video_id", str),
-        frame_id=_get(obj, "frame_id", int),
+        video_id=obj["video_id"],
+        frame_id=obj["frame_id"],
         captions=tuple(
             tuple(_token(tok) for tok in _as(caption, list, "caption"))
             for caption in _get(obj, "captions", list, ())
@@ -168,11 +169,14 @@ def _frame_record(obj: dict) -> FrameRecord:
 def _frame_lines(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[int, str, dict, bool]]:
     """(line number, line, object, whether the line starts a video) per frames line.
 
-    The one place for the rule that a video's lines are contiguous: a line
-    that returns to an earlier video raises ``ParseError``. Each whole line
-    is parsed as JSON, but of its fields only ``video_id`` is checked here.
+    The one place for a frames file's structure: each line is one JSON
+    object with a string ``video_id`` and an integer ``frame_id``, a video's
+    lines are contiguous and its frame ids distinct. A line that breaks a
+    rule raises ``ParseError`` at that line; the other fields are left to
+    ``_frame_record``.
     """
     finished: set[str | None] = set()
+    frame_ids: set[int] = set()
     video_id = None
     for lineno, line in lines:
         try:
@@ -183,37 +187,25 @@ def _frame_lines(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[
                 if line_video in finished:
                     raise ValidationError(f"frames for video {line_video!r} are not contiguous")
                 finished.add(video_id)
+                frame_ids.clear()
                 video_id = line_video
+            frame_id = _get(obj, "frame_id", int)
+            if frame_id in frame_ids:
+                raise ValidationError(f"video {video_id!r}: duplicate frame id {frame_id}")
+            frame_ids.add(frame_id)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=path) from None
         yield lineno, line, obj, starts
 
 
 def _frame_records(lines: Iterable[tuple[int, str]], path: str) -> Iterator[FrameRecord]:
-    """Decode the numbered lines of a frames file, ``path`` naming them in errors.
-
-    A video's frame ids must be distinct. A repeated id is raised when the
-    next video starts or the lines end, so that any other bad line of its
-    video is reported first, and a video's records never include one.
-    """
-    frame_ids: set[int] = set()
-    duplicate = None
-    for lineno, _, obj, starts in _frame_lines(lines, path):
-        if starts:
-            if duplicate is not None:
-                raise duplicate
-            frame_ids.clear()
+    """Decode the numbered lines of a frames file, ``path`` naming them in errors."""
+    for lineno, _, obj, _ in _frame_lines(lines, path):
         try:
             record = _frame_record(obj)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=path) from None
-        if record.frame_id in frame_ids and duplicate is None:
-            message = f"video {record.video_id!r}: duplicate frame id {record.frame_id}"
-            duplicate = ParseError(message, line=lineno, path=path)
-        frame_ids.add(record.frame_id)
         yield record
-    if duplicate is not None:
-        raise duplicate
 
 
 def read_frame_records(path: str) -> Iterator[FrameRecord]:
@@ -228,11 +220,12 @@ def frame_groups(path: str) -> Iterator[FrameGroup]:
     """Split a frames file into one group per video, for ``read_group`` to decode elsewhere.
 
     A group is the video's numbered non-blank lines and ``None``. Each line
-    is parsed as JSON here to read its ``video_id``, and ``read_group``
-    parses it again to decode the record. A line that fails here ends the split:
-    the last group holds the lines of its unfinished video and the error,
-    which ``read_group`` raises after decoding those lines. Groups read in
-    order thus raise the error that ``read_frame_records`` raises.
+    is checked here by ``_frame_lines`` (JSON, ``video_id``, ``frame_id``,
+    contiguous videos, distinct frame ids), and ``read_group`` parses it
+    again to decode the record. A line that fails here ends the split: the
+    last group holds the lines of its unfinished video and the error, which
+    ``read_group`` raises after decoding those lines. Groups read in order
+    thus raise the first bad line in file order, as ``read_frame_records`` does.
     """
     lines: list[tuple[int, str]] = []
     try:
@@ -251,13 +244,10 @@ def frame_groups(path: str) -> Iterator[FrameGroup]:
 def read_group(group: FrameGroup, path: str) -> list[FrameRecord]:
     """Decode one video's group from ``frame_groups``, then raise its error if it has one."""
     lines, error = group
-
-    def numbered() -> Iterator[tuple[int, str]]:
-        yield from lines
-        if error is not None:
-            raise error
-
-    return list(_frame_records(numbered(), path))
+    records = list(_frame_records(lines, path))
+    if error is not None:
+        raise error
+    return records
 
 
 def frame_record_to_dict(record: FrameRecord) -> dict:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -10,7 +11,7 @@ import pytest
 
 from context_forge import __version__, cli
 from context_forge.cli import main
-from context_forge.core import InvariantError, SummarizerConfig
+from context_forge.core import InvariantError, SummarizerConfig, config_hash
 from context_forge.records import dumps_record, frame_groups, frame_record_to_dict
 from context_forge.synth import gen_scenario, scenario_to_frame_records
 
@@ -54,8 +55,8 @@ class TestVersionAndErrors:
 
     def test_malformed_line_cites_line_number(self, tmp_path):
         frames = tmp_path / "frames.jsonl"
-        good = json.dumps({"video_id": "v", "frame_id": 0})
-        frames.write_text(good + "\n" + good + "\n" + "{truncated\n")
+        lines = [json.dumps({"video_id": "v", "frame_id": i}) for i in (0, 1)]
+        frames.write_text("\n".join(lines) + "\n{truncated\n")
         proc = run_cli("summarize", "--frames", str(frames), "--out", str(tmp_path / "o"))
         assert proc.returncode == 1
         assert "line 3" in proc.stderr
@@ -123,6 +124,9 @@ class TestSynthAndSummarize:
         assert proc.returncode == 0
         assert len(out.read_text().splitlines()) == 90
         assert "video=synth00" in proc.stderr
+        # the provenance header evaluate and quality print on stdout
+        header = f"# context-forge {__version__} config_hash={config_hash(SummarizerConfig())}"
+        assert proc.stderr.splitlines()[0] == header
 
     def test_summarize_deterministic_across_runs_and_jobs(self, tmp_path):
         frames = tmp_path / "frames.jsonl"
@@ -199,13 +203,22 @@ def write_videos(path, videos):
 
 class TestStreamingSummarize:
     def test_memory_holds_one_video(self, tmp_path, capsys):
+        frames = {n: tmp_path / f"frames{n}.jsonl" for n in (8, 32)}
+        for n_videos, path in frames.items():
+            write_videos(path, scenario_lines(n_videos, n_frames=300))
+
+        def summarize(n_videos):
+            argv = ["summarize", "--frames", str(frames[n_videos]), "--out", str(tmp_path / "ctx.jsonl")]
+            assert main(argv) == 0
+
+        # a warm-up run, and no garbage left from earlier tests: each window sees only its own run
+        summarize(8)
         peaks = {}
-        for n_videos in (8, 32):
-            frames = tmp_path / f"frames{n_videos}.jsonl"
-            write_videos(frames, scenario_lines(n_videos, n_frames=300))
+        for n_videos in frames:
+            gc.collect()
             tracemalloc.start()
             try:
-                assert main(["summarize", "--frames", str(frames), "--out", str(tmp_path / "ctx.jsonl")]) == 0
+                summarize(n_videos)
                 peaks[n_videos] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -199,6 +199,32 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "fields",
+        [{"d": 10**5000}, {"theta_iou": 10**5000}, {"vocab_noun": 10**5000}, {"d": sys.maxsize + 1}],
+    )
+    def test_int_beyond_sys_maxsize_rejected(self, fields):
+        # an int of over 4,300 digits must not reach a message or config_hash, which cannot print it
+        with pytest.raises(ValidationError, match="out of range"):
+            SummarizerConfig(**fields)
+
+    def test_int_at_sys_maxsize_round_trips(self, tmp_path):
+        cfg = SummarizerConfig(d=sys.maxsize)
+        path = tmp_path / "c.cfg"
+        path.write_text(serialize_config(cfg))
+        assert load_config(path) == cfg
+
+    @pytest.mark.parametrize(
+        "line, kind",
+        [("stride=three", "int"), ("d=1.5", "int"), ("stride=1_0", "int"), ("t_delta=x", "float")],
+    )
+    def test_number_that_does_not_read_is_not_plain_ascii(self, tmp_path, line, kind):
+        path = tmp_path / "c.cfg"
+        path.write_text(line + "\n")
+        key, raw = line.split("=")
+        with pytest.raises(ParseError, match=f"line 1: key '{key}': '{raw}' is not a plain ASCII {kind}$"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "fields",
         [
             {"vocab_noun": frozenset({"a;b"})},
             {"merge_table": (("x", "y;z"),)},

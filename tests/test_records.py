@@ -197,8 +197,6 @@ ALREADY_REJECTED = {
     "action-term-triple": (
         "quality", "contexts", mutated("contexts", setter("action_terms", [["a", "b", "c"]]))),
     "invalid-json": ("evaluate", "preds", "{truncated"),
-    "duplicate-frame-then-invalid-json": (
-        "summarize", "frames", mutated("frames", setter("video_id", "u")) + "\n{truncated"),
     "record-not-object": ("quality", "contexts", "[1, 2]"),
 }
 
@@ -214,7 +212,7 @@ def test_malformed_line_exits_1_naming_path_and_line(tmp_path, capsys, case):
 
 # Frames files of three videos whose bad line is in the last video, so a
 # worker raises it under --jobs 2, and a repeated frame id that is reported
-# when its video ends, before a bad line of the next video.
+# at its own line, before a later bad line of its video or the next one.
 LAST_VIDEO_BAD = {
     "last-video-bad-field": "\n".join([
         json.dumps(dict(FRAME, frame_id=1)), json.dumps(dict(FRAME, video_id="w")),
@@ -224,6 +222,7 @@ LAST_VIDEO_BAD = {
     "duplicate-frame-then-bad-video": "\n".join([
         json.dumps(dict(FRAME, video_id="u")), json.dumps(dict(FRAME, video_id="w", frame_id="x")),
     ]),
+    "duplicate-frame-then-invalid-json": "\n".join([json.dumps(dict(FRAME, video_id="u")), "{truncated"]),
 }
 
 
@@ -239,8 +238,9 @@ def test_frames_errors_same_under_jobs(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
-def test_duplicate_frame_reported_when_its_video_ends(tmp_path, capsys):
-    code, err, path = run(tmp_path, capsys, "summarize", "frames", LAST_VIDEO_BAD["duplicate-frame-then-bad-video"])
+@pytest.mark.parametrize("case", ["duplicate-frame-then-bad-video", "duplicate-frame-then-invalid-json"])
+def test_duplicate_frame_reported_at_its_own_line(tmp_path, capsys, case):
+    code, err, path = run(tmp_path, capsys, "summarize", "frames", LAST_VIDEO_BAD[case])
     assert code == 1
     assert f"{path}:line 2: video 'u': duplicate frame id 0" in err
 
