@@ -19,7 +19,7 @@ import traceback
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import __version__
 from .core import (
@@ -55,16 +55,18 @@ def _load_config(path: str | None) -> SummarizerConfig:
     return load_config(path) if path else SummarizerConfig()
 
 
-def _write_sorted(out: str, videos: Iterator[tuple[str, VideoStats]]) -> list[VideoStats]:
+def _write_sorted(out: str, videos: Iterator[tuple[Iterable[str], VideoStats]]) -> list[VideoStats]:
     """Write each video's text to ``out`` in video-id order; return the stats in that order.
 
-    The texts go to a temporary file beside ``out`` (the target of a
-    symlinked ``out``), which is renamed onto ``out`` once all are written.
-    When the ids did not arrive in ascending order, the texts are first
-    copied in sorted order to a second temporary file. An existing ``out``
-    that is not a regular file, such as ``/dev/stdout``, is never renamed
-    over: the sorted texts are copied into it. A failed run closes ``videos``
-    (shutting a worker pool down) and deletes the temporary files.
+    Each video's text comes in pieces (its lines, or one piece), each
+    written as it arrives. The texts go to a temporary file beside ``out``
+    (the target of a symlinked ``out``), which is renamed onto ``out`` once
+    all are written. When the ids did not arrive in ascending order, the
+    texts are first copied in sorted order to a second temporary file. An
+    existing ``out`` that is not a regular file, such as ``/dev/stdout``, is
+    never renamed over: the sorted texts are copied into it. A failed run
+    closes ``videos`` (shutting a worker pool down) and deletes the
+    temporary files.
     """
     # mkstemp makes a private file: give the output the mode that opening
     # ``out`` for writing would leave it with
@@ -91,9 +93,10 @@ def _write_sorted(out: str, videos: Iterator[tuple[str, VideoStats]]) -> list[Vi
     index: list[tuple[str, int, int, VideoStats]] = []
     try:
         with contextlib.closing(videos), temp() as fh:
-            for text, stats in videos:
+            for pieces, stats in videos:
                 offset = fh.tell()
-                fh.write(text.encode("utf-8"))
+                for piece in pieces:
+                    fh.write(piece.encode("utf-8"))
                 index.append((stats.video_id, offset, fh.tell() - offset, stats))
             ordered = sorted(index)
             if not regular or index != ordered:
@@ -111,26 +114,31 @@ def _write_sorted(out: str, videos: Iterator[tuple[str, VideoStats]]) -> list[Vi
     return [stats for *_, stats in ordered]
 
 
-def _render(results: list[tuple[str, int, ActionContext]]) -> str:
-    return "".join(dumps_record(context_to_dict(*result)) + "\n" for result in results)
+def _render(results: list[tuple[str, int, ActionContext]]) -> Iterator[str]:
+    """Each result's context record line, rendered when it is asked for."""
+    return (dumps_record(context_to_dict(*result)) + "\n" for result in results)
 
 
-def _videos_in_process(path: str, cfg: SummarizerConfig) -> Iterator[tuple[str, VideoStats]]:
-    """Each video's rendered contexts and stats, in input order, one video in memory at a time."""
+def _videos_in_process(path: str, cfg: SummarizerConfig) -> Iterator[tuple[Iterator[str], VideoStats]]:
+    """Each video's context lines and stats, in input order.
+
+    Of one video at a time, only its frame contexts and results are held.
+    """
     for video_id, frames in itertools.groupby(read_frame_records(path), key=attrgetter("video_id")):
-        results, stats = summarize_video(video_id, list(frames), cfg)
+        results, stats = summarize_video(video_id, frames, cfg)
         yield _render(results), stats
+        del results  # the lines are written: free the results before the next video is summarized
 
 
-def _summarize_group(group: FrameGroup, path: str, cfg: SummarizerConfig) -> tuple[str, VideoStats]:
-    """A worker's task: decode one video's lines, summarize them and render the contexts."""
-    frames = read_group(group, path)
-    results, stats = summarize_video(frames[0].video_id, frames, cfg)
-    del frames  # free the decoded records before the text is rendered
-    return _render(results), stats
+def _summarize_group(group: FrameGroup, path: str, cfg: SummarizerConfig) -> tuple[list[str], VideoStats]:
+    """A worker's task: decode and summarize one video's lines, and render its contexts as one text."""
+    records = read_group(group, path)
+    first = next(records)  # a group has a line, or only its error, which this raises
+    results, stats = summarize_video(first.video_id, itertools.chain((first,), records), cfg)
+    return ["".join(_render(results))], stats
 
 
-def _videos_in_workers(path: str, cfg: SummarizerConfig, workers: int) -> Iterator[tuple[str, VideoStats]]:
+def _videos_in_workers(path: str, cfg: SummarizerConfig, workers: int) -> Iterator[tuple[list[str], VideoStats]]:
     """``_videos_in_process`` with each video decoded and summarized by ``workers`` processes.
 
     This process only splits the file by video, and keeps at most twice as

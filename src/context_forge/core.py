@@ -61,6 +61,11 @@ def check_label(label: str) -> str:
     return label
 
 
+def clipped(text: str) -> str:
+    """``text`` as a message shows it: cut to 40 characters."""
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (line number, line without its line break) for each non-blank line of a UTF-8 file.
 
@@ -417,7 +422,7 @@ def _parse_config_line(key: str, raw: str):
                 raise ValueError(raw)
             value = parse(raw)
         except ValueError:
-            raise ValidationError(f"key {key!r}: {raw!r} is not a plain ASCII {parse.__name__}") from None
+            raise ValidationError(f"key {key!r}: {clipped(raw)!r} is not a plain ASCII {parse.__name__}") from None
     else:
         value = parse(raw)
     _check_value(key, value)

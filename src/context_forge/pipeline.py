@@ -32,7 +32,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
+from typing import Iterable
 
 from .aggregation import (
     SelectionMode,
@@ -115,30 +116,42 @@ class _Lane:
 
 def summarize_video(
     video_id: str,
-    frames: list[FrameRecord],
+    frames: Iterable[FrameRecord],
     cfg: SummarizerConfig,
 ) -> tuple[list[tuple[str, int, ActionContext]], VideoStats]:
-    """Produce one ActionContext per input frame, in frame order."""
-    if not frames:
+    """Produce one ActionContext per input frame, in frame order.
+
+    ``frames`` is read once, in any order. Extraction needs only a record
+    and whether its frame id is on the stride, so each record is extracted
+    as it is read and then dropped: the video is held as one
+    ``(frame_id, FrameContext or None)`` per frame, sorted before selection.
+    """
+    first_video = None
+    extracted: list[tuple[int, FrameContext | None]] = []
+    for record in frames:
+        if first_video is None:
+            first_video = record.video_id
+        elif record.video_id != first_video:
+            raise ValidationError("summarize_video: mixed video ids")
+        t = record.frame_id
+        extracted.append((t, extract_frame_context(record, cfg) if t % cfg.stride == 0 else None))
+    if not extracted:
         return [], VideoStats(video_id, 0, 0, {c.value: 0 for c in Category})
+    extracted.sort(key=itemgetter(0))
     lanes = [_Lane(category, cfg) for category in Category]
     results: list[tuple[str, int, ActionContext]] = []
     n_processed = 0
     previous = last_selected = None
-    for record in sorted(frames, key=attrgetter("frame_id")):
-        t = record.frame_id
-        if previous is not None and previous.frame_id == t:
+    for t, frame_ctx in extracted:
+        if previous == t:
             raise ValidationError(f"video {video_id!r}: duplicate frame id {t}")
-        if previous is not None and previous.video_id != record.video_id:
-            raise ValidationError("summarize_video: mixed video ids")
-        previous = record
+        previous = t
         selected = [lane.select(t) for lane in lanes]
         if selected != last_selected:
             last_selected = selected
             context = assemble(*selected)
         results.append((video_id, t, context))
-        if t % cfg.stride == 0:
-            frame_ctx = extract_frame_context(record, cfg)
+        if frame_ctx is not None:
             for lane in lanes:
                 lane.push(frame_ctx)
             n_processed += 1

@@ -18,7 +18,8 @@ string, a boolean or null), and lists and objects are type-checked
 before they are read. Strings must be valid Unicode: invalid UTF-8 and
 escaped lone surrogates are rejected. No label (caption verb and noun
 lemmas, label_scores keys, detection labels, entry nouns and verbs,
-context terms) may contain "," or ";" (``core.check_label``). Context
+context terms) may contain "," or ";" (``core.check_label``), and
+caption verb and noun lemmas and detection labels may not be blank. Context
 terms are normalized on read (lowercase, collapsed spaces), and a term
 left empty is rejected. A context's text must equal the ``assemble``
 rendering of its terms, after ``normalize_label`` of both. A (video_id,
@@ -47,6 +48,7 @@ from .core import (
     TaggedToken,
     ValidationError,
     check_label,
+    clipped,
     normalize_label,
     read_lines,
 )
@@ -76,9 +78,7 @@ def _as(value, kind: type, what: str):
             return value
     elif kind is float and type(value) is int and abs(value) <= _MAX_FLOAT_INT:
         return float(value)
-    shown = json.dumps(value)
-    shown = shown if len(shown) <= 40 else shown[:37] + "..."
-    raise ValidationError(f"{what} must be {_KINDS[kind]}, got {shown}")
+    raise ValidationError(f"{what} must be {_KINDS[kind]}, got {clipped(json.dumps(value))}")
 
 
 def _get(obj: dict, key: str, kind: type, default=_REQUIRED):
@@ -140,12 +140,17 @@ def _token(value) -> TaggedToken:
     lemma = _get(tok, "lemma", str)
     if pos is not PosTag.OTHER:  # only verb and noun lemmas can become context labels
         check_label(lemma)
+        if lemma.isspace():
+            raise ValidationError(f"{pos.value} lemma {clipped(repr(lemma))} is blank")
     return TaggedToken(_get(tok, "surface", str), lemma, pos)
 
 
 def _detection(value) -> tuple[str, BoundingBox, float]:
     det = _as(value, dict, "detection")
-    return check_label(_get(det, "label", str)), _box(_get(det, "box", list)), _get(det, "score", float)
+    label = check_label(_get(det, "label", str))
+    if not label.strip():  # it would label a held box with nothing
+        raise ValidationError(f"detection label {clipped(repr(label))} is blank")
+    return label, _box(_get(det, "box", list)), _get(det, "score", float)
 
 
 def _frame_record(obj: dict) -> FrameRecord:
@@ -241,13 +246,12 @@ def frame_groups(path: str) -> Iterator[FrameGroup]:
         yield lines, None
 
 
-def read_group(group: FrameGroup, path: str) -> list[FrameRecord]:
-    """Decode one video's group from ``frame_groups``, then raise its error if it has one."""
+def read_group(group: FrameGroup, path: str) -> Iterator[FrameRecord]:
+    """Decode one video's group from ``frame_groups`` line by line, then raise its error if it has one."""
     lines, error = group
-    records = list(_frame_records(lines, path))
+    yield from _frame_records(lines, path)
     if error is not None:
         raise error
-    return records
 
 
 def frame_record_to_dict(record: FrameRecord) -> dict:

@@ -201,28 +201,50 @@ def write_videos(path, videos):
     path.write_text("".join(line + "\n" for lines in videos for line in lines))
 
 
+def summarize_peaks(frames, out):
+    """The tracemalloc peak of an in-process summarize of each frames file, by key.
+
+    One warm-up run goes first, and no garbage is left from earlier tests:
+    each window sees only its own run.
+    """
+
+    def summarize(path):
+        assert main(["summarize", "--frames", str(path), "--out", str(out)]) == 0
+
+    summarize(next(iter(frames.values())))
+    peaks = {}
+    for key, path in frames.items():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            summarize(path)
+            peaks[key] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 class TestStreamingSummarize:
     def test_memory_holds_one_video(self, tmp_path, capsys):
         frames = {n: tmp_path / f"frames{n}.jsonl" for n in (8, 32)}
         for n_videos, path in frames.items():
             write_videos(path, scenario_lines(n_videos, n_frames=300))
-
-        def summarize(n_videos):
-            argv = ["summarize", "--frames", str(frames[n_videos]), "--out", str(tmp_path / "ctx.jsonl")]
-            assert main(argv) == 0
-
-        # a warm-up run, and no garbage left from earlier tests: each window sees only its own run
-        summarize(8)
-        peaks = {}
-        for n_videos in frames:
-            gc.collect()
-            tracemalloc.start()
-            try:
-                summarize(n_videos)
-                peaks[n_videos] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks = summarize_peaks(frames, tmp_path / "ctx.jsonl")
         assert peaks[32] <= 1.2 * peaks[8], peaks
+
+    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
+    def test_memory_per_frame_within_a_video(self, tmp_path, capsys, order):
+        # a video is held as its frame contexts and results (about 0.45 KB
+        # per frame), not as its decoded records and rendered text (1.3 KB)
+        frames = {}
+        for n_frames in (1125, 4500):
+            (lines,) = scenario_lines(1, n_frames=n_frames)
+            if order == "shuffled":
+                lines = random.Random(0).sample(lines, len(lines))
+            frames[n_frames] = tmp_path / f"frames{n_frames}.jsonl"
+            write_videos(frames[n_frames], [lines])
+        peaks = summarize_peaks(frames, tmp_path / "ctx.jsonl")
+        assert (peaks[4500] - peaks[1125]) / (4500 - 1125) <= 600, peaks
 
     def test_worker_renders_without_the_records(self, tmp_path):
         # a --jobs N worker holds no more than the --jobs 1 path on the same video
@@ -239,7 +261,8 @@ class TestStreamingSummarize:
             finally:
                 tracemalloc.stop()
 
-        in_process = peak(lambda: list(cli._videos_in_process(str(frames), cfg)))
+        # the worker returns the video's text; the --jobs 1 side joins its lines into the same text
+        in_process = peak(lambda: ["".join(lines) for lines, _ in cli._videos_in_process(str(frames), cfg)])
         worker = peak(lambda: cli._summarize_group(group, str(frames), cfg))
         assert worker <= 1.1 * in_process, (worker, in_process)
 

@@ -223,6 +223,18 @@ class TestConfigParsing:
         with pytest.raises(ParseError, match=f"line 1: key '{key}': '{raw}' is not a plain ASCII {kind}$"):
             load_config(path)
 
+    @pytest.mark.parametrize("raw, shown", [
+        ("9" * 5000, "9" * 37 + "..."),
+        ("x" * 41, "x" * 37 + "..."),
+        ("x" * 40, "x" * 40),
+    ], ids=["5000-digits", "41-chars", "40-chars"])
+    def test_long_number_cut_in_message(self, tmp_path, raw, shown):
+        # a value is shown as record fields are: cut to 40 characters
+        path = tmp_path / "c.cfg"
+        path.write_text(f"d={raw}\n")
+        with pytest.raises(ParseError, match=f"line 1: key 'd': '{shown}' is not a plain ASCII int$"):
+            load_config(path)
+
     @pytest.mark.parametrize(
         "fields",
         [

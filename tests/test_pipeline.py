@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -42,6 +43,13 @@ class TestSummarizeVideo:
         results, stats = summarize_video("v", [], SummarizerConfig())
         assert results == []
         assert stats.n_frames == 0
+
+    def test_frames_read_once_in_any_order(self):
+        records = noisy_records()
+        want = summarize_video("v", records, SummarizerConfig())
+        shuffled = random.Random(0).sample(records, len(records))
+        assert summarize_video("v", (r for r in shuffled), SummarizerConfig()) == want
+        assert summarize_video("v", iter(()), SummarizerConfig()) == summarize_video("v", [], SummarizerConfig())
 
     def test_one_context_per_input_frame(self):
         frames = [empty_record("v", f) for f in range(10)]

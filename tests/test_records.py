@@ -130,6 +130,14 @@ REJECTED = {
         "summarize", "frames", mutated("frames", setter("label_scores", {"a;b": 0.5}))),
     "caption-lemma-comma": (
         "summarize", "frames", mutated("frames", setter("captions", 0, 2, "lemma", "a,b"))),
+    "caption-lemma-blank": (
+        "summarize", "frames", mutated("frames", setter("captions", 0, 0, "lemma", "  "))),
+    "caption-noun-lemma-blank": (
+        "summarize", "frames", mutated("frames", setter("captions", 0, 2, "lemma", "\t"))),
+    "detection-label-blank": (
+        "summarize", "frames", mutated("frames", setter("detections", 0, "label", " "))),
+    "detection-label-empty": (
+        "summarize", "frames", mutated("frames", setter("detections", 0, "label", ""))),
     "caption-lemma-int": (
         "summarize", "frames", mutated("frames", setter("captions", 0, 0, "lemma", 5))),
     "captions-not-list": ("summarize", "frames", mutated("frames", setter("captions", {}))),
@@ -243,6 +251,15 @@ def test_duplicate_frame_reported_at_its_own_line(tmp_path, capsys, case):
     code, err, path = run(tmp_path, capsys, "summarize", "frames", LAST_VIDEO_BAD[case])
     assert code == 1
     assert f"{path}:line 2: video 'u': duplicate frame id 0" in err
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_blank_lemma_reported_before_a_later_bad_line(tmp_path, capsys, jobs):
+    # a blank lemma fails as its line is decoded, not when its frame is extracted
+    line2 = mutated("frames", setter("captions", 0, 0, "lemma", "  ")) + "\n{truncated"
+    code, err, path = run(tmp_path, capsys, "summarize", "frames", line2, jobs=jobs)
+    assert code == 1
+    assert f"{path}:line 2: VERB lemma '  ' is blank" in err
 
 
 def test_context_labels_normalized_on_read(tmp_path, capsys):
