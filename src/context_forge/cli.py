@@ -209,10 +209,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     preds = read_predictions(args.preds)
     gts = read_ground_truth(args.gt, min_ttc=cfg.min_ttc)
     variants = [Variant.parse(v) for v in (args.variant or _DEFAULT_VARIANTS)]
-    reports = [
-        top5_map(preds, gts, variant, iou_thresh=cfg.iou_thresh, t_delta=cfg.t_delta)
-        for variant in variants
-    ]
+    reports = top5_map(preds, gts, variants, iou_thresh=cfg.iou_thresh, t_delta=cfg.t_delta)
 
     print(_provenance(cfg))
     for report in reports:

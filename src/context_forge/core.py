@@ -57,7 +57,7 @@ def normalize_label(label: str) -> str:
 def check_label(label: str) -> str:
     """Return ``label``, refusing the context-text separators "," and ";"."""
     if "," in label or ";" in label:
-        raise ValidationError(f"label {label!r} contains a reserved separator")
+        raise ValidationError(f"label {clipped(repr(label))} contains a reserved separator")
     return label
 
 
@@ -413,7 +413,7 @@ def _validate_config(cfg: SummarizerConfig) -> None:
 
 def _parse_config_line(key: str, raw: str):
     if key not in _CONFIG_KEYS:
-        raise ValidationError(f"unknown key {key!r}")
+        raise ValidationError(f"unknown key {clipped(repr(key))}")
     parse = _CONFIG_KEYS[key][1]
     if parse is int or parse is float:
         # int() and float() also take '_' separators and non-ASCII digits; JSON numbers do not
@@ -445,7 +445,7 @@ def load_config(path: str | Path) -> SummarizerConfig:
         key, sep, value = (part.strip() for part in line.partition("="))
         try:
             if not sep:
-                raise ValidationError(f"expected key=value, got {line!r}")
+                raise ValidationError(f"expected key=value, got {clipped(repr(line))}")
             if key in seen:
                 raise ValidationError(f"duplicate key {key!r}")
             value = _parse_config_line(key, value)

@@ -96,12 +96,18 @@ class MatchResult:
     hit: bool
 
 
+def _overlaps(top5: Sequence[Prediction], gts: Sequence[ObjectInteraction]) -> list[list[float]]:
+    """The IoU of every prediction x ground truth, one row per prediction."""
+    return [[iou(pred.interaction.box, gt.box) for gt in gts] for pred in top5]
+
+
 def match_top5(
     preds: Sequence[Prediction],
     gts: Sequence[ObjectInteraction],
     variant: Variant,
     iou_thresh: float = 0.5,
     t_delta: float = 0.25,
+    overlaps: Sequence[Sequence[float]] | None = None,
 ) -> list[MatchResult]:
     """Greedy-match one frame's predictions against its ground truths.
 
@@ -109,21 +115,27 @@ def match_top5(
     five are considered. A prediction hits the unmatched ground truth
     with the highest overlap among those satisfying the variant's
     constraints (earliest ground truth on exact overlap ties).
+    ``overlaps`` holds the IoU of each of those five predictions with
+    each ground truth, as ``_overlaps`` builds it, so that several
+    variants can share it; it is built here when not given.
     """
     for earlier, later in zip(preds, preds[1:]):
         if later.score > earlier.score:
             raise ValidationError("match_top5: predictions not sorted by descending score")
+    top5 = preds[:TOP_K_PER_FRAME]
+    if overlaps is None:
+        overlaps = _overlaps(top5, gts)
     same_noun, same_verb, near_box, near_ttc = _RULES[variant]
     matched = [False] * len(gts)
     results: list[MatchResult] = []
-    for pred in preds[:TOP_K_PER_FRAME]:
+    for pred, pred_overlaps in zip(top5, overlaps):
         inter = pred.interaction
         best_idx = -1
         best_overlap = -1.0
         for idx, gt in enumerate(gts):
             if matched[idx]:
                 continue
-            overlap = iou(inter.box, gt.box)
+            overlap = pred_overlaps[idx]
             if (
                 (same_noun and inter.noun != gt.noun)
                 or (same_verb and inter.verb != gt.verb)
@@ -162,8 +174,8 @@ def _canonical_top5(preds: Sequence[Prediction]) -> list[Prediction]:
     return sorted(preds, key=lambda pred: -pred.score)[:TOP_K_PER_FRAME]
 
 
-def _average_precision(scored_hits: list[tuple[float, bool]], n_positive: int) -> float:
-    """All-point interpolated AP over (score, hit) items sorted by rank.
+def _average_precision(scored_hits: list[tuple[float, int]], n_positive: int) -> float:
+    """All-point interpolated AP over (score, hit) items sorted by rank; a hit is 1 or 0.
 
     Precision/recall points are taken once per distinct score value, so
     the result is independent of how ties were ordered upstream.
@@ -189,35 +201,53 @@ def _average_precision(scored_hits: list[tuple[float, bool]], n_positive: int) -
 def top5_map(
     preds: Mapping,
     gts: Mapping,
-    variant: Variant,
+    variants: Sequence[Variant],
     iou_thresh: float = 0.5,
     t_delta: float = 0.25,
-) -> EvalReport:
-    """Dataset-level Top-5 mAP for one variant.
+) -> list[EvalReport]:
+    """Dataset-level Top-5 mAP of each of ``variants``, in one pass over the frames.
 
     ``preds`` maps an orderable frame key to a list of Prediction;
     ``gts`` maps frame keys to lists of ObjectInteraction. Frames
     present only in ``preds`` are evaluated against an empty ground
     truth (all misses); frames present only in ``gts`` contribute
-    positives.
+    positives. Each frame's Top-5 cut and overlaps are taken once for
+    all variants. Returns one report per entry of ``variants``, in
+    order, so a repeated variant gets its own equal report.
     """
-    gt_counts = Counter(
-        class_key(gt.noun, gt.verb, variant) for frame_gts in gts.values() for gt in frame_gts
-    )
-
-    per_class_items: dict[str, list] = defaultdict(list)
-    n_predictions = 0
+    # every scored prediction in frame then rank order, and per variant whether each hit:
+    # the stable sort in _variant_report breaks score ties by frame, then rank
+    scored: list[Prediction] = []
+    hits = [bytearray() for _ in variants]
     all_keys = sorted(set(preds) | set(gts))
     for frame_key in all_keys:
         frame_preds = _canonical_top5(preds.get(frame_key, []))
-        n_predictions += len(frame_preds)
-        # frame then rank order: the stable sort below breaks score ties by frame, then rank
-        for result in match_top5(
-            frame_preds, list(gts.get(frame_key, [])), variant, iou_thresh, t_delta
-        ):
-            inter = result.prediction.interaction
-            key = class_key(inter.noun, inter.verb, variant)
-            per_class_items[key].append((result.prediction.score, result.hit))
+        frame_gts = list(gts.get(frame_key, []))
+        overlaps = _overlaps(frame_preds, frame_gts)
+        for variant, variant_hits in zip(variants, hits):
+            variant_hits.extend(
+                result.hit
+                for result in match_top5(frame_preds, frame_gts, variant, iou_thresh, t_delta, overlaps)
+            )
+        scored.extend(frame_preds)
+    # reports built in turn: only one variant's per-class lists are alive at a time
+    return [
+        _variant_report(variant, variant_hits, scored, gts, len(all_keys))
+        for variant, variant_hits in zip(variants, hits)
+    ]
+
+
+def _variant_report(
+    variant: Variant, hits: bytearray, scored: list[Prediction], gts: Mapping, n_frames: int
+) -> EvalReport:
+    """One variant's per-class AP and mAP from the hits of the scored predictions."""
+    gt_counts = Counter(
+        class_key(gt.noun, gt.verb, variant) for frame_gts in gts.values() for gt in frame_gts
+    )
+    per_class_items: dict[str, list] = defaultdict(list)
+    for pred, hit in zip(scored, hits):
+        inter = pred.interaction
+        per_class_items[class_key(inter.noun, inter.verb, variant)].append((pred.score, hit))
 
     per_class: dict[str, ClassResult] = {}
     ap_values = []
@@ -232,8 +262,8 @@ def top5_map(
         variant=variant,
         map_value=map_value,
         per_class=per_class,
-        n_frames=len(all_keys),
-        n_predictions=n_predictions,
+        n_frames=n_frames,
+        n_predictions=len(scored),
     )
 
 
@@ -289,7 +319,10 @@ def context_quality(
     maps the same keys to ActionContext (missing keys count as empty
     contexts). Embedding similarities average the context words' vectors
     before comparing with the ground-truth word; words absent from the
-    table are skipped and counted.
+    table are skipped and counted, at each of the four lookups per key
+    (context nouns, context verbs, ground-truth noun and verb) even where
+    a direction is reused: a context object shared by consecutive keys
+    and a ground-truth label each have their directions taken once.
     """
     keys = sorted(gts)
     n = len(keys)
@@ -302,14 +335,22 @@ def context_quality(
     noun_sims: list[float] = []
     verb_sims: list[float] = []
     missing = 0
+    label_dirs: dict[str, tuple[np.ndarray | None, int]] = {}  # ground-truth label -> direction
+    ctx = None
 
     for key in keys:
-        ctx = contexts.get(key, empty)
+        unit_ctx = contexts.get(key, empty)
+        if unit_ctx is not ctx:
+            # the units of one frame share their context: take its labels and directions once per run
+            ctx = unit_ctx
+            noun_labels = [
+                *(pair.noun for pair in ctx.action_segments), *ctx.held_objects, *ctx.salient_objects
+            ]
+            verb_labels = [pair.verb for pair in ctx.action_segments]
+            noun_words = [word for label in noun_labels for word in label.split()]
+            ctx_noun_dir, miss_a = _mean_direction(noun_words, table)
+            ctx_verb_dir, miss_b = _mean_direction(verb_labels, table)
         gt = gts[key]
-        noun_labels = [
-            *(pair.noun for pair in ctx.action_segments), *ctx.held_objects, *ctx.salient_objects
-        ]
-        verb_labels = [pair.verb for pair in ctx.action_segments]
 
         if noun_labels or verb_labels:
             covered += 1
@@ -322,11 +363,11 @@ def context_quality(
         if gt.noun in ctx.salient_objects:
             recall_hits += 1
 
-        noun_words = [word for label in noun_labels for word in label.split()]
-        ctx_noun_dir, miss_a = _mean_direction(noun_words, table)
-        ctx_verb_dir, miss_b = _mean_direction(verb_labels, table)
-        gt_noun_dir, miss_c = _mean_direction([gt.noun], table)
-        gt_verb_dir, miss_d = _mean_direction([gt.verb], table)
+        for label in (gt.noun, gt.verb):
+            if label not in label_dirs:
+                label_dirs[label] = _mean_direction([label], table)
+        gt_noun_dir, miss_c = label_dirs[gt.noun]
+        gt_verb_dir, miss_d = label_dirs[gt.verb]
         missing += miss_a + miss_b + miss_c + miss_d
         if ctx_noun_dir is not None and gt_noun_dir is not None:
             noun_sims.append(float(np.dot(ctx_noun_dir, gt_noun_dir)))

@@ -173,7 +173,7 @@ def test_criterion_5_map_oracle_equivalence():
         for variant in Variant:
             for seed in range(100):
                 preds, gts = gen_eval_instance(seed * 13 + 5)
-                report = top5_map(preds, gts, variant)
+                report = top5_map(preds, gts, [variant])[0]
                 assert abs(report.map_value - oracle_ap(preds, gts, variant)) <= 1e-9
 
 

@@ -103,6 +103,22 @@ class TestVersionAndErrors:
         assert main(argv) == 1
         assert f"{cfg}:line 1: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, label", [
+        ("k" * 2998 + "=1", "v"),
+        ("x" * 3000, "v"),
+        ("", "a," + "b" * 2998),
+    ], ids=["unknown-key", "no-equals-sign", "label-with-separator"])
+    def test_long_value_is_cut_in_message(self, tmp_path, capsys, config, label):
+        # each message shows its value cut to 40 characters, whatever the input's length
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config + "\n")
+        frames = tmp_path / "frames.jsonl"
+        frames.write_text(json.dumps({"video_id": "v", "frame_id": 0, "label_scores": {label: 0.5}}) + "\n")
+        argv = ["summarize", "--frames", str(frames), "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "..." in err and len(err.encode()) < 200
+
     def test_invariant_violation_reported_once(self, tmp_path, capsys, monkeypatch):
         def fail(*args):
             raise InvariantError("lanes disagree")
@@ -467,6 +483,40 @@ class TestEvaluate:
         assert proc.returncode == 0
         assert "variant n" in proc.stdout
         assert "config_hash=" in proc.stdout
+
+    def test_repeated_variant_repeats_its_report(self, tmp_path, capsys):
+        # per-variant state held by position: a repeat must not double-count the variant's hits
+        from context_forge.records import write_ground_truth, write_predictions
+        from context_forge.synth import gen_eval_instance
+
+        preds, gts = gen_eval_instance(321)
+        preds_path, gt_path, out = tmp_path / "p.jsonl", tmp_path / "g.jsonl", tmp_path / "report.json"
+        write_predictions(str(preds_path), preds)
+        write_ground_truth(str(gt_path), gts)
+
+        def evaluate(*variants):
+            argv = ["evaluate", "--preds", str(preds_path), "--gt", str(gt_path), "--out", str(out)]
+            for variant in variants:
+                argv += ["--variant", variant]
+            assert main(argv) == 0
+            provenance, text = capsys.readouterr().out.split("\n", 1)
+            return text, json.loads(out.read_text())["reports"]
+
+        n_text, (n_report,) = evaluate("n")
+        vo_text, (vo_report,) = evaluate("vo")
+        text, reports = evaluate("n", "n", "vo")
+        assert text == n_text + n_text + vo_text
+        assert reports == [n_report, n_report, vo_report]
+        assert n_report["map"] > 0.0
+
+    def test_golden_report_matches_frozen_output(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["evaluate", "--preds", str(DATA / "golden_eval_preds.jsonl"),
+                "--gt", str(DATA / "golden_eval_gt.jsonl"), "--out", str(out)]
+        for variant in ("n", "nv", "nt", "all", "no", "vo"):
+            argv += ["--variant", variant]
+        assert main(argv) == 0
+        assert out.read_bytes() == (DATA / "golden_eval_report.json").read_bytes()
 
 
 class TestQuality:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from context_forge import metrics
 from context_forge.core import (
     ActionContext,
     ActionPair,
@@ -132,36 +133,36 @@ class TestTop5Map:
                 Prediction(g, 1.0, f) for g in items
             ]
         for variant in Variant:
-            assert top5_map(preds, gts, variant).map_value == pytest.approx(100.0)
+            assert top5_map(preds, gts, [variant])[0].map_value == pytest.approx(100.0)
 
     def test_no_predictions_scores_zero(self):
         gts = {("v", 0): [gt()]}
         for variant in Variant:
-            report = top5_map({}, gts, variant)
+            report = top5_map({}, gts, [variant])[0]
             assert report.map_value == 0.0
 
     def test_empty_ground_truth(self):
-        report = top5_map({("v", 0): [pred()]}, {}, Variant.NOUN)
+        report = top5_map({("v", 0): [pred()]}, {}, [Variant.NOUN])[0]
         assert report.map_value == 0.0
         assert report.per_class == {}
 
     def test_pred_frame_missing_from_gt_counts_as_miss(self):
         gts = {("v", 0): [gt()]}
         preds = {("v", 0): [pred(score=0.9)], ("v", 1): [pred(score=1.0)]}
-        report = top5_map(preds, gts, Variant.NOUN)
+        report = top5_map(preds, gts, [Variant.NOUN])[0]
         # ranked: miss at 1.0 then hit at 0.9 -> AP = 0.5
         assert report.map_value == pytest.approx(50.0)
 
     def test_map_is_mean_of_per_class_aps(self):
         preds, gts = gen_eval_instance(404)
-        report = top5_map(preds, gts, Variant.NOUN_VERB)
+        report = top5_map(preds, gts, [Variant.NOUN_VERB])[0]
         if report.per_class:
             mean = sum(c.ap for c in report.per_class.values()) / len(report.per_class)
             assert report.map_value == pytest.approx(mean, abs=1e-12)
 
     def test_class_counts_reported(self):
         gts = {("v", 0): [gt(noun="cup"), gt(noun="cup", b=box(5, 5, 7, 7)), gt(noun="plate", b=box(10, 10, 12, 12))]}
-        report = top5_map({}, gts, Variant.NOUN)
+        report = top5_map({}, gts, [Variant.NOUN])[0]
         assert report.per_class["cup"].n_gt == 2
         assert report.per_class["plate"].n_gt == 1
 
@@ -170,7 +171,7 @@ class TestTop5Map:
     def test_matches_oracle(self, seed):
         preds, gts = gen_eval_instance(seed)
         for variant in Variant:
-            assert top5_map(preds, gts, variant).map_value == pytest.approx(
+            assert top5_map(preds, gts, [variant])[0].map_value == pytest.approx(
                 oracle_ap(preds, gts, variant), abs=1e-9
             )
 
@@ -180,8 +181,8 @@ class TestTop5Map:
         preds, gts = gen_eval_instance(seed)
         relabel = lambda d: {("z", 1000 - k[1]): v for k, v in d.items()}
         for variant in (Variant.NOUN, Variant.OVERALL):
-            assert top5_map(preds, gts, variant).map_value == pytest.approx(
-                top5_map(relabel(preds), relabel(gts), variant).map_value, abs=1e-12
+            assert top5_map(preds, gts, [variant])[0].map_value == pytest.approx(
+                top5_map(relabel(preds), relabel(gts), [variant])[0].map_value, abs=1e-12
             )
 
     @given(seed=st.integers(0, 10_000))
@@ -193,15 +194,15 @@ class TestTop5Map:
             for k, v in preds.items()
         }
         for variant in (Variant.NOUN_VERB, Variant.NOUN_ONLY):
-            assert top5_map(preds, gts, variant).map_value == pytest.approx(
-                top5_map(rescaled, gts, variant).map_value, abs=1e-12
+            assert top5_map(preds, gts, [variant])[0].map_value == pytest.approx(
+                top5_map(rescaled, gts, [variant])[0].map_value, abs=1e-12
             )
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_adding_prediction_for_missed_gt_never_hurts(self, seed):
         preds, gts = gen_eval_instance(seed)
-        before = top5_map(preds, gts, Variant.NOUN).map_value
+        before = top5_map(preds, gts, [Variant.NOUN])[0].map_value
         target_key = target = None
         for key in sorted(gts):
             if len(preds.get(key, [])) >= 5:
@@ -220,7 +221,7 @@ class TestTop5Map:
         boosted = {k: list(v) for k, v in preds.items()}
         boosted.setdefault(target_key, [])
         boosted[target_key] = boosted[target_key] + [Prediction(target, 1.0, target_key[1])]
-        after = top5_map(boosted, gts, Variant.NOUN).map_value
+        after = top5_map(boosted, gts, [Variant.NOUN])[0].map_value
         assert after >= before - 1e-12
 
     @given(seed=st.integers(0, 10_000))
@@ -299,6 +300,15 @@ class TestContextQuality:
         assert report.missing_embeddings >= 1
         assert -1.0 <= report.avg_embed_sim_noun <= 1.0
 
+    def test_missing_embeddings_counts_every_lookup_of_an_absent_word(self):
+        table = _unit_table(["knife", "cup", "take"])
+        shared = ctx(pairs=[ActionPair("take", "knife")], salient=["unseen"])
+        contexts = {("v", 0, 0): shared, ("v", 0, 1): shared, ("v", 1, 0): ctx(salient=["cup"])}
+        gts = {("v", 0, 0): gt(noun="cup"), ("v", 0, 1): gt(noun="gadget"), ("v", 1, 0): gt(noun="gadget")}
+        report = context_quality(contexts, gts, table)
+        # "unseen" once for each entry sharing its context, "gadget" once for each entry it labels
+        assert report.missing_embeddings == 4
+
     def test_zero_vector_word_is_not_missing(self):
         vectors = {"take": np.eye(300)[0], "knife": np.zeros(300)}
         contexts = {0: ctx(pairs=[ActionPair("take", "knife")])}
@@ -348,3 +358,43 @@ class TestContextQuality:
             recall = context_quality(contexts, gts, table).salient_recall
             assert recall >= previous
             previous = recall
+
+
+class TestScoringCounts:
+    """Each overlap and each direction is computed once; counted, never timed."""
+
+    @pytest.mark.parametrize("variants", [[Variant.NOUN], list(Variant)], ids=["one-variant", "six-variants"])
+    def test_iou_once_per_top5_prediction_and_ground_truth(self, monkeypatch, variants):
+        # two draws per frame key, so that frames hold more than five predictions
+        preds, gts = gen_eval_instance(11, n_frames=10, max_preds=5)
+        more_preds, more_gts = gen_eval_instance(12, n_frames=10, max_preds=5)
+        for key in more_preds:
+            preds[key] = preds[key] + more_preds[key]
+            gts[key] = gts[key] + more_gts[key]
+        assert max(len(frame_preds) for frame_preds in preds.values()) > 5
+        calls = []
+        monkeypatch.setattr(metrics, "iou", lambda a, b: calls.append(1) or iou(a, b))
+        top5_map(preds, gts, variants)
+        assert len(calls) == sum(min(len(preds[key]), 5) * len(gts[key]) for key in preds)
+
+    def test_direction_once_per_context_run_and_ground_truth_label(self, monkeypatch):
+        _, frame_gts = gen_eval_instance(13, n_frames=10, max_preds=5)
+        # one unit per ground-truth entry, the entries of a frame sharing its context, as quality builds them
+        gts = {(*key, idx): g for key, entries in frame_gts.items() for idx, g in enumerate(entries)}
+        frame_contexts = {
+            key: ctx(pairs=[ActionPair(g.verb, g.noun) for g in entries[1:]], held=[entries[0].noun])
+            for key, entries in frame_gts.items() if key[1] % 4
+        }
+        contexts = {unit: frame_contexts[unit[:2]] for unit in gts if unit[:2] in frame_contexts}
+        keys = sorted(gts)
+        runs = sum(1 for i, key in enumerate(keys) if i == 0 or contexts.get(key) is not contexts.get(keys[i - 1]))
+        labels = {label for g in gts.values() for label in (g.noun, g.verb)}
+        bound = 2 * runs + len(labels)
+        # taking either the context's or the labels' directions once per unit would exceed the bound
+        assert 2 * runs + 2 * len(gts) > bound and 2 * len(gts) + len(labels) > bound
+        table = _unit_table(sorted(labels)[1:])
+        calls = []
+        direction = metrics._mean_direction
+        monkeypatch.setattr(metrics, "_mean_direction", lambda words, t: calls.append(1) or direction(words, t))
+        context_quality(contexts, gts, table)
+        assert 0 < len(calls) <= bound
