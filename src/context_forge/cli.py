@@ -233,11 +233,7 @@ def cmd_quality(args: argparse.Namespace) -> int:
     contexts = read_contexts(args.contexts)
     gts = read_ground_truth(args.gt, min_ttc=cfg.min_ttc)
     table = load_embeddings(args.embeddings)
-
-    # one scoring unit per ground-truth entry: (video_id, frame_id, entry index)
-    units = {(*key, idx): gt for key, entries in gts.items() for idx, gt in enumerate(entries)}
-    unit_contexts = {unit: contexts[unit[:2]] for unit in units if unit[:2] in contexts}
-    report = context_quality(unit_contexts, units, table)
+    report = context_quality(contexts, gts, table)
 
     quality = dataclasses.asdict(report)
     print(_provenance(cfg))

@@ -89,13 +89,6 @@ def class_key(noun: str, verb: str, variant: Variant) -> str:
     return noun if rule.noun else verb
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    prediction: Prediction
-    matched_gt: ObjectInteraction | None
-    hit: bool
-
-
 def _overlaps(top5: Sequence[Prediction], gts: Sequence[ObjectInteraction]) -> list[list[float]]:
     """The IoU of every prediction x ground truth, one row per prediction."""
     return [[iou(pred.interaction.box, gt.box) for gt in gts] for pred in top5]
@@ -108,13 +101,14 @@ def match_top5(
     iou_thresh: float = 0.5,
     t_delta: float = 0.25,
     overlaps: Sequence[Sequence[float]] | None = None,
-) -> list[MatchResult]:
+) -> list[ObjectInteraction | None]:
     """Greedy-match one frame's predictions against its ground truths.
 
     ``preds`` must already be sorted by descending score; only the top
-    five are considered. A prediction hits the unmatched ground truth
-    with the highest overlap among those satisfying the variant's
-    constraints (earliest ground truth on exact overlap ties).
+    five are considered. For each of them, in order, the result holds
+    the unmatched ground truth it hits, the one with the highest overlap
+    among those satisfying the variant's constraints (earliest ground
+    truth on exact overlap ties), or None.
     ``overlaps`` holds the IoU of each of those five predictions with
     each ground truth, as ``_overlaps`` builds it, so that several
     variants can share it; it is built here when not given.
@@ -127,7 +121,7 @@ def match_top5(
         overlaps = _overlaps(top5, gts)
     same_noun, same_verb, near_box, near_ttc = _RULES[variant]
     matched = [False] * len(gts)
-    results: list[MatchResult] = []
+    results: list[ObjectInteraction | None] = []
     for pred, pred_overlaps in zip(top5, overlaps):
         inter = pred.interaction
         best_idx = -1
@@ -147,9 +141,9 @@ def match_top5(
                 best_idx, best_overlap = idx, overlap
         if best_idx >= 0:
             matched[best_idx] = True
-            results.append(MatchResult(pred, gts[best_idx], True))
+            results.append(gts[best_idx])
         else:
-            results.append(MatchResult(pred, None, False))
+            results.append(None)
     return results
 
 
@@ -226,8 +220,8 @@ def top5_map(
         overlaps = _overlaps(frame_preds, frame_gts)
         for variant, variant_hits in zip(variants, hits):
             variant_hits.extend(
-                result.hit
-                for result in match_top5(frame_preds, frame_gts, variant, iou_thresh, t_delta, overlaps)
+                gt is not None
+                for gt in match_top5(frame_preds, frame_gts, variant, iou_thresh, t_delta, overlaps)
             )
         scored.extend(frame_preds)
     # reports built in turn: only one variant's per-class lists are alive at a time
@@ -313,19 +307,19 @@ def context_quality(
     gts: Mapping,
     table: EmbeddingTable,
 ) -> QualityReport:
-    """Score generated contexts against ground truth, frame by frame.
+    """Score generated contexts against ground truth, one unit per entry.
 
-    ``gts`` maps frame keys to one ObjectInteraction each; ``contexts``
-    maps the same keys to ActionContext (missing keys count as empty
-    contexts). Embedding similarities average the context words' vectors
+    ``gts`` maps orderable frame keys to lists of ObjectInteraction, as
+    for ``top5_map``; ``contexts`` maps the same keys to ActionContext
+    (missing keys count as empty contexts, keys absent from ``gts`` are
+    ignored). Embedding similarities average the context words' vectors
     before comparing with the ground-truth word; words absent from the
-    table are skipped and counted, at each of the four lookups per key
+    table are skipped and counted, at each of the four lookups per entry
     (context nouns, context verbs, ground-truth noun and verb) even where
-    a direction is reused: a context object shared by consecutive keys
-    and a ground-truth label each have their directions taken once.
+    a direction is reused: a frame's context and a ground-truth label
+    each have their directions taken once.
     """
-    keys = sorted(gts)
-    n = len(keys)
+    n = sum(len(entries) for entries in gts.values())
     if n == 0:
         return QualityReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0)
 
@@ -336,43 +330,39 @@ def context_quality(
     verb_sims: list[float] = []
     missing = 0
     label_dirs: dict[str, tuple[np.ndarray | None, int]] = {}  # ground-truth label -> direction
-    ctx = None
 
-    for key in keys:
-        unit_ctx = contexts.get(key, empty)
-        if unit_ctx is not ctx:
-            # the units of one frame share their context: take its labels and directions once per run
-            ctx = unit_ctx
-            noun_labels = [
-                *(pair.noun for pair in ctx.action_segments), *ctx.held_objects, *ctx.salient_objects
-            ]
-            verb_labels = [pair.verb for pair in ctx.action_segments]
-            noun_words = [word for label in noun_labels for word in label.split()]
-            ctx_noun_dir, miss_a = _mean_direction(noun_words, table)
-            ctx_verb_dir, miss_b = _mean_direction(verb_labels, table)
-        gt = gts[key]
+    for key in sorted(gts):
+        ctx = contexts.get(key, empty)
+        noun_labels = [
+            *(pair.noun for pair in ctx.action_segments), *ctx.held_objects, *ctx.salient_objects
+        ]
+        verb_labels = [pair.verb for pair in ctx.action_segments]
+        noun_words = [word for label in noun_labels for word in label.split()]
+        ctx_noun_dir, miss_a = _mean_direction(noun_words, table)
+        ctx_verb_dir, miss_b = _mean_direction(verb_labels, table)
 
-        if noun_labels or verb_labels:
-            covered += 1
-        if gt.noun in noun_labels:
-            noun_hits += 1
-        if gt.verb in verb_labels:
-            verb_hits += 1
-        salient_slots += len(ctx.salient_objects)
-        salient_matches += ctx.salient_objects.count(gt.noun)
-        if gt.noun in ctx.salient_objects:
-            recall_hits += 1
+        for gt in gts[key]:
+            if noun_labels or verb_labels:
+                covered += 1
+            if gt.noun in noun_labels:
+                noun_hits += 1
+            if gt.verb in verb_labels:
+                verb_hits += 1
+            salient_slots += len(ctx.salient_objects)
+            salient_matches += ctx.salient_objects.count(gt.noun)
+            if gt.noun in ctx.salient_objects:
+                recall_hits += 1
 
-        for label in (gt.noun, gt.verb):
-            if label not in label_dirs:
-                label_dirs[label] = _mean_direction([label], table)
-        gt_noun_dir, miss_c = label_dirs[gt.noun]
-        gt_verb_dir, miss_d = label_dirs[gt.verb]
-        missing += miss_a + miss_b + miss_c + miss_d
-        if ctx_noun_dir is not None and gt_noun_dir is not None:
-            noun_sims.append(float(np.dot(ctx_noun_dir, gt_noun_dir)))
-        if ctx_verb_dir is not None and gt_verb_dir is not None:
-            verb_sims.append(float(np.dot(ctx_verb_dir, gt_verb_dir)))
+            for label in (gt.noun, gt.verb):
+                if label not in label_dirs:
+                    label_dirs[label] = _mean_direction([label], table)
+            gt_noun_dir, miss_c = label_dirs[gt.noun]
+            gt_verb_dir, miss_d = label_dirs[gt.verb]
+            missing += miss_a + miss_b + miss_c + miss_d
+            if ctx_noun_dir is not None and gt_noun_dir is not None:
+                noun_sims.append(float(np.dot(ctx_noun_dir, gt_noun_dir)))
+            if ctx_verb_dir is not None and gt_verb_dir is not None:
+                verb_sims.append(float(np.dot(ctx_verb_dir, gt_verb_dir)))
 
     return QualityReport(
         exact_noun_hits=noun_hits / n,

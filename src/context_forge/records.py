@@ -297,7 +297,7 @@ def read_predictions(path: str) -> dict[FrameKey, list[Prediction]]:
     return _read_keyed(path, predictions)
 
 
-def read_ground_truth(path: str, min_ttc: float = 0.0) -> dict[FrameKey, list[ObjectInteraction]]:
+def read_ground_truth(path: str, *, min_ttc: float) -> dict[FrameKey, list[ObjectInteraction]]:
     def ground_truth(obj: dict, frame_id: int) -> list[ObjectInteraction]:
         gts = [_interaction(e) for e in _entries(obj)]
         for gt in gts:

@@ -184,17 +184,17 @@ def test_criterion_6_ttc_boundary_is_a_miss_for_ttc_variants():
             ObjectInteraction(BoundingBox(0, 0, 2, 2), "cup", "take", 1.25), 0.9, 0
         )
         assert abs(pred.interaction.ttc - gt.ttc) == 0.25
-        assert match_top5([pred], [gt], Variant.NOUN)[0].hit
-        assert match_top5([pred], [gt], Variant.NOUN_VERB)[0].hit
-        assert not match_top5([pred], [gt], Variant.NOUN_TTC)[0].hit
-        assert not match_top5([pred], [gt], Variant.OVERALL)[0].hit
+        assert match_top5([pred], [gt], Variant.NOUN)[0] is not None
+        assert match_top5([pred], [gt], Variant.NOUN_VERB)[0] is not None
+        assert match_top5([pred], [gt], Variant.NOUN_TTC)[0] is None
+        assert match_top5([pred], [gt], Variant.OVERALL)[0] is None
 
         exact_gt = ObjectInteraction(BoundingBox(0, 0, 1, 1), "cup", "take", 1.0)
         exact_pred = Prediction(
             ObjectInteraction(BoundingBox(0, 0, 1, 0.5), "cup", "take", 1.0), 0.9, 0
         )
         assert iou(exact_pred.interaction.box, exact_gt.box) == 0.5
-        assert match_top5([exact_pred], [exact_gt], Variant.NOUN)[0].hit
+        assert match_top5([exact_pred], [exact_gt], Variant.NOUN)[0] is not None
 
 
 def test_criterion_7_fusion_kernel_invariants():
@@ -271,7 +271,7 @@ def test_criterion_8_context_quality_closed_forms():
 
         report = context_quality(
             {0: ctx(pairs=[ActionPair("take", "obj0")], salient=["obj0"])},
-            {0: gt("obj0")},
+            {0: [gt("obj0")]},
             table,
         )
         assert abs(report.avg_embed_sim_noun - 1.0) <= 1e-12
@@ -279,7 +279,7 @@ def test_criterion_8_context_quality_closed_forms():
 
         report = context_quality(
             {0: ctx(salient=["obj0", "obj1"]), 1: ctx(salient=["obj2", "obj3"])},
-            {0: gt("obj0"), 1: gt("obj7")},
+            {0: [gt("obj0")], 1: [gt("obj7")]},
             table,
         )
         assert report.salient_precision == 0.25
@@ -290,7 +290,7 @@ def test_criterion_8_context_quality_closed_forms():
         scores = [
             {label: rng.randint(0, 999) / 999.0 for label in labels} for _ in range(100)
         ]
-        gts = {i: gt(labels[rng.randint(0, 7)]) for i in range(100)}
+        gts = {i: [gt(labels[rng.randint(0, 7)])] for i in range(100)}
         previous = -1.0
         for k in range(1, 6):
             contexts = {i: ctx(salient=select_salient(scores[i], k)) for i in range(100)}

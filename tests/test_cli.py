@@ -460,7 +460,7 @@ class TestEvaluate:
         write_predictions(str(preds_path), preds)
         write_ground_truth(str(gt_path), gts)
         assert read_predictions(str(preds_path)) == preds
-        assert read_ground_truth(str(gt_path)) == gts
+        assert read_ground_truth(str(gt_path), min_ttc=SummarizerConfig().min_ttc) == gts
 
         out = tmp_path / "report.json"
         proc = run_cli(
@@ -568,6 +568,60 @@ class TestQuality:
         assert lines[0] == "exact_noun_hits 1.000000"
         assert lines[-2:] == ["n_frames 1", "missing_embeddings 0"]
 
+
+    def test_hand_counted_report(self, tmp_path):
+        # Unit vectors, so every cosine is exactly 0 or 1. Frame 0 has two
+        # entries and a context; frame 1 has a context but no entries;
+        # frame 2 has an entry but no context; frame 3 has a context but
+        # no ground truth. "cut" and "plate" have no vector.
+        def context(frame_id, pairs, salient):
+            text = "; ".join([", ".join(f"{v} {n}" for v, n in pairs), "", ", ".join(salient)])
+            return {"video_id": "v", "frame_id": frame_id, "text": text,
+                    "action_terms": pairs, "held": [], "salient": salient}
+
+        contexts = tmp_path / "ctx.jsonl"
+        contexts.write_text("".join(json.dumps(obj) + "\n" for obj in [
+            context(0, [["take", "cup"]], ["cup"]),
+            context(1, [], ["plate"]),
+            context(3, [["take", "cup"]], ["cup"]),
+        ]))
+        knife = {**PERFECT_ENTRY, "noun": "knife"}
+        gt = tmp_path / "g.jsonl"
+        write_gt(gt, [("v", 0, [PERFECT_ENTRY, {**knife, "verb": "cut"}]), ("v", 1, []), ("v", 2, [knife])])
+        emb = tmp_path / "emb.tsv"
+        self._embeddings(emb, ["cup", "take", "knife"])
+        out = tmp_path / "q.json"
+        proc = run_cli(
+            "quality", "--contexts", str(contexts), "--gt", str(gt),
+            "--embeddings", str(emb), "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        # three entries: cup/take and knife/cut under frame 0's context, knife/take under none
+        quality = {
+            "exact_noun_hits": 1 / 3,  # cup
+            "exact_verb_hits": 1 / 3,  # take
+            "avg_embed_sim_noun": 0.5,  # cup.cup = 1, cup.knife = 0; frame 2 has no context words
+            "avg_embed_sim_verb": 1.0,  # take.take = 1; "cut" has no vector
+            "frame_coverage": 2 / 3,
+            "salient_precision": 0.5,  # one salient slot per frame-0 entry, matched by cup
+            "salient_recall": 1 / 3,
+            "n_frames": 3,
+            "missing_embeddings": 1,  # "cut"; frame 1's "plate" counts for no entry
+        }
+        cfg_hash = config_hash(SummarizerConfig())
+        assert json.loads(out.read_text()) == {"version": __version__, "config_hash": cfg_hash, "quality": quality}
+        assert proc.stdout.splitlines() == [
+            f"# context-forge {__version__} config_hash={cfg_hash}",
+            "exact_noun_hits 0.333333",
+            "exact_verb_hits 0.333333",
+            "avg_embed_sim_noun 0.500000",
+            "avg_embed_sim_verb 1.000000",
+            "frame_coverage 0.666667",
+            "salient_precision 0.500000",
+            "salient_recall 0.333333",
+            "n_frames 3",
+            "missing_embeddings 1",
+        ]
 
     def test_tiny_vectors_keep_their_direction(self, tmp_path):
         # 300 x 1e-170 has a squared norm that underflows to 0, yet it is no zero vector

@@ -71,23 +71,22 @@ class TestMatchTop5:
         g = [gt(ttc=1.0)]
         p = [pred(ttc=1.1, b=box(0, 0, 2, 1.8), score=0.9)]
         for variant in Variant:
-            results = match_top5(p, g, variant)
-            assert results[0].hit, variant
+            assert match_top5(p, g, variant)[0] is g[0], variant
 
     def test_ttc_boundary_is_strict(self):
         g = [gt(ttc=1.0)]
         p = [pred(ttc=1.25)]
         assert abs(p[0].interaction.ttc - g[0].ttc) == 0.25
         for variant in (Variant.NOUN, Variant.NOUN_VERB):
-            assert match_top5(p, g, variant)[0].hit
+            assert match_top5(p, g, variant)[0] is not None
         for variant in (Variant.NOUN_TTC, Variant.OVERALL):
-            assert not match_top5(p, g, variant)[0].hit
+            assert match_top5(p, g, variant)[0] is None
 
     def test_iou_boundary_is_inclusive(self):
         g = [gt(b=box(0, 0, 1, 1))]
         p = [pred(b=box(0, 0, 1, 0.5))]
         assert iou(p[0].interaction.box, g[0].box) == 0.5
-        assert match_top5(p, g, Variant.NOUN)[0].hit
+        assert match_top5(p, g, Variant.NOUN)[0] is not None
 
     def test_only_top_five_considered(self):
         g = [gt()]
@@ -95,26 +94,26 @@ class TestMatchTop5:
         would_hit = [pred(score=0.1)]
         results = match_top5(misses + would_hit, g, Variant.NOUN)
         assert len(results) == 5
-        assert not any(r.hit for r in results)
+        assert results == [None] * 5
 
     def test_each_gt_matched_once(self):
         g = [gt()]
         p = [pred(score=0.9), pred(score=0.8)]
         results = match_top5(p, g, Variant.NOUN)
-        assert [r.hit for r in results] == [True, False]
+        assert results == [g[0], None]
 
     def test_unsorted_predictions_rejected(self):
         with pytest.raises(ValidationError):
             match_top5([pred(score=0.1), pred(score=0.9)], [gt()], Variant.NOUN)
 
     def test_wrong_noun_never_hits(self):
-        assert not match_top5([pred(noun="plate")], [gt(noun="cup")], Variant.NOUN)[0].hit
+        assert match_top5([pred(noun="plate")], [gt(noun="cup")], Variant.NOUN)[0] is None
 
     def test_verb_only_ignores_noun_and_box(self):
         g = [gt(noun="cup", verb="take", b=box(0, 0, 1, 1))]
         p = [pred(noun="wall", verb="take", b=box(40, 40, 41, 41))]
-        assert match_top5(p, g, Variant.VERB_ONLY)[0].hit
-        assert not match_top5(p, g, Variant.NOUN_ONLY)[0].hit
+        assert match_top5(p, g, Variant.VERB_ONLY)[0] is not None
+        assert match_top5(p, g, Variant.NOUN_ONLY)[0] is None
 
 
 class TestTop5Map:
@@ -211,7 +210,7 @@ class TestTop5Map:
                 enumerate(preds.get(key, [])), key=lambda it: (-it[1].score, it[0])
             )
             results = match_top5([p for _, p in frame_preds], gts[key], Variant.NOUN)
-            matched = {id(r.matched_gt) for r in results if r.hit}
+            matched = {id(matched_gt) for matched_gt in results if matched_gt is not None}
             missed = [g for g in gts[key] if id(g) not in matched]
             if missed:
                 target_key, target = key, missed[0]
@@ -234,10 +233,10 @@ class TestTop5Map:
                     preds.get(key, []), key=lambda p: -p.score
                 )
                 strict_hits = sum(
-                    r.hit for r in match_top5(frame_preds, gts.get(key, []), strict)
+                    matched_gt is not None for matched_gt in match_top5(frame_preds, gts.get(key, []), strict)
                 )
                 loose_hits = sum(
-                    r.hit for r in match_top5(frame_preds, gts.get(key, []), loose)
+                    matched_gt is not None for matched_gt in match_top5(frame_preds, gts.get(key, []), loose)
                 )
                 assert loose_hits >= strict_hits
 
@@ -264,7 +263,7 @@ class TestContextQuality:
     def test_exact_context_gives_unit_similarity(self):
         table = _unit_table(["knife", "take"])
         contexts = {0: ctx(pairs=[ActionPair("take", "knife")], salient=["knife"])}
-        gts = {0: gt(noun="knife", verb="take")}
+        gts = {0: [gt(noun="knife", verb="take")]}
         report = context_quality(contexts, gts, table)
         assert report.exact_noun_hits == 1.0
         assert report.exact_verb_hits == 1.0
@@ -274,7 +273,7 @@ class TestContextQuality:
 
     def test_all_empty_contexts(self):
         table = _unit_table(["knife", "take"])
-        gts = {i: gt(noun="knife") for i in range(3)}
+        gts = {i: [gt(noun="knife")] for i in range(3)}
         report = context_quality({}, gts, table)
         assert report.frame_coverage == 0.0
         assert report.exact_noun_hits == 0.0
@@ -286,7 +285,7 @@ class TestContextQuality:
             0: ctx(salient=["knife", "cup"]),
             1: ctx(salient=["plate", "wall"]),
         }
-        gts = {0: gt(noun="knife"), 1: gt(noun="spoon")}
+        gts = {0: [gt(noun="knife")], 1: [gt(noun="spoon")]}
         report = context_quality(contexts, gts, table)
         # 1 matching slot among 4; the noun appears in 1 of 2 frames
         assert report.salient_precision == pytest.approx(0.25)
@@ -295,24 +294,23 @@ class TestContextQuality:
     def test_missing_words_counted_and_skipped(self):
         table = _unit_table(["knife", "take"])
         contexts = {0: ctx(salient=["knife", "unseen"])}
-        gts = {0: gt(noun="knife", verb="take")}
+        gts = {0: [gt(noun="knife", verb="take")]}
         report = context_quality(contexts, gts, table)
         assert report.missing_embeddings >= 1
         assert -1.0 <= report.avg_embed_sim_noun <= 1.0
 
     def test_missing_embeddings_counts_every_lookup_of_an_absent_word(self):
         table = _unit_table(["knife", "cup", "take"])
-        shared = ctx(pairs=[ActionPair("take", "knife")], salient=["unseen"])
-        contexts = {("v", 0, 0): shared, ("v", 0, 1): shared, ("v", 1, 0): ctx(salient=["cup"])}
-        gts = {("v", 0, 0): gt(noun="cup"), ("v", 0, 1): gt(noun="gadget"), ("v", 1, 0): gt(noun="gadget")}
+        contexts = {0: ctx(pairs=[ActionPair("take", "knife")], salient=["unseen"]), 1: ctx(salient=["cup"])}
+        gts = {0: [gt(noun="cup"), gt(noun="gadget")], 1: [gt(noun="gadget")]}
         report = context_quality(contexts, gts, table)
-        # "unseen" once for each entry sharing its context, "gadget" once for each entry it labels
+        # "unseen" once for each entry of its frame, "gadget" once for each entry it labels
         assert report.missing_embeddings == 4
 
     def test_zero_vector_word_is_not_missing(self):
         vectors = {"take": np.eye(300)[0], "knife": np.zeros(300)}
         contexts = {0: ctx(pairs=[ActionPair("take", "knife")])}
-        report = context_quality(contexts, {0: gt(noun="knife", verb="take")}, EmbeddingTable(vectors))
+        report = context_quality(contexts, {0: [gt(noun="knife", verb="take")]}, EmbeddingTable(vectors))
         # only words absent from the table count, in the context or the ground truth
         assert report.missing_embeddings == 0
         assert report.avg_embed_sim_noun == 0.0
@@ -323,14 +321,14 @@ class TestContextQuality:
         big = np.full(300, 5.7e148)
         table = EmbeddingTable({"take": big, "cup": big, "knife": big})
         contexts = {0: ctx(pairs=[ActionPair("take", "cup")], held=["knife"])}
-        report = context_quality(contexts, {0: gt(noun="cup", verb="take")}, table)
+        report = context_quality(contexts, {0: [gt(noun="cup", verb="take")]}, table)
         assert report.avg_embed_sim_noun == pytest.approx(1.0, abs=1e-12)
         assert report.avg_embed_sim_verb == pytest.approx(1.0, abs=1e-12)
 
     def test_multiword_labels_average_word_vectors(self):
         table = _unit_table(["pressure", "cooker", "take"])
         contexts = {0: ctx(salient=["pressure cooker"])}
-        gts = {0: gt(noun="cooker", verb="take")}
+        gts = {0: [gt(noun="cooker", verb="take")]}
         report = context_quality(contexts, gts, table)
         # mean of two orthogonal unit vectors, renormalized: cos = 1/sqrt(2)
         assert report.avg_embed_sim_noun == pytest.approx(1 / np.sqrt(2), abs=1e-12)
@@ -347,7 +345,7 @@ class TestContextQuality:
         scores = [
             {label: rng.randint(0, 999) / 999.0 for label in labels} for _ in range(100)
         ]
-        gts = {i: gt(noun=labels[rng.randint(0, 7)]) for i in range(100)}
+        gts = {i: [gt(noun=labels[rng.randint(0, 7)])] for i in range(100)}
         from context_forge.extraction import select_salient
 
         previous = -1.0
@@ -378,20 +376,17 @@ class TestScoringCounts:
         assert len(calls) == sum(min(len(preds[key]), 5) * len(gts[key]) for key in preds)
 
     def test_direction_once_per_context_run_and_ground_truth_label(self, monkeypatch):
-        _, frame_gts = gen_eval_instance(13, n_frames=10, max_preds=5)
-        # one unit per ground-truth entry, the entries of a frame sharing its context, as quality builds them
-        gts = {(*key, idx): g for key, entries in frame_gts.items() for idx, g in enumerate(entries)}
-        frame_contexts = {
+        # the entries of a frame are one run sharing the frame's context
+        _, gts = gen_eval_instance(13, n_frames=10, max_preds=5)
+        contexts = {
             key: ctx(pairs=[ActionPair(g.verb, g.noun) for g in entries[1:]], held=[entries[0].noun])
-            for key, entries in frame_gts.items() if key[1] % 4
+            for key, entries in gts.items() if key[1] % 4
         }
-        contexts = {unit: frame_contexts[unit[:2]] for unit in gts if unit[:2] in frame_contexts}
-        keys = sorted(gts)
-        runs = sum(1 for i, key in enumerate(keys) if i == 0 or contexts.get(key) is not contexts.get(keys[i - 1]))
-        labels = {label for g in gts.values() for label in (g.noun, g.verb)}
-        bound = 2 * runs + len(labels)
-        # taking either the context's or the labels' directions once per unit would exceed the bound
-        assert 2 * runs + 2 * len(gts) > bound and 2 * len(gts) + len(labels) > bound
+        labels = {label for entries in gts.values() for g in entries for label in (g.noun, g.verb)}
+        bound = 2 * len(gts) + len(labels)
+        # taking either the context's or the labels' directions once per entry would exceed the bound
+        n_entries = sum(len(entries) for entries in gts.values())
+        assert 2 * n_entries + len(labels) > bound and 2 * len(gts) + 2 * n_entries > bound
         table = _unit_table(sorted(labels)[1:])
         calls = []
         direction = metrics._mean_direction

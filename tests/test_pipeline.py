@@ -408,3 +408,36 @@ def test_lanes_recompute_at_pinned_frames(monkeypatch, stride):
     records = noisy_records()
     summarize_video("v", records, SummarizerConfig(stride=stride))
     assert "".join(str(calls[r.frame_id]) for r in records) == RECOMPUTES[stride]
+
+
+def summarize_work_per_frame(monkeypatch, seed, n_frames):
+    """Segments into eliminate_overlaps and context_for_frame, and context_for_frame calls, per frame."""
+    work = Counter()
+    overlaps, select = pipeline.eliminate_overlaps, pipeline.context_for_frame
+
+    def counting_overlaps(segments):
+        work["eliminate_overlaps segments"] += len(segments)
+        return overlaps(segments)
+
+    def counting_select(segments, *args):
+        work["context_for_frame segments"] += len(segments)
+        work["context_for_frame calls"] += 1
+        return select(segments, *args)
+
+    monkeypatch.setattr(pipeline, "eliminate_overlaps", counting_overlaps)
+    monkeypatch.setattr(pipeline, "context_for_frame", counting_select)
+    _, stream = gen_scenario(seed, n_frames=n_frames, n_terms=4, drop_rate=0.1, spurious_rate=0.05)
+    summarize_video("v", scenario_to_frame_records(stream, "v"), SummarizerConfig())
+    return {name: count / n_frames for name, count in work.items()}
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_summarize_work_per_frame_does_not_grow_with_video_length(monkeypatch, seed):
+    # Counted, never timed. Linear cost keeps each count per frame about
+    # level from 1,125 to 9,000 frames; handing every closed segment to
+    # each selection, or never settling one, makes them grow about 8x.
+    short = summarize_work_per_frame(monkeypatch, seed, 1_125)
+    long = summarize_work_per_frame(monkeypatch, seed, 9_000)
+    assert short.keys() == long.keys() and len(short) == 3
+    for name in short:
+        assert long[name] <= 1.25 * short[name], (name, short[name], long[name])
