@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 from .core import Category, Segment, Term, ValidationError, term_text
 
 
-@dataclass
+@dataclass(slots=True)
 class _RunState:
     start: int
     last_seen: int

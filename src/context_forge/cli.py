@@ -32,7 +32,7 @@ from .core import (
     load_config,
     load_embeddings,
 )
-from .metrics import EvalReport, Variant, context_quality, top5_map
+from .metrics import EvalReport, Variant, context_quality, quality_words, top5_map
 from .pipeline import VideoStats, summarize_video
 from .records import (
     FrameGroup,
@@ -232,7 +232,7 @@ def cmd_quality(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     contexts = read_contexts(args.contexts)
     gts = read_ground_truth(args.gt, min_ttc=cfg.min_ttc)
-    table = load_embeddings(args.embeddings)
+    table = load_embeddings(args.embeddings, quality_words(contexts, gts))
     report = context_quality(contexts, gts, table)
 
     quality = dataclasses.asdict(report)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Mapping, Union
+from typing import Container, Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -50,8 +50,13 @@ class InvariantError(ContextForgeError):
 
 
 def normalize_label(label: str) -> str:
-    """Lowercase and collapse internal whitespace: ' Pressure  Cooker ' -> 'pressure cooker'."""
-    return " ".join(label.lower().split())
+    """Lowercase and collapse internal whitespace: ' Pressure  Cooker ' -> 'pressure cooker'.
+
+    A label already in that form comes back as the same string, not a copy,
+    so a string that readers share stays shared.
+    """
+    normalized = " ".join(label.lower().split())
+    return label if normalized == label else normalized
 
 
 def check_label(label: str) -> str:
@@ -102,7 +107,7 @@ class PosTag(Enum):
     OTHER = "OTHER"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box in corner form, continuous pixel coordinates.
 
@@ -129,7 +134,7 @@ class BoundingBox:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectInteraction:
     """Ground-truth tuple for one upcoming interaction: box, noun, verb, seconds to contact."""
 
@@ -148,7 +153,7 @@ class ObjectInteraction:
             raise ValidationError("ObjectInteraction: empty noun or verb label")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     """One scored model output for a frame."""
 
@@ -161,7 +166,7 @@ class Prediction:
             raise ValidationError(f"Prediction: score {self.score} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedToken:
     """A caption token with its lemma and a coarse part-of-speech tag.
 
@@ -179,7 +184,7 @@ class TaggedToken:
             raise ValidationError(f"TaggedToken: bad part-of-speech tag {self.pos!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionPair:
     """A (verb, noun) lemma pair describing one atomic action."""
 
@@ -204,7 +209,7 @@ def term_text(term: Term) -> str:
     return term.render() if isinstance(term, ActionPair) else term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameRecord:
     """One frame's ingested raw signals. Any field may be empty; sparse input is legal."""
 
@@ -223,7 +228,7 @@ class FrameRecord:
                 raise ValidationError(f"FrameRecord: score {score} for {label!r} outside [-1, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """A contiguous run of one term accepted by the cross-frame aggregation."""
 
@@ -246,7 +251,7 @@ class Segment:
         return self.start_frame <= other.end_frame and other.start_frame <= self.end_frame
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionContext:
     """The assembled textual summary for one prediction frame."""
 
@@ -492,25 +497,37 @@ EMBEDDING_DIM = 300
 MAX_SQUARED_NORM = 1e300
 
 
-def _add_embedding(table: dict[str, np.ndarray], word: str, vector: np.ndarray | list[float]) -> None:
-    """Check one embedding entry and add it to ``table`` under its normalized word."""
+def _add_embedding(
+    table: dict[str, np.ndarray | None],
+    word: str,
+    vector: np.ndarray | list[float],
+    words: Container[str] | None = None,
+) -> None:
+    """Check one embedding entry and add it to ``table`` under its normalized word.
+
+    The vector is kept only when ``words`` is None or holds that word; a
+    dropped row is entered as None, so a repeat of its word is still found.
+    """
     array = np.array(vector, dtype=np.float64)  # the table's own copy
     if array.shape != (EMBEDDING_DIM,):
         raise ValidationError(
-            f"vector for {word!r} has shape {array.shape}, expected ({EMBEDDING_DIM},)"
+            f"vector for {clipped(repr(word))} has shape {array.shape}, expected ({EMBEDDING_DIM},)"
         )
     with np.errstate(over="ignore"):  # an overflowing squared norm is inf, which fails the bound
         if not array @ array <= MAX_SQUARED_NORM:
             raise ValidationError(
-                f"vector for {word!r} is not finite or its squared norm exceeds {MAX_SQUARED_NORM:g}"
+                f"vector for {clipped(repr(word))} is not finite or its squared norm exceeds {MAX_SQUARED_NORM:g}"
             )
     key = normalize_label(word)
     if not key:
-        raise ValidationError(f"empty word {word!r}")
+        raise ValidationError(f"empty word {clipped(repr(word))}")
     if key in table:
-        raise ValidationError(f"duplicate word: {word!r} repeats the word {key!r}")
-    array.setflags(write=False)
-    table[key] = array
+        raise ValidationError(f"duplicate word: {clipped(repr(word))} repeats the word {clipped(repr(key))}")
+    if words is None or key in words:
+        array.setflags(write=False)
+        table[key] = array
+    else:
+        table[key] = None
 
 
 class EmbeddingTable:
@@ -519,7 +536,7 @@ class EmbeddingTable:
     def __init__(self, vectors: Mapping[str, np.ndarray]):
         if not vectors:
             raise ValidationError("EmbeddingTable: empty table")
-        self._table: dict[str, np.ndarray] = {}
+        self._table: dict[str, np.ndarray | None] = {}
         for word, vector in vectors.items():
             try:
                 _add_embedding(self._table, word, vector)
@@ -530,17 +547,29 @@ class EmbeddingTable:
         return len(self._table)
 
     def lookup(self, word: str) -> np.ndarray | None:
-        return self._table.get(normalize_label(word))
+        """``word``'s vector, or None when the table has no such word.
+
+        A word whose row ``load_embeddings`` dropped raises ``InvariantError``:
+        its vector exists, so counting it as missing would change a score.
+        """
+        key = normalize_label(word)
+        vector = self._table.get(key)
+        if vector is None and key in self._table:
+            raise InvariantError(f"embedding row for {clipped(repr(key))} was dropped at load")
+        return vector
 
 
-def load_embeddings(path: str | Path) -> EmbeddingTable:
+def load_embeddings(path: str | Path, words: Iterable[str] | None = None) -> EmbeddingTable:
     """Load a tab-separated embedding file: ``word<TAB>v1<TAB>...<TAB>v300``.
 
     Values are plain ASCII numbers, and each line passes the same checks as
     an ``EmbeddingTable`` entry; any other line is a ``ParseError`` at its
-    ``path:line``.
+    ``path:line``. Every line is checked, but when ``words`` is given only
+    the vectors of those words are kept: looking up another word of the
+    file raises ``InvariantError``.
     """
-    vectors: dict[str, np.ndarray] = {}
+    keep = None if words is None else {normalize_label(word) for word in words}
+    vectors: dict[str, np.ndarray | None] = {}
     for lineno, line in read_lines(path):
         parts = line.split("\t")
         try:
@@ -549,7 +578,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             values = line[len(parts[0]):]
             if not values.isascii() or "_" in values:
                 raise ValidationError("embedding values must be plain ASCII numbers")
-            _add_embedding(vectors, parts[0], [float(p) for p in parts[1:]])
+            _add_embedding(vectors, parts[0], [float(p) for p in parts[1:]], keep)
         except (ValueError, ValidationError) as exc:  # ValueError: a value that is not a number
             raise ParseError(str(exc), line=lineno, path=str(path)) from None
     if not vectors:

@@ -26,7 +26,7 @@ from .core import (
 from .metrics import iou
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameContext:
     """Per-frame context: optional action pair plus held/salient label sets."""
 

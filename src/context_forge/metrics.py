@@ -302,6 +302,40 @@ def _mean_direction(words: list[str], table: EmbeddingTable) -> tuple[np.ndarray
     return mean / norm, missing
 
 
+_NO_CONTEXT = ActionContext((), (), (), "")
+
+
+def _quality_frames(contexts: Mapping, gts: Mapping):
+    """Each ground-truth frame in key order, as quality reads it.
+
+    Yields the frame's context (empty when it has none), the context's
+    noun labels, verb labels and noun words, and the frame's entries.
+    Quality looks up the noun words, the verb labels and each entry's noun
+    and verb: ``context_quality`` and ``quality_words`` both read the
+    frames from here, so the words a table keeps are the words looked up.
+    """
+    for key in sorted(gts):
+        ctx = contexts.get(key, _NO_CONTEXT)
+        noun_labels = [
+            *(pair.noun for pair in ctx.action_segments), *ctx.held_objects, *ctx.salient_objects
+        ]
+        verb_labels = [pair.verb for pair in ctx.action_segments]
+        noun_words = [word for label in noun_labels for word in label.split()]
+        yield ctx, noun_labels, verb_labels, noun_words, gts[key]
+
+
+def quality_words(contexts: Mapping, gts: Mapping) -> set[str]:
+    """Every word ``context_quality(contexts, gts, table)`` looks up in ``table``.
+
+    ``load_embeddings`` given this set keeps only these words' vectors.
+    """
+    words: set[str] = set()
+    for _, _, verb_labels, noun_words, entries in _quality_frames(contexts, gts):
+        words.update(noun_words, verb_labels)
+        words.update(label for gt in entries for label in (gt.noun, gt.verb))
+    return words
+
+
 def context_quality(
     contexts: Mapping,
     gts: Mapping,
@@ -317,13 +351,13 @@ def context_quality(
     table are skipped and counted, at each of the four lookups per entry
     (context nouns, context verbs, ground-truth noun and verb) even where
     a direction is reused: a frame's context and a ground-truth label
-    each have their directions taken once.
+    each have their directions taken once. A table that ``load_embeddings``
+    read with ``words`` must hold ``quality_words(contexts, gts)``.
     """
     n = sum(len(entries) for entries in gts.values())
     if n == 0:
         return QualityReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0)
 
-    empty = ActionContext((), (), (), "")
     noun_hits = verb_hits = covered = recall_hits = 0
     salient_slots = salient_matches = 0
     noun_sims: list[float] = []
@@ -331,17 +365,11 @@ def context_quality(
     missing = 0
     label_dirs: dict[str, tuple[np.ndarray | None, int]] = {}  # ground-truth label -> direction
 
-    for key in sorted(gts):
-        ctx = contexts.get(key, empty)
-        noun_labels = [
-            *(pair.noun for pair in ctx.action_segments), *ctx.held_objects, *ctx.salient_objects
-        ]
-        verb_labels = [pair.verb for pair in ctx.action_segments]
-        noun_words = [word for label in noun_labels for word in label.split()]
+    for ctx, noun_labels, verb_labels, noun_words, entries in _quality_frames(contexts, gts):
         ctx_noun_dir, miss_a = _mean_direction(noun_words, table)
         ctx_verb_dir, miss_b = _mean_direction(verb_labels, table)
 
-        for gt in gts[key]:
+        for gt in entries:
             if noun_labels or verb_labels:
                 covered += 1
             if gt.noun in noun_labels:

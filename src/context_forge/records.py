@@ -113,7 +113,7 @@ def _read_keyed(path: str, decode: Callable[[dict, int], T]) -> dict[FrameKey, T
             obj = _object(line)
             key = (_get(obj, "video_id", str), _get(obj, "frame_id", int))
             if key in out:
-                raise ValidationError(f"duplicate frame {key[0]}:{key[1]}")
+                raise ValidationError(f"duplicate frame {clipped(key[0])}:{key[1]}")
             out[key] = decode(obj, key[1])
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=path) from None
@@ -136,7 +136,7 @@ def _token(value) -> TaggedToken:
     tok = _as(value, dict, "caption token")
     pos = _POS_TAGS.get(_get(tok, "pos", str))
     if pos is None:
-        raise ValidationError(f"pos must be one of {', '.join(_POS_TAGS)}, got {tok['pos']!r}")
+        raise ValidationError(f"pos must be one of {', '.join(_POS_TAGS)}, got {clipped(repr(tok['pos']))}")
     lemma = _get(tok, "lemma", str)
     if pos is not PosTag.OTHER:  # only verb and noun lemmas can become context labels
         check_label(lemma)
@@ -190,13 +190,13 @@ def _frame_lines(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[
             starts = line_video != video_id
             if starts:
                 if line_video in finished:
-                    raise ValidationError(f"frames for video {line_video!r} are not contiguous")
+                    raise ValidationError(f"frames for video {clipped(repr(line_video))} are not contiguous")
                 finished.add(video_id)
                 frame_ids.clear()
                 video_id = line_video
             frame_id = _get(obj, "frame_id", int)
             if frame_id in frame_ids:
-                raise ValidationError(f"video {video_id!r}: duplicate frame id {frame_id}")
+                raise ValidationError(f"video {clipped(repr(video_id))}: duplicate frame id {frame_id}")
             frame_ids.add(frame_id)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=path) from None
@@ -281,25 +281,40 @@ def _entries(obj: dict) -> Iterator[dict]:
     return (_as(entry, dict, "entry") for entry in _get(obj, "entries", list))
 
 
-def _interaction(entry: dict) -> ObjectInteraction:
+def _label(entry: dict, key: str, labels: dict[str, str]) -> str:
+    """An entry's normalized noun or verb, as the one string ``labels`` holds for it."""
+    label = normalize_label(check_label(_get(entry, key, str)))
+    return labels.setdefault(label, label)
+
+
+def _interaction(entry: dict, labels: dict[str, str]) -> ObjectInteraction:
     return ObjectInteraction(
         box=_box(_get(entry, "box", list)),
-        noun=check_label(_get(entry, "noun", str)),
-        verb=check_label(_get(entry, "verb", str)),
+        noun=_label(entry, "noun", labels),
+        verb=_label(entry, "verb", labels),
         ttc=_get(entry, "ttc", float),
     )
 
 
+# Each entries reader keeps one string per distinct label for the length of
+# the call: an entry would otherwise hold its own two copies. sys.intern is
+# not used, because on Python 3.12 released interned strings stay allocated.
+
+
 def read_predictions(path: str) -> dict[FrameKey, list[Prediction]]:
+    labels: dict[str, str] = {}
+
     def predictions(obj: dict, frame_id: int) -> list[Prediction]:
-        return [Prediction(_interaction(e), _get(e, "score", float), frame_id) for e in _entries(obj)]
+        return [Prediction(_interaction(e, labels), _get(e, "score", float), frame_id) for e in _entries(obj)]
 
     return _read_keyed(path, predictions)
 
 
 def read_ground_truth(path: str, *, min_ttc: float) -> dict[FrameKey, list[ObjectInteraction]]:
+    labels: dict[str, str] = {}
+
     def ground_truth(obj: dict, frame_id: int) -> list[ObjectInteraction]:
-        gts = [_interaction(e) for e in _entries(obj)]
+        gts = [_interaction(e, labels) for e in _entries(obj)]
         for gt in gts:
             if gt.ttc < min_ttc:
                 raise ValidationError(f"time to contact {gt.ttc} below minimum {min_ttc}")
@@ -368,7 +383,9 @@ def _context(obj: dict, frame_id: int) -> ActionContext:
     )
     text = _get(obj, "text", str)
     if normalize_label(text) != normalize_label(context.text):
-        raise ValidationError(f"text {text!r} does not match its fields, which render as {context.text!r}")
+        raise ValidationError(
+            f"text {clipped(repr(text))} does not match its fields, which render as {clipped(repr(context.text))}"
+        )
     return context
 
 

@@ -12,8 +12,14 @@ import pytest
 from context_forge import __version__, cli
 from context_forge.cli import main
 from context_forge.core import InvariantError, SummarizerConfig, config_hash
-from context_forge.records import dumps_record, frame_groups, frame_record_to_dict
-from context_forge.synth import gen_scenario, scenario_to_frame_records
+from context_forge.records import (
+    dumps_record,
+    frame_groups,
+    frame_record_to_dict,
+    read_predictions,
+    write_predictions,
+)
+from context_forge.synth import gen_eval_instance, gen_scenario, scenario_to_frame_records
 
 DATA = Path(__file__).parent / "data"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -128,6 +134,26 @@ class TestVersionAndErrors:
         frames.write_text(json.dumps({"video_id": "v", "frame_id": 0}) + "\n")
         assert main(["summarize", "--frames", str(frames), "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.count("lanes disagree") == 1
+
+
+def test_predictions_held_in_at_most_500_bytes_per_entry(tmp_path):
+    # the benchmark's seed-11 score predictions: 250 draws of ten frames
+    preds = {}
+    for i in range(250):
+        draw, _ = gen_eval_instance(11 * 1_000_003 + 7919 * i + 1, n_frames=10, max_preds=5)
+        preds.update({(f"draw{i:05d}", frame): entries for (_, frame), entries in draw.items()})
+    path = str(tmp_path / "preds.jsonl")
+    write_predictions(path, preds)
+    read_predictions(path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = read_predictions(path)
+        per_entry = (tracemalloc.get_traced_memory()[0] - before) / sum(map(len, held.values()))
+    finally:
+        tracemalloc.stop()
+    assert per_entry <= 500, per_entry
 
 
 class TestSynthAndSummarize:
@@ -261,6 +287,15 @@ class TestStreamingSummarize:
             write_videos(frames[n_frames], [lines])
         peaks = summarize_peaks(frames, tmp_path / "ctx.jsonl")
         assert (peaks[4500] - peaks[1125]) / (4500 - 1125) <= 600, peaks
+
+    def test_memory_per_video_retained(self, tmp_path, capsys):
+        # what summarize keeps of each finished video (its stats and sort index);
+        # short videos, so that no video's own working set hides it
+        frames = {n: tmp_path / f"frames{n}.jsonl" for n in (32, 128)}
+        for n_videos, path in frames.items():
+            write_videos(path, scenario_lines(n_videos, n_frames=60))
+        peaks = summarize_peaks(frames, tmp_path / "ctx.jsonl")
+        assert (peaks[128] - peaks[32]) / (128 - 32) <= 1250, peaks
 
     def test_worker_renders_without_the_records(self, tmp_path):
         # a --jobs N worker holds no more than the --jobs 1 path on the same video
@@ -568,6 +603,19 @@ class TestQuality:
         assert lines[0] == "exact_noun_hits 1.000000"
         assert lines[-2:] == ["n_frames 1", "missing_embeddings 0"]
 
+
+    def test_lookup_of_a_dropped_row_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a word set that misses a looked-up word is a bug, not a missing embedding
+        contexts = tmp_path / "ctx.jsonl"
+        contexts.write_text("")
+        gt = tmp_path / "g.jsonl"
+        write_gt(gt, [("v", 0, [PERFECT_ENTRY])])
+        emb = tmp_path / "emb.tsv"
+        self._embeddings(emb, ["cup", "take"])
+        monkeypatch.setattr(cli, "quality_words", lambda contexts, gts: {"take"})
+        argv = ["quality", "--contexts", str(contexts), "--gt", str(gt), "--embeddings", str(emb)]
+        assert main(argv) == 3
+        assert "embedding row for 'cup' was dropped" in capsys.readouterr().err
 
     def test_hand_counted_report(self, tmp_path):
         # Unit vectors, so every cosine is exactly 0 or 1. Frame 0 has two

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import sys
@@ -6,16 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from context_forge.aggregation import _RunState
 from context_forge.core import (
+    ActionContext,
     ActionPair,
     BoundingBox,
+    Category,
     EmbeddingTable,
     FrameRecord,
+    InvariantError,
     ObjectInteraction,
     ParseError,
     PerCategory,
     PosTag,
     Prediction,
+    Segment,
     SummarizerConfig,
     TaggedToken,
     ValidationError,
@@ -25,6 +31,7 @@ from context_forge.core import (
     normalize_label,
     serialize_config,
 )
+from context_forge.extraction import FrameContext
 
 
 class TestDefaults:
@@ -349,6 +356,31 @@ class TestInteractionTypes:
             FrameRecord(video_id="v", frame_id=0, label_scores={"cup": score})
 
 
+_BOX = BoundingBox(0.0, 1.0, 2.5, 3.0)
+_TOKEN = TaggedToken("Cups", "cup", PosTag.NOUN)
+_PAIR = ActionPair("take", "cup")
+# One value of each per-record type; each is slotted, so it has no instance __dict__.
+SLOTTED = [
+    _BOX,
+    ObjectInteraction(_BOX, "cup", "take", 0.5),
+    Prediction(ObjectInteraction(_BOX, "cup", "take", 0.5), 0.25, 7),
+    _TOKEN,
+    _PAIR,
+    FrameRecord("v", 7, ((_TOKEN,),), {"cup": 0.5}, (_BOX,), (("cup", _BOX, 0.9),)),
+    Segment(Category.ACTION, _PAIR, 1, 4, 2, True),
+    ActionContext((_PAIR,), ("cup",), ("knife",), "take cup; cup; knife"),
+    FrameContext(7, _PAIR, frozenset({"cup"}), frozenset()),
+    _RunState(1, 4, 2),
+]
+
+
+@pytest.mark.parametrize("value", SLOTTED, ids=[type(v).__name__ for v in SLOTTED])
+def test_value_type_is_slotted_and_round_trips(value):
+    assert "__slots__" in type(value).__dict__ and not hasattr(value, "__dict__")
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert dataclasses.replace(value) == value
+
+
 class TestNormalize:
     @given(st.text(max_size=30))
     def test_idempotent(self, text):
@@ -391,9 +423,9 @@ class TestEmbeddings:
         calls = []
         add = core._add_embedding
 
-        def counted(table, word, vector):
+        def counted(table, word, vector, words=None):
             calls.append(word)
-            add(table, word, vector)
+            add(table, word, vector, words)
 
         monkeypatch.setattr(core, "_add_embedding", counted)
         path = tmp_path / "emb.tsv"
@@ -458,6 +490,32 @@ class TestEmbeddings:
             load_embeddings(path)
         reason = str(table_error.value).removeprefix("EmbeddingTable: ")
         assert str(load_error.value) == f"{path}:line 2: {reason}"
+
+    def test_words_keep_only_their_rows(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        _write_embeddings(path, ["apple", "Knife", "cup"])
+        full, kept = load_embeddings(path), load_embeddings(path, ["KNIFE", "pear"])
+        assert len(kept) == 3
+        assert np.array_equal(kept.lookup("knife"), full.lookup("knife"))
+        assert kept.lookup("pear") is None
+        # a dropped row is a caller's bug, never a missing word
+        with pytest.raises(InvariantError, match="'apple'"):
+            kept.lookup("Apple")
+
+    @pytest.mark.parametrize(
+        "word,vector,message", BAD_EMBEDDING_ENTRIES.values(), ids=BAD_EMBEDDING_ENTRIES.keys()
+    )
+    def test_every_line_checked_when_rows_are_dropped(self, tmp_path, word, vector, message):
+        # the bad entry and the "cup" before it are both words that are not kept
+        path = tmp_path / "emb.tsv"
+        lines = [("cup", np.eye(300)[0]), (word, vector)]
+        path.write_text("".join(f"{w}\t" + "\t".join(map(repr, v.tolist())) + "\n" for w, v in lines))
+        with pytest.raises(ParseError, match=message) as full_error:
+            load_embeddings(path)
+        with pytest.raises(ParseError) as kept_error:
+            load_embeddings(path, ["other"])
+        assert str(kept_error.value) == str(full_error.value)
+        assert str(kept_error.value).startswith(f"{path}:line 2: ")
 
     @pytest.mark.parametrize("word", ["", "  \t "])
     def test_blank_word_rejected(self, word):

@@ -9,6 +9,7 @@ from context_forge.core import (
     BoundingBox,
     EmbeddingTable,
     ObjectInteraction,
+    load_embeddings,
     Prediction,
     ValidationError,
 )
@@ -16,6 +17,7 @@ from context_forge.metrics import (
     Variant,
     context_quality,
     iou,
+    quality_words,
     match_top5,
     top5_map,
 )
@@ -337,6 +339,28 @@ class TestContextQuality:
         table = _unit_table(["knife"])
         report = context_quality({}, {}, table)
         assert report.n_frames == 0
+
+    def test_table_of_the_quality_words_gives_the_same_report(self, tmp_path):
+        # multiword labels, context words absent from the table and rows no lookup reads
+        _, gts = gen_eval_instance(13, n_frames=10, max_preds=5)
+        gts[("v", 99)] = [gt(noun="pressure cooker", verb="open")]
+        contexts = {
+            key: ctx(pairs=[ActionPair(g.verb, g.noun) for g in entries[1:]],
+                     held=[entries[0].noun], salient=["pressure cooker", "unseen"])
+            for key, entries in gts.items() if key[1] % 4
+        }
+        words = quality_words(contexts, gts)
+        labels = {label for entries in gts.values() for g in entries for label in (g.noun, g.verb)}
+        assert {"pressure", "cooker", "unseen"} <= words and labels <= words
+        table_words = sorted(labels - {"open"}) + ["pressure", "filler1", "filler2"]
+        path = tmp_path / "emb.tsv"
+        rng = np.random.default_rng(5)
+        path.write_text("".join(
+            word + "\t" + "\t".join(map(repr, rng.normal(size=300).tolist())) + "\n" for word in table_words
+        ))
+        full = context_quality(contexts, gts, load_embeddings(path))
+        assert full.missing_embeddings > 0
+        assert context_quality(contexts, gts, load_embeddings(path, words)) == full
 
     def test_salient_recall_monotone_in_k(self):
         rng = SplitMix64(77)

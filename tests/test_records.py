@@ -253,6 +253,44 @@ def test_duplicate_frame_reported_at_its_own_line(tmp_path, capsys, case):
     assert f"{path}:line 2: video 'u': duplicate frame id 0" in err
 
 
+LONG = "x" * 500
+
+
+def _frame_line(video_id, frame_id=0):
+    return json.dumps(dict(FRAME, video_id=video_id, frame_id=frame_id))
+
+
+def _gt_line(video_id):
+    return json.dumps(dict(RECORDS["gt"], video_id=video_id))
+
+
+# A 500-character value in each message that quotes one.
+LONG_VALUES = {
+    "caption-pos": ("summarize", "frames", mutated("frames", setter("captions", 0, 0, "pos", LONG))),
+    "video-not-contiguous": ("summarize", "frames", "\n".join(
+        [_frame_line(LONG), _frame_line("v"), _frame_line(LONG, 1)])),
+    "duplicate-frame-id": ("summarize", "frames", "\n".join([_frame_line(LONG), _frame_line(LONG)])),
+    "duplicate-key": ("evaluate", "gt", "\n".join([_gt_line(LONG), _gt_line(LONG)])),
+    "text-mismatch": ("quality", "contexts", json.dumps(dict(
+        RECORDS["contexts"], text=LONG, action_terms=[["take", LONG]], held=[], salient=[]))),
+    "embedding-shape": ("quality", "embeddings", LONG + "\t" + "\t".join(VECTOR[1:])),
+    "embedding-norm": ("quality", "embeddings", LONG + "\t" + "\t".join(["1e308"] * 300)),
+    "embedding-empty-word": ("quality", "embeddings", " " * 500 + "\t" + "\t".join(VECTOR)),
+    "embedding-duplicate": ("quality", "embeddings", "\n".join([LONG + "\t" + "\t".join(VECTOR)] * 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_VALUES))
+def test_long_value_cut_to_40_characters(tmp_path, capsys, case):
+    command, kind, line2 = LONG_VALUES[case]
+    n = line2.count("\n") + 2
+    code, err, path = run(tmp_path, capsys, command, kind, line2)
+    assert code == 1, err
+    message = err.split(f"{path}:line {n}: ", 1)[1]
+    assert "..." in message and LONG[:41] not in message and " " * 41 not in message
+    assert len(message) < 160, message
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_blank_lemma_reported_before_a_later_bad_line(tmp_path, capsys, jobs):
     # a blank lemma fails as its line is decoded, not when its frame is extracted
