@@ -316,12 +316,12 @@ def _quality_frames(contexts: Mapping, gts: Mapping):
     """
     for key in sorted(gts):
         ctx = contexts.get(key, _NO_CONTEXT)
-        noun_labels = [
-            *(pair.noun for pair in ctx.action_segments), *ctx.held_objects, *ctx.salient_objects
-        ]
-        verb_labels = [pair.verb for pair in ctx.action_segments]
-        noun_words = [word for label in noun_labels for word in label.split()]
-        yield ctx, noun_labels, verb_labels, noun_words, gts[key]
+        pairs = ctx.action_segments
+        noun_labels = [pair.noun for pair in pairs]
+        noun_labels += ctx.held_objects
+        noun_labels += ctx.salient_objects
+        # the labels' words in order: joined by spaces, no two labels' words run together
+        yield ctx, noun_labels, [pair.verb for pair in pairs], " ".join(noun_labels).split(), gts[key]
 
 
 def quality_words(contexts: Mapping, gts: Mapping) -> set[str]:
@@ -332,7 +332,9 @@ def quality_words(contexts: Mapping, gts: Mapping) -> set[str]:
     words: set[str] = set()
     for _, _, verb_labels, noun_words, entries in _quality_frames(contexts, gts):
         words.update(noun_words, verb_labels)
-        words.update(label for gt in entries for label in (gt.noun, gt.verb))
+        for gt in entries:
+            words.add(gt.noun)
+            words.add(gt.verb)
     return words
 
 

@@ -282,9 +282,20 @@ def _entries(obj: dict) -> Iterator[dict]:
 
 
 def _label(entry: dict, key: str, labels: dict[str, str]) -> str:
-    """An entry's normalized noun or verb, as the one string ``labels`` holds for it."""
-    label = normalize_label(check_label(_get(entry, key, str)))
-    return labels.setdefault(label, label)
+    """An entry's normalized noun or verb, as the one string ``labels`` holds for it.
+
+    Each entries reader passes one ``labels`` for the length of its call, so
+    its entries share one string per distinct label (not ``sys.intern``: on
+    Python 3.12, released interned strings stay allocated). It maps each
+    label read so far, as read and as normalized, to that string, so a label
+    seen before is neither checked nor normalized again.
+    """
+    raw = _get(entry, key, str)
+    label = labels.get(raw)
+    if label is None:
+        label = normalize_label(check_label(raw))
+        label = labels[raw] = labels.setdefault(label, label)
+    return label
 
 
 def _interaction(entry: dict, labels: dict[str, str]) -> ObjectInteraction:
@@ -294,11 +305,6 @@ def _interaction(entry: dict, labels: dict[str, str]) -> ObjectInteraction:
         verb=_label(entry, "verb", labels),
         ttc=_get(entry, "ttc", float),
     )
-
-
-# Each entries reader keeps one string per distinct label for the length of
-# the call: an entry would otherwise hold its own two copies. sys.intern is
-# not used, because on Python 3.12 released interned strings stay allocated.
 
 
 def read_predictions(path: str) -> dict[FrameKey, list[Prediction]]:

@@ -16,6 +16,7 @@ from context_forge.records import (
     dumps_record,
     frame_groups,
     frame_record_to_dict,
+    read_ground_truth,
     read_predictions,
     write_predictions,
 )
@@ -154,6 +155,18 @@ def test_predictions_held_in_at_most_500_bytes_per_entry(tmp_path):
     finally:
         tracemalloc.stop()
     assert per_entry <= 500, per_entry
+
+
+def test_entry_readers_share_one_string_per_label(tmp_path):
+    spellings = ["cup", "Cup", " CUP ", "cup"]
+    rows = [("v", i, [dict(PERFECT_ENTRY, noun=noun, verb="take", score=0.5)]) for i, noun in enumerate(spellings)]
+    write_gt(tmp_path / "p.jsonl", rows)
+    for entries in (
+        [p.interaction for (p,) in read_predictions(str(tmp_path / "p.jsonl")).values()],
+        [g for (g,) in read_ground_truth(str(tmp_path / "p.jsonl"), min_ttc=0.0).values()],
+    ):
+        assert [e.noun for e in entries] == ["cup"] * 4
+        assert len({id(e.noun) for e in entries}) == 1 and len({id(e.verb) for e in entries}) == 1
 
 
 class TestSynthAndSummarize:
