@@ -30,15 +30,15 @@ class ValidationError(ContextForgeError):
 
 
 class ParseError(ValidationError):
-    """An input document could not be parsed; the message starts with the path and line when known."""
+    """An input document could not be parsed; the message reads ``path:line N: message``."""
 
-    def __init__(self, message: str, line: int | None = None, path: str | None = None):
-        prefix = ""
-        if path is not None:
-            prefix += f"{path}:"
-        if line is not None:
-            prefix += f"line {line}: "
-        super().__init__(prefix + message)
+    def __init__(self, message: str, line: int, path: str):
+        # the args are the parts, not the message: a --jobs worker's error is pickled by its args
+        super().__init__(message, line, path)
+
+    def __str__(self) -> str:
+        message, line, path = self.args
+        return f"{path}:line {line}: {message}"
 
 
 class ShapeError(ValidationError):
@@ -159,7 +159,6 @@ class Prediction:
 
     interaction: ObjectInteraction
     score: float
-    frame_id: int
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.score <= 1.0):
@@ -275,12 +274,11 @@ class PerCategory:
 
 @dataclass(frozen=True)
 class SummarizerConfig:
-    """All pipeline knobs with their reference operating-point defaults.
+    """All pipeline knobs with their reference operating-point defaults; some subcommand reads each.
 
     Empty vocabularies and merge tables disable the corresponding
     filtering entirely (the unfiltered operating mode); non-empty sets
-    enforce exact membership after label normalization. ``window`` and
-    ``box_loss_lambda`` are validated and hashed, but nothing reads them.
+    enforce exact membership after label normalization.
     """
 
     d: int = 4
@@ -289,12 +287,10 @@ class SummarizerConfig:
     p_o: PerCategory = PerCategory(action=1, held=7, salient=10)
     p_l: PerCategory = PerCategory(action=7, held=7, salient=7)
     stride: int = 3
-    window: int = 150
     context_lengths: PerCategory = PerCategory(action=3, held=3, salient=3)
     min_ttc: float = 0.033
     iou_thresh: float = 0.5
     t_delta: float = 0.25
-    box_loss_lambda: float = 11.0
     vocab_noun: frozenset[str] = frozenset()
     vocab_verb: frozenset[str] = frozenset()
     generic_nouns: frozenset[str] = frozenset()
@@ -355,7 +351,6 @@ _CONFIG_KEYS = {
     "d": ("d", int, _at_least(0)),
     "k": ("k", int, _at_least(0)),
     "stride": ("stride", int, _at_least(1)),
-    "window": ("window", int, _at_least(1)),
     "p_o_action": ("p_o.action", int, _at_least(1)),
     "p_o_held": ("p_o.held", int, _at_least(1)),
     "p_o_salient": ("p_o.salient", int, _at_least(1)),
@@ -369,7 +364,6 @@ _CONFIG_KEYS = {
     "min_ttc": ("min_ttc", float, _at_least(0)),
     "iou_thresh": ("iou_thresh", float, lambda value: 0 <= value <= 1),
     "t_delta": ("t_delta", float, _at_least(0)),
-    "box_loss_lambda": ("box_loss_lambda", float, lambda value: value > 0),
     "vocab_noun": ("vocab_noun", _parse_label_set, None),
     "vocab_verb": ("vocab_verb", _parse_label_set, None),
     "generic_nouns": ("generic_nouns", _parse_label_set, None),

@@ -61,7 +61,7 @@ _MODES = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class VideoStats:
     video_id: str
     n_frames: int

@@ -105,8 +105,8 @@ def _object(line: str) -> dict:
         raise ValidationError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
 
 
-def _read_keyed(path: str, decode: Callable[[dict, int], T]) -> dict[FrameKey, T]:
-    """Read a file keyed by (video_id, frame_id); ``decode(obj, frame_id)`` gives each value."""
+def _read_keyed(path: str, decode: Callable[[dict], T]) -> dict[FrameKey, T]:
+    """Read a file keyed by (video_id, frame_id); ``decode(obj)`` gives each value."""
     out: dict[FrameKey, T] = {}
     for lineno, line in read_lines(path):
         try:
@@ -114,7 +114,7 @@ def _read_keyed(path: str, decode: Callable[[dict, int], T]) -> dict[FrameKey, T
             key = (_get(obj, "video_id", str), _get(obj, "frame_id", int))
             if key in out:
                 raise ValidationError(f"duplicate frame {clipped(key[0])}:{key[1]}")
-            out[key] = decode(obj, key[1])
+            out[key] = decode(obj)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=path) from None
     return out
@@ -145,11 +145,17 @@ def _token(value) -> TaggedToken:
     return TaggedToken(_get(tok, "surface", str), lemma, pos)
 
 
+def _object_label(label: str, what: str) -> str:
+    """A detection label or ``label_scores`` key; a blank one would name an object with nothing."""
+    check_label(label)
+    if not label.strip():
+        raise ValidationError(f"{what} {clipped(repr(label))} is blank")
+    return label
+
+
 def _detection(value) -> tuple[str, BoundingBox, float]:
     det = _as(value, dict, "detection")
-    label = check_label(_get(det, "label", str))
-    if not label.strip():  # it would label a held box with nothing
-        raise ValidationError(f"detection label {clipped(repr(label))} is blank")
+    label = _object_label(_get(det, "label", str), "detection label")
     return label, _box(_get(det, "box", list)), _get(det, "score", float)
 
 
@@ -163,7 +169,7 @@ def _frame_record(obj: dict) -> FrameRecord:
             for caption in _get(obj, "captions", list, ())
         ),
         label_scores={
-            check_label(label): _as(score, float, "label score")
+            _object_label(label, "label_scores key"): _as(score, float, "label score")
             for label, score in _get(obj, "label_scores", dict, {}).items()
         },
         active_boxes=tuple(_box(_as(b, list, "active box")) for b in _get(obj, "active_boxes", list, ())),
@@ -310,8 +316,8 @@ def _interaction(entry: dict, labels: dict[str, str]) -> ObjectInteraction:
 def read_predictions(path: str) -> dict[FrameKey, list[Prediction]]:
     labels: dict[str, str] = {}
 
-    def predictions(obj: dict, frame_id: int) -> list[Prediction]:
-        return [Prediction(_interaction(e, labels), _get(e, "score", float), frame_id) for e in _entries(obj)]
+    def predictions(obj: dict) -> list[Prediction]:
+        return [Prediction(_interaction(e, labels), _get(e, "score", float)) for e in _entries(obj)]
 
     return _read_keyed(path, predictions)
 
@@ -319,7 +325,7 @@ def read_predictions(path: str) -> dict[FrameKey, list[Prediction]]:
 def read_ground_truth(path: str, *, min_ttc: float) -> dict[FrameKey, list[ObjectInteraction]]:
     labels: dict[str, str] = {}
 
-    def ground_truth(obj: dict, frame_id: int) -> list[ObjectInteraction]:
+    def ground_truth(obj: dict) -> list[ObjectInteraction]:
         gts = [_interaction(e, labels) for e in _entries(obj)]
         for gt in gts:
             if gt.ttc < min_ttc:
@@ -381,7 +387,7 @@ def _object_labels(values: list) -> tuple[str, ...]:
     return labels
 
 
-def _context(obj: dict, frame_id: int) -> ActionContext:
+def _context(obj: dict) -> ActionContext:
     context = assemble(
         [_action_pair(p) for p in _get(obj, "action_terms", list)],
         _object_labels(_get(obj, "held", list)),

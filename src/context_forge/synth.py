@@ -484,7 +484,6 @@ def gen_eval_instance(
                 Prediction(
                     interaction=ObjectInteraction(box=box, noun=noun, verb=verb, ttc=max(0.05, ttc)),
                     score=rng.randint(0, 9999) / 9999.0,
-                    frame_id=frame_id,
                 )
             )
         preds[key] = frame_preds

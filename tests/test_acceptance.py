@@ -86,11 +86,9 @@ def test_criterion_1_default_config_fidelity():
         assert cfg.p_o == PerCategory(action=1, held=7, salient=10)
         assert cfg.p_l == PerCategory(action=7, held=7, salient=7)
         assert cfg.stride == 3
-        assert cfg.window == 150
         assert cfg.context_lengths == PerCategory(action=3, held=3, salient=3)
         assert cfg.iou_thresh == 0.5
         assert cfg.t_delta == 0.25
-        assert cfg.box_loss_lambda == 11.0
 
 
 def _tok(lemma: str, pos: PosTag) -> TaggedToken:
@@ -181,7 +179,7 @@ def test_criterion_6_ttc_boundary_is_a_miss_for_ttc_variants():
     with criterion(6, "TTC boundary |dt|=0.25 and IoU=0.5 semantics", 1.0):
         gt = ObjectInteraction(BoundingBox(0, 0, 2, 2), "cup", "take", 1.0)
         pred = Prediction(
-            ObjectInteraction(BoundingBox(0, 0, 2, 2), "cup", "take", 1.25), 0.9, 0
+            ObjectInteraction(BoundingBox(0, 0, 2, 2), "cup", "take", 1.25), 0.9
         )
         assert abs(pred.interaction.ttc - gt.ttc) == 0.25
         assert match_top5([pred], [gt], Variant.NOUN)[0] is not None
@@ -191,7 +189,7 @@ def test_criterion_6_ttc_boundary_is_a_miss_for_ttc_variants():
 
         exact_gt = ObjectInteraction(BoundingBox(0, 0, 1, 1), "cup", "take", 1.0)
         exact_pred = Prediction(
-            ObjectInteraction(BoundingBox(0, 0, 1, 0.5), "cup", "take", 1.0), 0.9, 0
+            ObjectInteraction(BoundingBox(0, 0, 1, 0.5), "cup", "take", 1.0), 0.9
         )
         assert iou(exact_pred.interaction.box, exact_gt.box) == 0.5
         assert match_top5([exact_pred], [exact_gt], Variant.NOUN)[0] is not None

@@ -279,12 +279,19 @@ def summarize_peaks(frames, out):
     return peaks
 
 
+def report(capsys, measured):
+    """Print a memory test's measured figure beside its bound, for ``pytest -rP``, without summarize's stderr."""
+    capsys.readouterr()
+    print(measured)
+
+
 class TestStreamingSummarize:
     def test_memory_holds_one_video(self, tmp_path, capsys):
         frames = {n: tmp_path / f"frames{n}.jsonl" for n in (8, 32)}
         for n_videos, path in frames.items():
             write_videos(path, scenario_lines(n_videos, n_frames=300))
         peaks = summarize_peaks(frames, tmp_path / "ctx.jsonl")
+        report(capsys, f"peak at 32 videos / peak at 8: {peaks[32] / peaks[8]:.3f} (bound 1.2)")
         assert peaks[32] <= 1.2 * peaks[8], peaks
 
     @pytest.mark.parametrize("order", ["ascending", "shuffled"])
@@ -299,7 +306,9 @@ class TestStreamingSummarize:
             frames[n_frames] = tmp_path / f"frames{n_frames}.jsonl"
             write_videos(frames[n_frames], [lines])
         peaks = summarize_peaks(frames, tmp_path / "ctx.jsonl")
-        assert (peaks[4500] - peaks[1125]) / (4500 - 1125) <= 600, peaks
+        per_frame = (peaks[4500] - peaks[1125]) / (4500 - 1125)
+        report(capsys, f"peak growth per frame: {per_frame:.0f} B (bound 600 B)")
+        assert per_frame <= 600, peaks
 
     def test_memory_per_video_retained(self, tmp_path, capsys):
         # what summarize keeps of each finished video (its stats and sort index);
@@ -308,7 +317,9 @@ class TestStreamingSummarize:
         for n_videos, path in frames.items():
             write_videos(path, scenario_lines(n_videos, n_frames=60))
         peaks = summarize_peaks(frames, tmp_path / "ctx.jsonl")
-        assert (peaks[128] - peaks[32]) / (128 - 32) <= 1250, peaks
+        per_video = (peaks[128] - peaks[32]) / (128 - 32)
+        report(capsys, f"peak growth per video: {per_video:.0f} B (bound 1250 B)")
+        assert per_video <= 1250, peaks
 
     def test_worker_renders_without_the_records(self, tmp_path):
         # a --jobs N worker holds no more than the --jobs 1 path on the same video

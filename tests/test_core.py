@@ -43,12 +43,10 @@ class TestDefaults:
         assert cfg.p_o == PerCategory(action=1, held=7, salient=10)
         assert cfg.p_l == PerCategory(action=7, held=7, salient=7)
         assert cfg.stride == 3
-        assert cfg.window == 150
         assert cfg.context_lengths == PerCategory(action=3, held=3, salient=3)
         assert cfg.min_ttc == 0.033
         assert cfg.iou_thresh == 0.5
         assert cfg.t_delta == 0.25
-        assert cfg.box_loss_lambda == 11.0
 
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
@@ -72,7 +70,6 @@ EVERY_KEY = """\
 d=2
 k=7
 stride=4
-window=99
 p_o_action=2
 p_o_held=3
 p_o_salient=4
@@ -86,7 +83,6 @@ theta_iou=0.33
 min_ttc=0.1
 iou_thresh=0.75
 t_delta=0.125
-box_loss_lambda=3.5
 vocab_noun=Knife, cup ,apple
 vocab_verb=cut,Take
 generic_nouns=thing,object
@@ -167,8 +163,8 @@ class TestConfigParsing:
         path = tmp_path / "c.cfg"
         path.write_text(EVERY_KEY)
         cfg = load_config(path)
-        assert config_hash(SummarizerConfig()) == "c2e28db2185d4a15"
-        assert config_hash(cfg) == "17e17a4583109c21"
+        assert config_hash(SummarizerConfig()) == "95f354f708ec3c82"
+        assert config_hash(cfg) == "f8d0379fc8c133da"
         assert serialize_config(cfg).splitlines()[-4:] == [
             "vocab_noun=apple,cup,knife",
             "vocab_verb=cut,take",
@@ -184,14 +180,14 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match="is not of type"):
             SummarizerConfig(**fields)
 
-    @pytest.mark.parametrize("key", ["min_ttc", "t_delta", "box_loss_lambda"])
+    @pytest.mark.parametrize("key", ["min_ttc", "t_delta", "iou_thresh"])
     def test_non_finite_float_rejected(self, key):
         # serialize_config would write 'inf', which load_config rejects
         with pytest.raises(ValidationError, match="is not finite"):
             SummarizerConfig(**{key: math.inf})
 
     @pytest.mark.parametrize("value", [5e-324, sys.float_info.max])
-    @pytest.mark.parametrize("key", ["min_ttc", "t_delta", "box_loss_lambda"])
+    @pytest.mark.parametrize("key", ["min_ttc", "t_delta"])
     def test_extreme_finite_floats_round_trip(self, tmp_path, key, value):
         cfg = SummarizerConfig(**{key: value})
         path = tmp_path / "c.cfg"
@@ -333,7 +329,7 @@ class TestInteractionTypes:
     def test_score_range(self, score):
         gt = ObjectInteraction(BoundingBox(0, 0, 1, 1), "cup", "take", 0.5)
         with pytest.raises(ValidationError):
-            Prediction(gt, score, 0)
+            Prediction(gt, score)
 
     def test_tagged_token_requires_lemma(self):
         with pytest.raises(ValidationError):
@@ -351,7 +347,7 @@ class TestInteractionTypes:
     def test_non_finite_scores_fail_the_range_check(self, score):
         gt = ObjectInteraction(BoundingBox(0, 0, 1, 1), "cup", "take", 0.5)
         with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
-            Prediction(gt, score, 0)
+            Prediction(gt, score)
         with pytest.raises(ValidationError, match=r"outside \[-1, 1\]"):
             FrameRecord(video_id="v", frame_id=0, label_scores={"cup": score})
 
@@ -363,7 +359,7 @@ _PAIR = ActionPair("take", "cup")
 SLOTTED = [
     _BOX,
     ObjectInteraction(_BOX, "cup", "take", 0.5),
-    Prediction(ObjectInteraction(_BOX, "cup", "take", 0.5), 0.25, 7),
+    Prediction(ObjectInteraction(_BOX, "cup", "take", 0.5), 0.25),
     _TOKEN,
     _PAIR,
     FrameRecord("v", 7, ((_TOKEN,),), {"cup": 0.5}, (_BOX,), (("cup", _BOX, 0.9),)),

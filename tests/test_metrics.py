@@ -32,8 +32,8 @@ def gt(noun="cup", verb="take", ttc=1.0, b=None):
     return ObjectInteraction(b or box(0, 0, 2, 2), noun, verb, ttc)
 
 
-def pred(noun="cup", verb="take", ttc=1.0, b=None, score=0.9, frame_id=0):
-    return Prediction(ObjectInteraction(b or box(0, 0, 2, 2), noun, verb, ttc), score, frame_id)
+def pred(noun="cup", verb="take", ttc=1.0, b=None, score=0.9):
+    return Prediction(ObjectInteraction(b or box(0, 0, 2, 2), noun, verb, ttc), score)
 
 
 class TestIou:
@@ -131,7 +131,7 @@ class TestTop5Map:
             ]
             gts[("v", f)] = items
             preds[("v", f)] = [
-                Prediction(g, 1.0, f) for g in items
+                Prediction(g, 1.0) for g in items
             ]
         for variant in Variant:
             assert top5_map(preds, gts, [variant])[0].map_value == pytest.approx(100.0)
@@ -191,7 +191,7 @@ class TestTop5Map:
     def test_monotone_score_rescaling_invariance(self, seed):
         preds, gts = gen_eval_instance(seed)
         rescaled = {
-            k: [Prediction(p.interaction, 0.5 + p.score / 2, p.frame_id) for p in v]
+            k: [Prediction(p.interaction, 0.5 + p.score / 2) for p in v]
             for k, v in preds.items()
         }
         for variant in (Variant.NOUN_VERB, Variant.NOUN_ONLY):
@@ -221,7 +221,7 @@ class TestTop5Map:
             return  # every gt already matched; nothing to assert
         boosted = {k: list(v) for k, v in preds.items()}
         boosted.setdefault(target_key, [])
-        boosted[target_key] = boosted[target_key] + [Prediction(target, 1.0, target_key[1])]
+        boosted[target_key] = boosted[target_key] + [Prediction(target, 1.0)]
         after = top5_map(boosted, gts, [Variant.NOUN])[0].map_value
         assert after >= before - 1e-12
 

@@ -138,6 +138,7 @@ REJECTED = {
         "summarize", "frames", mutated("frames", setter("detections", 0, "label", " "))),
     "detection-label-empty": (
         "summarize", "frames", mutated("frames", setter("detections", 0, "label", ""))),
+    "label-scores-key-blank": ("summarize", "frames", mutated("frames", setter("label_scores", {"  ": 0.9}))),
     "caption-lemma-int": (
         "summarize", "frames", mutated("frames", setter("captions", 0, 0, "lemma", 5))),
     "captions-not-list": ("summarize", "frames", mutated("frames", setter("captions", {}))),
@@ -188,7 +189,7 @@ REJECTED = {
     "config-invalid-utf8": ("summarize", "config", "vocab_noun=\udcc3"),
     "config-context-length-beyond-sys-maxsize": ("summarize", "config", "l_held=99999999999999999999"),
     "config-int-underscore": ("summarize", "config", "stride=1_0"),
-    "config-int-non-ascii-digit": ("summarize", "config", "window=\u0663"),
+    "config-int-non-ascii-digit": ("summarize", "config", "stride=\u0663"),
     "config-float-non-ascii-digit": ("summarize", "config", "t_delta=0.\u0665"),
     "embedding-underscore": ("quality", "embeddings", "take\t" + "\t".join(["1_0"] + VECTOR[1:])),
     "embedding-non-ascii-digit": ("quality", "embeddings", "take\t" + "\t".join(["\u0663"] + VECTOR[1:])),
@@ -216,6 +217,13 @@ def test_malformed_line_exits_1_naming_path_and_line(tmp_path, capsys, case):
     code, err, path = run(tmp_path, capsys, command, kind, line2)
     assert code == 1, err
     assert f"{path}:line {n}: " in err
+
+
+@pytest.mark.parametrize("line", ["window=150", "box_loss_lambda=11.0"])
+def test_config_key_nothing_reads_is_unknown(tmp_path, capsys, line):
+    code, err, path = run(tmp_path, capsys, "summarize", "config", line)
+    assert code == 1
+    assert f"{path}:line 2: unknown key {line.split('=')[0]!r}\n" in err
 
 
 # Frames files of three videos whose bad line is in the last video, so a
@@ -368,8 +376,8 @@ JSON_VALUES = st.recursive(
 )
 TEXT_VALUES = st.sampled_from(["", "nan", "inf", "-1", "1e400", "0", "1.5", "x", "a->b", "a,b"]) | st.text(max_size=6)
 CONFIG_KEYS = [
-    "d", "k", "stride", "window", "p_o_held", "l_action", "theta_iou", "min_ttc", "t_delta",
-    "box_loss_lambda", "vocab_noun", "merge_table", "unknown",
+    "d", "k", "stride", "p_l_salient", "p_o_held", "l_action", "theta_iou", "min_ttc", "t_delta",
+    "iou_thresh", "vocab_noun", "merge_table", "unknown",
 ]
 
 

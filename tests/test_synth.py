@@ -137,7 +137,7 @@ class TestOracleAp:
         for f in range(3):
             gt = ObjectInteraction(BoundingBox(0, 0, 2, 2), "cup", "take", 1.0)
             gts[("v", f)] = [gt]
-            preds[("v", f)] = [Prediction(gt, 1.0, f)]
+            preds[("v", f)] = [Prediction(gt, 1.0)]
         for variant in Variant:
             assert oracle_ap(preds, gts, variant) == pytest.approx(100.0)
 
