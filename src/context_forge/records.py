@@ -16,16 +16,14 @@ and every field through ``_get``/``_as``, which decode strictly: an
 integer is a JSON integer, a number is a finite JSON number (never a
 string, a boolean or null), and lists and objects are type-checked
 before they are read. Strings must be valid Unicode: invalid UTF-8 and
-escaped lone surrogates are rejected. No label (caption verb and noun
-lemmas, label_scores keys, detection labels, entry nouns and verbs,
-context terms) may contain "," or ";" (``core.check_label``), and
-caption verb and noun lemmas and detection labels may not be blank. Context
-terms are normalized on read (lowercase, collapsed spaces), and a term
-left empty is rejected. A context's text must equal the ``assemble``
-rendering of its terms, after ``normalize_label`` of both. A (video_id,
-frame_id) key appears at most once per file, and a frames file keeps
-each video's lines together. Any malformed line raises ``ParseError``
-naming ``path:line``.
+escaped lone surrogates are rejected. The readers check only JSON shape
+and type: the value types they build apply the rest, the label rule
+(``core.checked_label``) included. Beyond that, a ground-truth ``ttc``
+may not fall below the config's ``min_ttc``, and a context's text must
+equal the ``assemble`` rendering of its terms, after ``normalize_label``
+of both. A (video_id, frame_id) key appears at most once per file, and a
+frames file keeps each video's lines together. Any malformed line raises
+``ParseError`` naming ``path:line``.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from .core import (
     Prediction,
     TaggedToken,
     ValidationError,
-    check_label,
     clipped,
     normalize_label,
     read_lines,
@@ -127,9 +124,9 @@ def _box(coords: list) -> BoundingBox:
     return BoundingBox(*[v if type(v) is float else _as(v, float, "box coordinate") for v in coords])
 
 
-def _labels(values: list) -> tuple[str, ...]:
-    """Context labels; ``assemble`` checks them for separators."""
-    return tuple(v if type(v) is str else _as(v, str, "label") for v in values)
+def _labels(values: list) -> list[str]:
+    """Context labels, each checked to be a string; ``ActionPair`` and ``assemble`` apply the label rule."""
+    return [v if type(v) is str else _as(v, str, "label") for v in values]
 
 
 def _token(value) -> TaggedToken:
@@ -138,25 +135,12 @@ def _token(value) -> TaggedToken:
     if pos is None:
         raise ValidationError(f"pos must be one of {', '.join(_POS_TAGS)}, got {clipped(repr(tok['pos']))}")
     lemma = _get(tok, "lemma", str)
-    if pos is not PosTag.OTHER:  # only verb and noun lemmas can become context labels
-        check_label(lemma)
-        if lemma.isspace():
-            raise ValidationError(f"{pos.value} lemma {clipped(repr(lemma))} is blank")
     return TaggedToken(_get(tok, "surface", str), lemma, pos)
-
-
-def _object_label(label: str, what: str) -> str:
-    """A detection label or ``label_scores`` key; a blank one would name an object with nothing."""
-    check_label(label)
-    if not label.strip():
-        raise ValidationError(f"{what} {clipped(repr(label))} is blank")
-    return label
 
 
 def _detection(value) -> tuple[str, BoundingBox, float]:
     det = _as(value, dict, "detection")
-    label = _object_label(_get(det, "label", str), "detection label")
-    return label, _box(_get(det, "box", list)), _get(det, "score", float)
+    return _get(det, "label", str), _box(_get(det, "box", list)), _get(det, "score", float)
 
 
 def _frame_record(obj: dict) -> FrameRecord:
@@ -169,7 +153,7 @@ def _frame_record(obj: dict) -> FrameRecord:
             for caption in _get(obj, "captions", list, ())
         ),
         label_scores={
-            _object_label(label, "label_scores key"): _as(score, float, "label score")
+            label: _as(score, float, "label score")
             for label, score in _get(obj, "label_scores", dict, {}).items()
         },
         active_boxes=tuple(_box(_as(b, list, "active box")) for b in _get(obj, "active_boxes", list, ())),
@@ -294,12 +278,12 @@ def _label(entry: dict, key: str, labels: dict[str, str]) -> str:
     its entries share one string per distinct label (not ``sys.intern``: on
     Python 3.12, released interned strings stay allocated). It maps each
     label read so far, as read and as normalized, to that string, so a label
-    seen before is neither checked nor normalized again.
+    seen before is not normalized again. ``ObjectInteraction`` applies the label rule.
     """
     raw = _get(entry, key, str)
     label = labels.get(raw)
     if label is None:
-        label = normalize_label(check_label(raw))
+        label = normalize_label(raw)
         label = labels[raw] = labels.setdefault(label, label)
     return label
 
@@ -378,20 +362,11 @@ def _action_pair(value) -> ActionPair:
     return ActionPair(verb=verb, noun=noun)
 
 
-def _object_labels(values: list) -> tuple[str, ...]:
-    """Held or salient labels, normalized the way ``ActionPair`` normalizes its terms."""
-    # from a list: with a generator, read_contexts held 7% more memory
-    labels = tuple([normalize_label(label) for label in _labels(values)])
-    if not all(labels):
-        raise ValidationError("empty held or salient label")
-    return labels
-
-
 def _context(obj: dict) -> ActionContext:
     context = assemble(
         [_action_pair(p) for p in _get(obj, "action_terms", list)],
-        _object_labels(_get(obj, "held", list)),
-        _object_labels(_get(obj, "salient", list)),
+        _labels(_get(obj, "held", list)),
+        _labels(_get(obj, "salient", list)),
     )
     text = _get(obj, "text", str)
     if normalize_label(text) != normalize_label(context.text):

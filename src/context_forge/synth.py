@@ -90,6 +90,10 @@ def scenario_terms(n_terms: int) -> dict[Category, list[Term]]:
     }
 
 
+# the range of frames between two planted segments of one category
+_GAP_FRAMES = (16, 45)
+
+
 def gen_scenario(
     seed: int,
     n_frames: int = 600,
@@ -97,7 +101,6 @@ def gen_scenario(
     drop_rate: float = 0.0,
     spurious_rate: float = 0.0,
     segment_frames: tuple[int, int] = (60, 90),
-    gap_frames: tuple[int, int] = (16, 45),
 ) -> tuple[list[Segment], list[FrameContext]]:
     """Plant non-overlapping segments per category and emit a noisy stream.
 
@@ -138,7 +141,7 @@ def gen_scenario(
             )
             for f in range(cursor, cursor + length):
                 occupancy[f] = term
-            cursor += length + rng.randint(*gap_frames)
+            cursor += length + rng.randint(*_GAP_FRAMES)
         noise.append((occupancy, terms[category]))
 
     stream: list[FrameContext] = []

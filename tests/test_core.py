@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import pickle
 import sys
@@ -32,6 +33,8 @@ from context_forge.core import (
     serialize_config,
 )
 from context_forge.extraction import FrameContext
+from context_forge.metrics import Variant, class_key
+from context_forge.records import read_contexts, read_frame_records, read_ground_truth
 
 
 class TestDefaults:
@@ -375,6 +378,64 @@ def test_value_type_is_slotted_and_round_trips(value):
     assert "__slots__" in type(value).__dict__ and not hasattr(value, "__dict__")
     assert pickle.loads(pickle.dumps(value)) == value
     assert dataclasses.replace(value) == value
+
+
+_ENTRY = {"box": [0.0, 1.0, 2.5, 3.0], "ttc": 1.0}
+# A label built in code, and the one-line file whose reader meets the same label:
+# (build the value, read the file, the file's record).
+LABELS_BUILT_AND_READ = {
+    "entry-noun-comma": (
+        lambda: ObjectInteraction(_BOX, "a,b", "take", 1.0),
+        lambda path: read_ground_truth(path, min_ttc=0.0),
+        {"video_id": "v", "frame_id": 0, "entries": [dict(_ENTRY, noun="a,b", verb="take")]},
+    ),
+    "action-noun-semicolon": (
+        lambda: ActionPair("take", "a;b"),
+        read_contexts,
+        {"video_id": "v", "frame_id": 0, "text": "take a;b; ; ", "action_terms": [["take", "a;b"]],
+         "held": [], "salient": []},
+    ),
+    "verb-lemma-comma": (
+        lambda: TaggedToken("x", "a,b", PosTag.VERB),
+        lambda path: list(read_frame_records(path)),
+        {"video_id": "v", "frame_id": 0, "captions": [[{"surface": "x", "lemma": "a,b", "pos": "VERB"}]]},
+    ),
+    "verb-lemma-blank": (
+        lambda: TaggedToken("x", "  ", PosTag.VERB),
+        lambda path: list(read_frame_records(path)),
+        {"video_id": "v", "frame_id": 0, "captions": [[{"surface": "x", "lemma": "  ", "pos": "VERB"}]]},
+    ),
+    "label-scores-key-semicolon": (
+        lambda: FrameRecord("v", 0, label_scores={"a;b": 0.5}),
+        lambda path: list(read_frame_records(path)),
+        {"video_id": "v", "frame_id": 0, "label_scores": {"a;b": 0.5}},
+    ),
+    "detection-label-empty": (
+        lambda: FrameRecord("v", 0, detections=(("", _BOX, 0.9),)),
+        lambda path: list(read_frame_records(path)),
+        {"video_id": "v", "frame_id": 0, "detections": [{"label": "", "box": _ENTRY["box"], "score": 0.9}]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LABELS_BUILT_AND_READ))
+def test_code_built_label_refused_as_its_reader_refuses_it(tmp_path, case):
+    build, read, record = LABELS_BUILT_AND_READ[case]
+    with pytest.raises(ValidationError) as built:
+        build()
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(ParseError) as read_error:
+        read(str(path))
+    assert str(read_error.value) == f"{path}:line 1: {built.value}"
+
+
+def test_labels_that_would_merge_two_classes_refused():
+    # under nv these two ground truths would share the class "a,b,take"
+    assert class_key("a,b", "take", Variant.NOUN_VERB) == class_key("a", "b,take", Variant.NOUN_VERB)
+    for noun, verb in [("a,b", "take"), ("a", "b,take")]:
+        with pytest.raises(ValidationError, match="contains a reserved separator"):
+            ObjectInteraction(_BOX, noun, verb, 1.0)
 
 
 class TestNormalize:

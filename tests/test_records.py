@@ -219,6 +219,32 @@ def test_malformed_line_exits_1_naming_path_and_line(tmp_path, capsys, case):
     assert f"{path}:line {n}: " in err
 
 
+# The label rule's message, one form per rule, for each REJECTED row that breaks it.
+LABEL_RULE_MESSAGES = {
+    "detection-label-comma": "detection label 'a,b' contains a reserved separator",
+    "label-scores-key-semicolon": "label_scores key 'a;b' contains a reserved separator",
+    "caption-lemma-comma": "NOUN lemma 'a,b' contains a reserved separator",
+    "noun-comma": "noun 'a,b' contains a reserved separator",
+    "verb-semicolon": "verb 'a;b' contains a reserved separator",
+    "held-comma": "held label 'a,b' contains a reserved separator",
+    "action-term-semicolon": "action noun 'a;b' contains a reserved separator",
+    "caption-lemma-blank": "VERB lemma '  ' is blank",
+    "held-blank": "held label '  ' is blank",
+    "salient-empty": "salient label '' is blank",
+    "detection-label-blank": "detection label ' ' is blank",
+    "detection-label-empty": "detection label '' is blank",
+    "label-scores-key-blank": "label_scores key '  ' is blank",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LABEL_RULE_MESSAGES))
+def test_label_rule_message(tmp_path, capsys, case):
+    command, kind, line2 = REJECTED[case]
+    code, err, path = run(tmp_path, capsys, command, kind, line2)
+    assert code == 1
+    assert f"{path}:line 2: {LABEL_RULE_MESSAGES[case]}\n" in err
+
+
 @pytest.mark.parametrize("line", ["window=150", "box_loss_lambda=11.0"])
 def test_config_key_nothing_reads_is_unknown(tmp_path, capsys, line):
     code, err, path = run(tmp_path, capsys, "summarize", "config", line)
