@@ -115,8 +115,19 @@ def _write_sorted(out: str, videos: Iterator[tuple[Iterable[str], VideoStats]]) 
 
 
 def _render(results: list[tuple[str, int, ActionContext]]) -> Iterator[str]:
-    """Each result's context record line, rendered when it is asked for."""
-    return (dumps_record(context_to_dict(*result)) + "\n" for result in results)
+    """Each line of one video's results, made when it is asked for.
+
+    A context is rendered once per run of results sharing it, with frame id
+    0, and each line splices its own frame id in. Keys are sorted, so
+    ``"frame_id":0,`` follows only ``action_terms``, whose strings hold no
+    unescaped ``"``: its first match is the key.
+    """
+    context = None
+    for video_id, frame_id, ctx in results:
+        if ctx is not context:
+            context = ctx
+            head, _, tail = dumps_record(context_to_dict(video_id, 0, ctx)).partition('"frame_id":0,')
+        yield f'{head}"frame_id":{frame_id},{tail}\n'
 
 
 def _videos_in_process(path: str, cfg: SummarizerConfig) -> Iterator[tuple[Iterator[str], VideoStats]]:

@@ -21,9 +21,9 @@ and type: the value types they build apply the rest, the label rule
 (``core.checked_label``) included. Beyond that, a ground-truth ``ttc``
 may not fall below the config's ``min_ttc``, and a context's text must
 equal the ``assemble`` rendering of its terms, after ``normalize_label``
-of both. A (video_id, frame_id) key appears at most once per file, and a
-frames file keeps each video's lines together. Any malformed line raises
-``ParseError`` naming ``path:line``.
+of both. A (video_id, frame_id) key appears at most once per file, its
+frame id is not negative, and a frames file keeps each video's lines
+together. Any malformed line raises ``ParseError`` naming ``path:line``.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ _REQUIRED = object()
 _KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object"}
 _POS_TAGS = {tag.value: tag for tag in PosTag}
 _MAX_FLOAT_INT = int(sys.float_info.max)
+_Tokens = dict[tuple[str, str, PosTag], TaggedToken]  # one video's caption tokens, by what each was read from
 
 
 def dumps_record(obj: dict) -> str:
@@ -109,6 +110,8 @@ def _read_keyed(path: str, decode: Callable[[dict], T]) -> dict[FrameKey, T]:
         try:
             obj = _object(line)
             key = (_get(obj, "video_id", str), _get(obj, "frame_id", int))
+            if key[1] < 0:
+                raise ValidationError(f"negative frame_id {key[1]}")
             if key in out:
                 raise ValidationError(f"duplicate frame {clipped(key[0])}:{key[1]}")
             out[key] = decode(obj)
@@ -129,13 +132,21 @@ def _labels(values: list) -> list[str]:
     return [v if type(v) is str else _as(v, str, "label") for v in values]
 
 
-def _token(value) -> TaggedToken:
+def _token(value, tokens: _Tokens) -> TaggedToken:
+    """A caption token, shared through ``tokens`` with the equal tokens read before it.
+
+    Only a token that ``tokens`` lacks is built, so only a new token runs
+    ``TaggedToken``'s checks; one that fails them is never added.
+    """
     tok = _as(value, dict, "caption token")
     pos = _POS_TAGS.get(_get(tok, "pos", str))
     if pos is None:
         raise ValidationError(f"pos must be one of {', '.join(_POS_TAGS)}, got {clipped(repr(tok['pos']))}")
-    lemma = _get(tok, "lemma", str)
-    return TaggedToken(_get(tok, "surface", str), lemma, pos)
+    key = (_get(tok, "lemma", str), _get(tok, "surface", str), pos)
+    token = tokens.get(key)
+    if token is None:
+        token = tokens[key] = TaggedToken(key[1], key[0], pos)
+    return token
 
 
 def _detection(value) -> tuple[str, BoundingBox, float]:
@@ -143,21 +154,21 @@ def _detection(value) -> tuple[str, BoundingBox, float]:
     return _get(det, "label", str), _box(_get(det, "box", list)), _get(det, "score", float)
 
 
-def _frame_record(obj: dict) -> FrameRecord:
+def _frame_record(obj: dict, tokens: _Tokens) -> FrameRecord:
     """The record of one line that ``_frame_lines`` has checked: it read ``video_id`` and ``frame_id``."""
     return FrameRecord(
         video_id=obj["video_id"],
         frame_id=obj["frame_id"],
-        captions=tuple(
-            tuple(_token(tok) for tok in _as(caption, list, "caption"))
+        captions=tuple([
+            tuple([_token(tok, tokens) for tok in _as(caption, list, "caption")])
             for caption in _get(obj, "captions", list, ())
-        ),
+        ]),
         label_scores={
             label: _as(score, float, "label score")
             for label, score in _get(obj, "label_scores", dict, {}).items()
         },
-        active_boxes=tuple(_box(_as(b, list, "active box")) for b in _get(obj, "active_boxes", list, ())),
-        detections=tuple(_detection(det) for det in _get(obj, "detections", list, ())),
+        active_boxes=tuple([_box(_as(b, list, "active box")) for b in _get(obj, "active_boxes", list, ())]),
+        detections=tuple([_detection(det) for det in _get(obj, "detections", list, ())]),
     )
 
 
@@ -194,10 +205,16 @@ def _frame_lines(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[
 
 
 def _frame_records(lines: Iterable[tuple[int, str]], path: str) -> Iterator[FrameRecord]:
-    """Decode the numbered lines of a frames file, ``path`` naming them in errors."""
-    for lineno, _, obj, _ in _frame_lines(lines, path):
+    """Decode the numbered lines of a frames file, ``path`` naming them in errors.
+
+    A video's equal caption tokens are one ``TaggedToken``, built and checked once.
+    """
+    tokens: _Tokens = {}
+    for lineno, _, obj, starts in _frame_lines(lines, path):
+        if starts:
+            tokens.clear()
         try:
-            record = _frame_record(obj)
+            record = _frame_record(obj, tokens)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=path) from None
         yield record

@@ -8,11 +8,14 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from context_forge import __version__, cli
+from context_forge import __version__, cli, pipeline
+from context_forge.assembly import assemble
 from context_forge.cli import main
-from context_forge.core import InvariantError, SummarizerConfig, config_hash
+from context_forge.core import ActionPair, InvariantError, SummarizerConfig, config_hash, normalize_label
 from context_forge.records import (
+    context_to_dict,
     dumps_record,
     frame_groups,
     frame_record_to_dict,
@@ -471,6 +474,68 @@ class TestStreamingSummarize:
         proc = run_cli("summarize", "--frames", str(frames), "--out", "/dev/stdout")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == want.read_text()
+
+
+def context(actions=(), held=(), salient=()):
+    return assemble([ActionPair(verb, noun) for verb, noun in actions], list(held), list(salient))
+
+
+# Strings that JSON escapes, or that spell the frame id key or its value.
+ODD_TEXT = ['say "hi"', "back\\slash", "café 東京 ü", '"frame_id":0', "frame_id", ":0", '\\"frame_id\\":0']
+ODD_VIDEO_IDS = [*ODD_TEXT, '"frame_id":0,"held":[],', "v"]
+
+
+class TestRender:
+    @pytest.mark.parametrize("video_id", ODD_VIDEO_IDS)
+    def test_lines_equal_one_render_per_result(self, video_id):
+        odd = context([("cut", ODD_TEXT[0]), (ODD_TEXT[1], "wood")], ODD_TEXT[2:4], ODD_TEXT[4:])
+        twin = context([("cut", ODD_TEXT[0]), (ODD_TEXT[1], "wood")], ODD_TEXT[2:4], ODD_TEXT[4:])
+        empty = context()
+        assert twin == odd and twin is not odd and empty.text == ""
+        results = [
+            (video_id, 0, odd), (video_id, 1, odd), (video_id, 2, twin), (video_id, 3, empty),
+            (video_id, 4, context()), (video_id, 5, odd), (video_id, sys.maxsize, empty),
+        ]
+        assert list(cli._render(results)) == [dumps_record(context_to_dict(*r)) + "\n" for r in results]
+
+    @given(
+        labels=st.lists(
+            st.text(min_size=1).filter(lambda s: not {",", ";"} & set(s) and normalize_label(s)),
+            min_size=1, max_size=6,
+        ),
+        video_id=st.text(),
+        frame_ids=st.lists(st.integers(0, sys.maxsize), min_size=1, max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_labels_render_as_dumps_record(self, labels, video_id, frame_ids):
+        ctx = context([(label, labels[0]) for label in labels[1:]], labels[:1], labels[-1:])
+        results = [(video_id, frame_id, ctx) for frame_id in frame_ids]
+        assert list(cli._render(results)) == [dumps_record(context_to_dict(*r)) + "\n" for r in results]
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_each_context_rendered_once(self, tmp_path, capsys, monkeypatch, seed):
+        # Counted, never timed: a context is rendered once per run of frames
+        # that share it, which is once per assembled context.
+        calls = {"dumps_record": 0, "assemble": 0}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(cli, "dumps_record")
+        counting(pipeline, "assemble")
+        _, stream = gen_scenario(seed, n_frames=1125, n_terms=4, drop_rate=0.1, spurious_rate=0.05)
+        frames = tmp_path / "frames.jsonl"
+        write_videos(frames, [[dumps_record(frame_record_to_dict(r)) for r in scenario_to_frame_records(stream, "v")]])
+        assert main(["summarize", "--frames", str(frames), "--out", str(tmp_path / "ctx.jsonl")]) == 0
+        report(capsys, f"dumps_record calls per frame: {calls['dumps_record'] / 1125:.3f} "
+                       f"({calls['dumps_record']} calls, {calls['assemble']} assemble calls; bound 0.2)")
+        assert calls["dumps_record"] == calls["assemble"] < 1125 / 5, calls
 
 
 class TestEvaluate:

@@ -5,13 +5,16 @@ valid record and whose line 2 is the record under test.
 """
 
 import copy
+import dataclasses
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from context_forge.cli import main
-from context_forge.records import read_contexts
+from context_forge.core import TaggedToken
+from context_forge.records import dumps_record, frame_record_to_dict, read_contexts, read_frame_records
+from context_forge.synth import gen_scenario, scenario_to_frame_records
 
 BOX = [0.0, 0.0, 10.0, 10.0]
 FRAME = {
@@ -196,6 +199,9 @@ REJECTED = {
     "embedding-norm-overflow": ("quality", "embeddings", "take\t" + "\t".join(["1e308"] * 300)),
     # only JSON's own whitespace may pad a record; a form feed is not blank around one
     "form-feed-padding": ("evaluate", "gt", json.dumps(RECORDS["gt"]) + "\x0c"),
+    "preds-frame_id-negative": ("evaluate", "preds", mutated("preds", setter("frame_id", -1))),
+    "gt-frame_id-negative": ("evaluate", "gt", mutated("gt", setter("frame_id", -1))),
+    "contexts-frame_id-negative": ("quality", "contexts", mutated("contexts", setter("frame_id", -1))),
 }
 
 # Malformed inputs that were already rejected at path:line; kept as
@@ -332,6 +338,53 @@ def test_blank_lemma_reported_before_a_later_bad_line(tmp_path, capsys, jobs):
     code, err, path = run(tmp_path, capsys, "summarize", "frames", line2, jobs=jobs)
     assert code == 1
     assert f"{path}:line 2: VERB lemma '  ' is blank" in err
+
+
+def test_equal_caption_tokens_decode_to_one_object(tmp_path):
+    """A video's equal tokens are one ``TaggedToken``, and its records equal ones built in code."""
+    records = [
+        record
+        for seed in (1, 2)
+        for record in scenario_to_frame_records(gen_scenario(seed, n_frames=120, spurious_rate=0.2)[1], f"v{seed}")
+    ]
+    path = tmp_path / "frames.jsonl"
+    path.write_text("".join(dumps_record(frame_record_to_dict(r)) + "\n" for r in records))
+    decoded = list(read_frame_records(str(path)))
+    fresh = [
+        dataclasses.replace(r, captions=tuple(
+            tuple(TaggedToken(t.surface, t.lemma, t.pos) for t in caption) for caption in r.captions
+        ))
+        for r in records
+    ]
+    assert decoded == fresh
+    for video_id in ("v1", "v2"):
+        first = {}
+        tokens = [t for r in decoded if r.video_id == video_id for caption in r.captions for t in caption]
+        assert len(tokens) > 2 * len(set(tokens)) > 0
+        assert all(first.setdefault(t, t) is t for t in tokens)
+
+
+# A bad token after a good one with the same surface, on the next line or later on its own line.
+BAD_TOKENS = {
+    "verb-lemma-comma": ({"surface": "cuts", "lemma": "cut,up", "pos": "VERB"},
+                         "VERB lemma 'cut,up' contains a reserved separator"),
+    "unknown-pos": ({"surface": "cuts", "lemma": "cut", "pos": "ADJ"},
+                    "pos must be one of VERB, NOUN, OTHER, got 'ADJ'"),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("same_line", [False, True], ids=["next-line", "same-line"])
+@pytest.mark.parametrize("case", sorted(BAD_TOKENS))
+def test_bad_token_after_an_equal_surface_fails_at_its_line(tmp_path, capsys, case, same_line, jobs):
+    token, message = BAD_TOKENS[case]
+    bad = copy.deepcopy(FRAME)
+    bad["captions"][0].append(token)
+    lines = [json.dumps(FRAME), json.dumps(dict(bad, frame_id=1))]
+    line2 = lines[1] if same_line else "\n".join(lines)
+    code, err, path = run(tmp_path, capsys, "summarize", "frames", line2, jobs=jobs)
+    assert code == 1
+    assert f"{path}:line {2 if same_line else 3}: {message}\n" in err
 
 
 def test_context_labels_normalized_on_read(tmp_path, capsys):
