@@ -74,6 +74,13 @@ def checked_label(raw: str, what: str) -> str:
     return label
 
 
+def checked_frame_id(frame_id: int) -> int:
+    """``frame_id``, refused when negative: the frame-id rule of every file that keys by frame."""
+    if frame_id < 0:
+        raise ValidationError(f"negative frame_id {frame_id}")
+    return frame_id
+
+
 def clipped(text: str) -> str:
     """``text`` as a message shows it: cut to 40 characters."""
     return text if len(text) <= 40 else text[:37] + "..."
@@ -230,8 +237,7 @@ class FrameRecord:
     detections: tuple[tuple[str, BoundingBox, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.frame_id < 0:
-            raise ValidationError(f"FrameRecord: negative frame_id {self.frame_id}")
+        checked_frame_id(self.frame_id)
         for label, score in self.label_scores.items():
             checked_label(label, "label_scores key")
             if not (-1.0 <= score <= 1.0):

@@ -28,6 +28,7 @@ together. Any malformed line raises ``ParseError`` naming ``path:line``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -45,6 +46,7 @@ from .core import (
     Prediction,
     TaggedToken,
     ValidationError,
+    checked_frame_id,
     clipped,
     normalize_label,
     read_lines,
@@ -57,7 +59,6 @@ _REQUIRED = object()
 _KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object"}
 _POS_TAGS = {tag.value: tag for tag in PosTag}
 _MAX_FLOAT_INT = int(sys.float_info.max)
-_Tokens = dict[tuple[str, str, PosTag], TaggedToken]  # one video's caption tokens, by what each was read from
 
 
 def dumps_record(obj: dict) -> str:
@@ -109,9 +110,7 @@ def _read_keyed(path: str, decode: Callable[[dict], T]) -> dict[FrameKey, T]:
     for lineno, line in read_lines(path):
         try:
             obj = _object(line)
-            key = (_get(obj, "video_id", str), _get(obj, "frame_id", int))
-            if key[1] < 0:
-                raise ValidationError(f"negative frame_id {key[1]}")
+            key = (_get(obj, "video_id", str), checked_frame_id(_get(obj, "frame_id", int)))
             if key in out:
                 raise ValidationError(f"duplicate frame {clipped(key[0])}:{key[1]}")
             out[key] = decode(obj)
@@ -132,21 +131,23 @@ def _labels(values: list) -> list[str]:
     return [v if type(v) is str else _as(v, str, "label") for v in values]
 
 
-def _token(value, tokens: _Tokens) -> TaggedToken:
-    """A caption token, shared through ``tokens`` with the equal tokens read before it.
+@functools.lru_cache(maxsize=256)
+def _tagged(lemma: str, surface: str, pos: str) -> TaggedToken:
+    """The caption token read as ``(lemma, surface, pos)``, shared with the equal ones read recently.
 
-    Only a token that ``tokens`` lacks is built, so only a new token runs
-    ``TaggedToken``'s checks; one that fails them is never added.
+    The memo holds the last 256 distinct tokens, so its memory is bounded
+    whatever the input. A token that fails ``TaggedToken``'s checks raises
+    and is never stored, so a hit is a token that passed the same checks.
     """
+    return TaggedToken(surface, lemma, _POS_TAGS[pos])
+
+
+def _token(value) -> TaggedToken:
     tok = _as(value, dict, "caption token")
-    pos = _POS_TAGS.get(_get(tok, "pos", str))
-    if pos is None:
-        raise ValidationError(f"pos must be one of {', '.join(_POS_TAGS)}, got {clipped(repr(tok['pos']))}")
-    key = (_get(tok, "lemma", str), _get(tok, "surface", str), pos)
-    token = tokens.get(key)
-    if token is None:
-        token = tokens[key] = TaggedToken(key[1], key[0], pos)
-    return token
+    pos = _get(tok, "pos", str)
+    if pos not in _POS_TAGS:
+        raise ValidationError(f"pos must be one of {', '.join(_POS_TAGS)}, got {clipped(repr(pos))}")
+    return _tagged(_get(tok, "lemma", str), _get(tok, "surface", str), pos)
 
 
 def _detection(value) -> tuple[str, BoundingBox, float]:
@@ -154,13 +155,13 @@ def _detection(value) -> tuple[str, BoundingBox, float]:
     return _get(det, "label", str), _box(_get(det, "box", list)), _get(det, "score", float)
 
 
-def _frame_record(obj: dict, tokens: _Tokens) -> FrameRecord:
+def _frame_record(obj: dict) -> FrameRecord:
     """The record of one line that ``_frame_lines`` has checked: it read ``video_id`` and ``frame_id``."""
     return FrameRecord(
         video_id=obj["video_id"],
         frame_id=obj["frame_id"],
         captions=tuple([
-            tuple([_token(tok, tokens) for tok in _as(caption, list, "caption")])
+            tuple([_token(tok) for tok in _as(caption, list, "caption")])
             for caption in _get(obj, "captions", list, ())
         ]),
         label_scores={
@@ -205,16 +206,10 @@ def _frame_lines(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[
 
 
 def _frame_records(lines: Iterable[tuple[int, str]], path: str) -> Iterator[FrameRecord]:
-    """Decode the numbered lines of a frames file, ``path`` naming them in errors.
-
-    A video's equal caption tokens are one ``TaggedToken``, built and checked once.
-    """
-    tokens: _Tokens = {}
-    for lineno, _, obj, starts in _frame_lines(lines, path):
-        if starts:
-            tokens.clear()
+    """Decode the numbered lines of a frames file, ``path`` naming them in errors."""
+    for lineno, _, obj, _ in _frame_lines(lines, path):
         try:
-            record = _frame_record(obj, tokens)
+            record = _frame_record(obj)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=path) from None
         yield record

@@ -255,6 +255,17 @@ def scenario_lines(n_videos, n_frames=1125, distinct=12):
     ]
 
 
+def with_unique_surfaces(lines):
+    """``lines`` with each caption token's surface made unique; summarize reads only lemmas and tags."""
+    out = []
+    for n, line in enumerate(lines):
+        obj = json.loads(line)
+        for i, token in enumerate(t for caption in obj.get("captions", ()) for t in caption):
+            token["surface"] += f"-{n}-{i}"
+        out.append(dumps_record(obj))
+    return out
+
+
 def write_videos(path, videos):
     path.write_text("".join(line + "\n" for lines in videos for line in lines))
 
@@ -311,6 +322,19 @@ class TestStreamingSummarize:
         peaks = summarize_peaks(frames, tmp_path / "ctx.jsonl")
         per_frame = (peaks[4500] - peaks[1125]) / (4500 - 1125)
         report(capsys, f"peak growth per frame: {per_frame:.0f} B (bound 600 B)")
+        assert per_frame <= 600, peaks
+
+    def test_memory_per_frame_with_distinct_tokens(self, tmp_path, capsys):
+        # equal caption tokens are shared through a bounded memo, so a video
+        # whose tokens never repeat grows it no more than one whose tokens do
+        frames = {}
+        for n_frames in (1125, 4500):
+            (lines,) = scenario_lines(1, n_frames=n_frames)
+            frames[n_frames] = tmp_path / f"frames{n_frames}.jsonl"
+            write_videos(frames[n_frames], [with_unique_surfaces(lines)])
+        peaks = summarize_peaks(frames, tmp_path / "ctx.jsonl")
+        per_frame = (peaks[4500] - peaks[1125]) / (4500 - 1125)
+        report(capsys, f"peak growth per frame, distinct tokens: {per_frame:.0f} B (bound 600 B)")
         assert per_frame <= 600, peaks
 
     def test_memory_per_video_retained(self, tmp_path, capsys):

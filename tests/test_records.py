@@ -251,6 +251,16 @@ def test_label_rule_message(tmp_path, capsys, case):
     assert f"{path}:line 2: {LABEL_RULE_MESSAGES[case]}\n" in err
 
 
+@pytest.mark.parametrize(
+    "command, kind", [("summarize", "frames"), ("evaluate", "preds"), ("evaluate", "gt"), ("quality", "contexts")]
+)
+def test_frame_id_rule_message(tmp_path, capsys, command, kind):
+    """Every format that keys by frame refuses a negative frame id with one message."""
+    code, err, path = run(tmp_path, capsys, command, kind, mutated(kind, setter("frame_id", -1)))
+    assert code == 1
+    assert f"{path}:line 2: negative frame_id -1\n" in err
+
+
 @pytest.mark.parametrize("line", ["window=150", "box_loss_lambda=11.0"])
 def test_config_key_nothing_reads_is_unknown(tmp_path, capsys, line):
     code, err, path = run(tmp_path, capsys, "summarize", "config", line)
