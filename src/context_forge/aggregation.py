@@ -123,18 +123,13 @@ class StreamAggregator:
     def _retire(self, term: Term) -> None:
         run = self._runs.pop(term)
         if run.occurrences >= self.p_o:
-            seg = Segment(
-                category=self.category,
-                term=term,
-                start_frame=run.start,
-                end_frame=run.last_seen,
-                occurrences=run.occurrences,
-                active=False,
-            )
             # a retiring run was live at every earlier take_settled (or began later), so
             # it starts at or after that call's frontier, after every segment handed out
             # then: insort never lands inside _closed[:_taken]
-            bisect.insort(self._closed, seg, key=_segment_order)
+            bisect.insort(self._closed, self._segment(term, run, active=False), key=_segment_order)
+
+    def _segment(self, term: Term, run: _RunState, active: bool) -> Segment:
+        return Segment(self.category, term, run.start, run.last_seen, run.occurrences, active)
 
     def _check_observation(self, t: int) -> None:
         if self._last_frame is not None and t < self._last_frame:
@@ -144,14 +139,7 @@ class StreamAggregator:
 
     def _open_segments(self, t: int) -> list[Segment]:
         return [
-            Segment(
-                category=self.category,
-                term=term,
-                start_frame=run.start,
-                end_frame=run.last_seen,
-                occurrences=run.occurrences,
-                active=t - run.last_seen <= self.p_l,
-            )
+            self._segment(term, run, active=t - run.last_seen <= self.p_l)
             for term, run in self._runs.items()
             if run.occurrences >= self.p_o
         ]

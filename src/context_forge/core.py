@@ -9,6 +9,7 @@ are exact string matches after normalization.
 
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import hashlib
 import math
@@ -91,8 +92,11 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 
     A blank line is empty or all whitespace; every reader skips it here.
     Lines are decoded one at a time, so invalid UTF-8 is a ``ParseError`` at its line.
+    A byte-order mark, which would become part of the first field, is one at line 1.
     """
     with open(path, "rb") as fh:
+        if fh.peek(len(codecs.BOM_UTF8)).startswith(codecs.BOM_UTF8):
+            raise ParseError("file starts with a UTF-8 byte-order mark", line=1, path=str(path))
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
@@ -504,51 +508,47 @@ EMBEDDING_DIM = 300
 MAX_SQUARED_NORM = 1e300
 
 
-def _add_embedding(
-    table: dict[str, np.ndarray | None],
-    word: str,
-    vector: np.ndarray | list[float],
-    words: Container[str] | None = None,
-) -> None:
-    """Check one embedding entry and add it to ``table`` under its normalized word.
+class EmbeddingTable:
+    """Word -> 300-d vector lookup, case-insensitive on lowercase words.
 
-    The vector is kept only when ``words`` is None or holds that word; a
+    ``vectors`` is a mapping or ``(word, vector)`` entries, each checked as it
+    is added. When ``words`` is given, only those words' vectors are kept; a
     dropped row is entered as None, so a repeat of its word is still found.
     """
-    array = np.array(vector, dtype=np.float64)  # the table's own copy
-    if array.shape != (EMBEDDING_DIM,):
-        raise ValidationError(
-            f"vector for {clipped(repr(word))} has shape {array.shape}, expected ({EMBEDDING_DIM},)"
-        )
-    with np.errstate(over="ignore"):  # an overflowing squared norm is inf, which fails the bound
-        if not array @ array <= MAX_SQUARED_NORM:
-            raise ValidationError(
-                f"vector for {clipped(repr(word))} is not finite or its squared norm exceeds {MAX_SQUARED_NORM:g}"
-            )
-    key = normalize_label(word)
-    if not key:
-        raise ValidationError(f"empty word {clipped(repr(word))}")
-    if key in table:
-        raise ValidationError(f"duplicate word: {clipped(repr(word))} repeats the word {clipped(repr(key))}")
-    if words is None or key in words:
-        array.setflags(write=False)
-        table[key] = array
-    else:
-        table[key] = None
 
-
-class EmbeddingTable:
-    """Word -> 300-d vector lookup, case-insensitive on lowercase words."""
-
-    def __init__(self, vectors: Mapping[str, np.ndarray]):
-        if not vectors:
-            raise ValidationError("EmbeddingTable: empty table")
+    def __init__(
+        self,
+        vectors: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray | list[float]]],
+        words: Iterable[str] | None = None,
+    ):
+        keep = None if words is None else {normalize_label(word) for word in words}
         self._table: dict[str, np.ndarray | None] = {}
-        for word, vector in vectors.items():
-            try:
-                _add_embedding(self._table, word, vector)
-            except ValidationError as exc:
-                raise ValidationError(f"EmbeddingTable: {exc}") from None
+        for word, vector in vectors.items() if isinstance(vectors, Mapping) else vectors:
+            self._add(word, vector, keep)
+        if not self._table:
+            raise ValidationError("no embeddings")
+
+    def _add(self, word: str, vector: np.ndarray | list[float], keep: Container[str] | None) -> None:
+        array = np.array(vector, dtype=np.float64)  # the table's own copy
+        if array.shape != (EMBEDDING_DIM,):
+            raise ValidationError(
+                f"vector for {clipped(repr(word))} has shape {array.shape}, expected ({EMBEDDING_DIM},)"
+            )
+        with np.errstate(over="ignore"):  # an overflowing squared norm is inf, which fails the bound
+            if not array @ array <= MAX_SQUARED_NORM:
+                raise ValidationError(
+                    f"vector for {clipped(repr(word))} is not finite or its squared norm exceeds {MAX_SQUARED_NORM:g}"
+                )
+        key = normalize_label(word)
+        if not key:
+            raise ValidationError(f"empty word {clipped(repr(word))}")
+        if key in self._table:
+            raise ValidationError(f"duplicate word: {clipped(repr(word))} repeats the word {clipped(repr(key))}")
+        if keep is None or key in keep:
+            array.setflags(write=False)
+            self._table[key] = array
+        else:
+            self._table[key] = None
 
     def __len__(self) -> int:
         return len(self._table)
@@ -556,7 +556,7 @@ class EmbeddingTable:
     def lookup(self, word: str) -> np.ndarray | None:
         """``word``'s vector, or None when the table has no such word.
 
-        A word whose row ``load_embeddings`` dropped raises ``InvariantError``:
+        A word whose row was dropped (not in ``words``) raises ``InvariantError``:
         its vector exists, so counting it as missing would change a score.
         """
         key = normalize_label(word)
@@ -569,27 +569,29 @@ class EmbeddingTable:
 def load_embeddings(path: str | Path, words: Iterable[str] | None = None) -> EmbeddingTable:
     """Load a tab-separated embedding file: ``word<TAB>v1<TAB>...<TAB>v300``.
 
-    Values are plain ASCII numbers, and each line passes the same checks as
-    an ``EmbeddingTable`` entry; any other line is a ``ParseError`` at its
-    ``path:line``. Every line is checked, but when ``words`` is given only
-    the vectors of those words are kept: looking up another word of the
-    file raises ``InvariantError``.
+    Values are plain ASCII numbers, and each line is an ``EmbeddingTable``
+    entry; any other line is a ``ParseError`` at its ``path:line``. Every
+    line is checked, but when ``words`` is given only the vectors of those
+    words are kept: looking up another word of the file raises ``InvariantError``.
     """
-    keep = None if words is None else {normalize_label(word) for word in words}
-    vectors: dict[str, np.ndarray | None] = {}
-    for lineno, line in read_lines(path):
-        parts = line.split("\t")
-        try:
+    lineno = 0
+
+    def entries() -> Iterator[tuple[str, list[float]]]:
+        nonlocal lineno
+        for lineno, line in read_lines(path):
+            parts = line.split("\t")
             # float() also takes '_' separators and non-ASCII digits: one scan of
             # all the values, not a check per value, rules them out
             values = line[len(parts[0]):]
             if not values.isascii() or "_" in values:
                 raise ValidationError("embedding values must be plain ASCII numbers")
-            _add_embedding(vectors, parts[0], [float(p) for p in parts[1:]], keep)
-        except (ValueError, ValidationError) as exc:  # ValueError: a value that is not a number
-            raise ParseError(str(exc), line=lineno, path=str(path)) from None
-    if not vectors:
-        raise ValidationError(f"{path}: no embeddings")
-    table = EmbeddingTable.__new__(EmbeddingTable)  # adopt the entries, each checked above
-    table._table = vectors
-    return table
+            yield parts[0], [float(p) for p in parts[1:]]
+
+    try:
+        return EmbeddingTable(entries(), words)
+    except ParseError:  # read_lines' own, already at its line
+        raise
+    except (ValueError, ValidationError) as exc:  # ValueError: a value that is not a number
+        if not lineno:
+            raise ValidationError(f"{path}: {exc}") from None
+        raise ParseError(str(exc), line=lineno, path=str(path)) from None

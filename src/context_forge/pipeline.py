@@ -125,13 +125,11 @@ def summarize_video(
     and whether its frame id is on the stride, so each record is extracted
     as it is read and then dropped: the video is held as one
     ``(frame_id, FrameContext or None)`` per frame, sorted before selection.
+    Every record must be of video ``video_id``.
     """
-    first_video = None
     extracted: list[tuple[int, FrameContext | None]] = []
     for record in frames:
-        if first_video is None:
-            first_video = record.video_id
-        elif record.video_id != first_video:
+        if record.video_id != video_id:
             raise ValidationError("summarize_video: mixed video ids")
         t = record.frame_id
         extracted.append((t, extract_frame_context(record, cfg) if t % cfg.stride == 0 else None))

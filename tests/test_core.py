@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import json
 import math
 import pickle
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -478,13 +480,13 @@ class TestEmbeddings:
         from context_forge import core
 
         calls = []
-        add = core._add_embedding
+        add = core.EmbeddingTable._add
 
-        def counted(table, word, vector, words=None):
+        def counted(table, word, vector, keep):
             calls.append(word)
-            add(table, word, vector, words)
+            add(table, word, vector, keep)
 
-        monkeypatch.setattr(core, "_add_embedding", counted)
+        monkeypatch.setattr(core.EmbeddingTable, "_add", counted)
         path = tmp_path / "emb.tsv"
         _write_embeddings(path, ["apple", "Knife", "cup"])
         table = load_embeddings(path)
@@ -504,8 +506,17 @@ class TestEmbeddings:
             load_embeddings(path)
 
     def test_empty_table_rejected(self):
-        with pytest.raises(ValidationError):
-            EmbeddingTable({})
+        for vectors in ({}, iter(())):
+            with pytest.raises(ValidationError, match="^no embeddings$"):
+                EmbeddingTable(vectors)
+
+    def test_entries_and_mapping_build_one_table(self):
+        entries = [("Cup", np.eye(300)[0]), ("knife", np.eye(300)[1])]
+        from_entries, from_mapping = EmbeddingTable(iter(entries), ["cup"]), EmbeddingTable(dict(entries), ["cup"])
+        assert len(from_entries) == len(from_mapping) == 2
+        assert np.array_equal(from_entries.lookup("cup"), from_mapping.lookup("CUP"))
+        with pytest.raises(InvariantError, match="'knife'"):
+            from_entries.lookup("knife")
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValidationError):
@@ -545,8 +556,7 @@ class TestEmbeddings:
         path.write_text("".join(f"{w}\t" + "\t".join(map(repr, v.tolist())) + "\n" for w, v in lines))
         with pytest.raises(ParseError, match=message) as load_error:
             load_embeddings(path)
-        reason = str(table_error.value).removeprefix("EmbeddingTable: ")
-        assert str(load_error.value) == f"{path}:line 2: {reason}"
+        assert str(load_error.value) == f"{path}:line 2: {table_error.value}"
 
     def test_words_keep_only_their_rows(self, tmp_path):
         path = tmp_path / "emb.tsv"
@@ -573,6 +583,28 @@ class TestEmbeddings:
             load_embeddings(path, ["other"])
         assert str(kept_error.value) == str(full_error.value)
         assert str(kept_error.value).startswith(f"{path}:line 2: ")
+
+    def test_memory_dropped_rows_hold_no_vector(self, tmp_path):
+        # a row that words does not keep is checked, then held as None: no vector stays
+        path = tmp_path / "emb.tsv"
+        words = [f"w{i}" for i in range(1000)]
+        _write_embeddings(path, words)
+
+        def held(keep):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                table = load_embeddings(path, keep)
+                current = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(table) == 1000  # every row is entered, kept or not
+            return current - before
+
+        ratio = held(words[:10]) / held(None)
+        print(f"held keeping 10 of 1000 rows / held keeping all: {ratio:.3f} (bound 0.1)")
+        assert ratio <= 0.1
 
     @pytest.mark.parametrize("word", ["", "  \t "])
     def test_blank_word_rejected(self, word):

@@ -100,6 +100,11 @@ class TestSummarizeVideo:
         with pytest.raises(ValidationError, match="mixed video ids"):
             summarize_video("v", frames, SummarizerConfig())
 
+    def test_records_of_another_video_rejected(self):
+        frames = [empty_record("w", 0), empty_record("w", 1)]
+        with pytest.raises(ValidationError, match="mixed video ids"):
+            summarize_video("v", frames, SummarizerConfig())
+
     def test_salient_context_uses_current_only(self):
         planted, stream = gen_scenario(33, n_frames=240)
         records = scenario_to_frame_records(stream, "v")
