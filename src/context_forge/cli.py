@@ -217,9 +217,9 @@ def _format_eval_report(report: EvalReport) -> str:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
+    variants = [Variant.parse(v) for v in (args.variant or _DEFAULT_VARIANTS)]  # before the files: fail fast
     preds = read_predictions(args.preds)
     gts = read_ground_truth(args.gt, min_ttc=cfg.min_ttc)
-    variants = [Variant.parse(v) for v in (args.variant or _DEFAULT_VARIANTS)]
     reports = top5_map(preds, gts, variants, iou_thresh=cfg.iou_thresh, t_delta=cfg.t_delta)
 
     print(_provenance(cfg))

@@ -2,7 +2,9 @@
 
 Everything in here is immutable after construction and safe to share
 between worker processes. Every label follows one rule, ``checked_label``,
-which the type holding it applies as it is built. Labels are compared
+which the type holding it applies as it is built; a label that passed
+recently is answered from a bounded memo, so a file's repeated labels are
+each checked once, and a refusal is never stored. Labels are compared
 normalized to lowercase, whitespace-collapsed strings; membership checks
 are exact string matches after normalization.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import codecs
 import dataclasses
+import functools
 import hashlib
 import math
 import sys
@@ -65,13 +68,29 @@ def checked_label(raw: str, what: str) -> str:
     """``raw`` normalized: the one label rule, which each value type applies as it is built.
 
     The context text and Top-5 mAP's class keys join labels with "," and ";", so a
-    label may hold neither, and may not be blank. ``what`` names the label in errors.
+    label is a string holding neither, and is not blank. ``what`` names the label in
+    errors. A label that passed recently is answered from ``_passed_label``'s memo.
+    """
+    if not isinstance(raw, str):  # also keeps an unhashable value out of the memo
+        raise ValidationError(f"{what} {clipped(repr(raw))} is not a string")
+    try:
+        return _passed_label(raw)
+    except ValueError as exc:
+        raise ValidationError(f"{what} {clipped(repr(raw))} {exc}") from None
+
+
+@functools.lru_cache(maxsize=1024)
+def _passed_label(raw: str) -> str:
+    """``raw`` normalized, memoized for the last 1024 distinct labels that passed.
+
+    A label that breaks the rule raises ``ValueError`` naming the part it breaks; a
+    raise is never stored, so every refusal is worded anew with its caller's ``what``.
     """
     if "," in raw or ";" in raw:
-        raise ValidationError(f"{what} {clipped(repr(raw))} contains a reserved separator")
+        raise ValueError("contains a reserved separator")
     label = normalize_label(raw)
     if not label:
-        raise ValidationError(f"{what} {clipped(repr(raw))} is blank")
+        raise ValueError("is blank")
     return label
 
 
@@ -140,10 +159,11 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self) -> None:
-        _require_finite("BoundingBox", self.x1, self.y1, self.x2, self.y2)
-        if min(self.x1, self.y1, self.x2, self.y2) < 0:
-            raise ValidationError(f"BoundingBox: negative coordinate in {self.as_tuple()}")
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
+        # one chain per axis tests every rule, finiteness included; apart only to word an error
+        if not (0.0 <= self.x1 < self.x2 < math.inf and 0.0 <= self.y1 < self.y2 < math.inf):
+            _require_finite("BoundingBox", self.x1, self.y1, self.x2, self.y2)
+            if min(self.x1, self.y1, self.x2, self.y2) < 0:
+                raise ValidationError(f"BoundingBox: negative coordinate in {self.as_tuple()}")
             raise ValidationError(f"BoundingBox: empty or inverted box {self.as_tuple()}")
 
     def area(self) -> float:
@@ -163,8 +183,8 @@ class ObjectInteraction:
     ttc: float
 
     def __post_init__(self) -> None:
-        _require_finite("ObjectInteraction.ttc", self.ttc)
-        if self.ttc < 0:
+        if not 0.0 <= self.ttc < math.inf:  # finite and not negative, worded apart on failure
+            _require_finite("ObjectInteraction.ttc", self.ttc)
             raise ValidationError(f"ObjectInteraction: negative time to contact {self.ttc}")
         object.__setattr__(self, "noun", checked_label(self.noun, "noun"))
         object.__setattr__(self, "verb", checked_label(self.verb, "verb"))
@@ -529,7 +549,10 @@ class EmbeddingTable:
             raise ValidationError("no embeddings")
 
     def _add(self, word: str, vector: np.ndarray | list[float], keep: Container[str] | None) -> None:
-        array = np.array(vector, dtype=np.float64)  # the table's own copy
+        try:
+            array = np.array(vector, dtype=np.float64)  # the table's own copy
+        except (TypeError, ValueError, OverflowError):  # ragged, or a value that is no float
+            raise ValidationError(f"vector for {clipped(repr(word))} does not convert to an array of floats") from None
         if array.shape != (EMBEDDING_DIM,):
             raise ValidationError(
                 f"vector for {clipped(repr(word))} has shape {array.shape}, expected ({EMBEDDING_DIM},)"

@@ -12,6 +12,7 @@ ground-truth instance and is reported scaled by 100.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,6 +29,7 @@ from .core import (
     ObjectInteraction,
     Prediction,
     ValidationError,
+    clipped,
 )
 
 TOP_K_PER_FRAME = 5
@@ -59,7 +61,7 @@ class Variant(Enum):
             return cls(text.strip().lower())
         except ValueError:
             valid = "|".join(v.value for v in cls)
-            raise ValidationError(f"unknown variant {text!r}; expected one of {valid}")
+            raise ValidationError(f"unknown variant {clipped(repr(text))}; expected one of {valid}")
 
 
 class _Rule(NamedTuple):
@@ -206,11 +208,12 @@ def top5_map(
     present only in ``preds`` are evaluated against an empty ground
     truth (all misses); frames present only in ``gts`` contribute
     positives. Each frame's Top-5 cut and overlaps are taken once for
-    all variants. Returns one report per entry of ``variants``, in
-    order, so a repeated variant gets its own equal report.
+    all variants, and the scored predictions are grouped by class key
+    once per kind of key (noun, ``noun,verb``, verb). Returns one report
+    per entry of ``variants``, in order, so a repeated variant gets its
+    own equal report.
     """
-    # every scored prediction in frame then rank order, and per variant whether each hit:
-    # the stable sort in _variant_report breaks score ties by frame, then rank
+    # every scored prediction in frame then rank order, and per variant whether each hit
     scored: list[Prediction] = []
     hits = [bytearray() for _ in variants]
     all_keys = sorted(set(preds) | set(gts))
@@ -224,29 +227,42 @@ def top5_map(
                 for gt in match_top5(frame_preds, frame_gts, variant, iou_thresh, t_delta, overlaps)
             )
         scored.extend(frame_preds)
-    # reports built in turn: only one variant's per-class lists are alive at a time
-    return [
-        _variant_report(variant, variant_hits, scored, gts, len(all_keys))
-        for variant, variant_hits in zip(variants, hits)
-    ]
+    scores = [pred.score for pred in scored]
+    kinds: dict[tuple[bool, bool], list[int]] = defaultdict(list)
+    for at, variant in enumerate(variants):
+        kinds[_RULES[variant][:2]].append(at)  # the labels the variant's class keys join
+    reports: dict[int, EvalReport] = {}
+    for ats in kinds.values():
+        # a kind's variants share one grouping, dropped before the next kind's is built
+        gt_counts, per_class = _grouped(variants[ats[0]], scored, scores, gts)
+        for at in ats:
+            reports[at] = _variant_report(variants[at], hits[at], scores, gt_counts, per_class, len(all_keys))
+        del gt_counts, per_class
+    return [reports[at] for at in range(len(variants))]
+
+
+def _grouped(variant: Variant, scored: list[Prediction], scores: list[float], gts: Mapping):
+    """Per class key of ``variant``: its ground-truth count, and its predictions' positions in ``scored`` by rank.
+
+    Variants whose rules compare the same labels have the same class keys, so they share this grouping.
+    """
+    gt_counts = Counter(class_key(gt.noun, gt.verb, variant) for frame_gts in gts.values() for gt in frame_gts)
+    per_class: dict[str, list[int]] = defaultdict(list)
+    for at, pred in enumerate(scored):
+        per_class[class_key(pred.interaction.noun, pred.interaction.verb, variant)].append(at)
+    for positions in per_class.values():
+        positions.sort(key=scores.__getitem__, reverse=True)  # stable: score ties stay in frame, then rank order
+    return gt_counts, per_class
 
 
 def _variant_report(
-    variant: Variant, hits: bytearray, scored: list[Prediction], gts: Mapping, n_frames: int
+    variant: Variant, hits: bytearray, scores: list[float], gt_counts: Counter, ranked: Mapping, n_frames: int
 ) -> EvalReport:
-    """One variant's per-class AP and mAP from the hits of the scored predictions."""
-    gt_counts = Counter(
-        class_key(gt.noun, gt.verb, variant) for frame_gts in gts.values() for gt in frame_gts
-    )
-    per_class_items: dict[str, list] = defaultdict(list)
-    for pred, hit in zip(scored, hits):
-        inter = pred.interaction
-        per_class_items[class_key(inter.noun, inter.verb, variant)].append((pred.score, hit))
-
+    """One variant's per-class AP and mAP from the hits of the scored predictions, grouped by ``_grouped``."""
     per_class: dict[str, ClassResult] = {}
     ap_values = []
     for key in sorted(gt_counts):
-        items = sorted(per_class_items.get(key, []), key=lambda item: -item[0])
+        items = [(scores[at], hits[at]) for at in ranked.get(key, ())]
         ap = _average_precision(items, gt_counts[key])
         per_class[key] = ClassResult(ap=100.0 * ap, n_gt=gt_counts[key], n_pred=len(items))
         ap_values.append(ap)
@@ -257,7 +273,7 @@ def _variant_report(
         map_value=map_value,
         per_class=per_class,
         n_frames=n_frames,
-        n_predictions=len(scored),
+        n_predictions=len(scores),
     )
 
 
@@ -288,9 +304,10 @@ def _mean_direction(words: list[str], table: EmbeddingTable) -> tuple[np.ndarray
             vectors.append(vec)
     if not vectors:
         return None, missing
-    # np.mean of one vector is that vector bit for bit, at several times the cost
-    mean = vectors[0] if len(vectors) == 1 else np.mean(vectors, axis=0)
-    norm = float(np.linalg.norm(mean))
+    # bit for bit np.mean(vectors, axis=0) and np.linalg.norm(mean), without their wrappers:
+    # both add the rows in order and take the root of the dot product
+    mean = sum(vectors[1:], vectors[0]) / len(vectors)
+    norm = math.sqrt(mean @ mean)
     if norm == 0.0:
         # a nonzero mean whose squared norm underflows to 0: scale its
         # largest value to 1 first, which leaves the direction as it was
@@ -298,7 +315,7 @@ def _mean_direction(words: list[str], table: EmbeddingTable) -> tuple[np.ndarray
         if largest == 0.0:
             return None, missing
         mean = mean / largest
-        norm = float(np.linalg.norm(mean))
+        norm = math.sqrt(mean @ mean)
     return mean / norm, missing
 
 

@@ -79,6 +79,15 @@ class TestVersionAndErrors:
         proc = run_cli("evaluate", "--preds", str(preds), "--gt", str(gt), "--variant", "xx")
         assert proc.returncode == 1
 
+    def test_unknown_variant_refused_before_the_inputs_are_read(self, tmp_path):
+        # the input files do not exist: a variant read after them would exit 2 on the first
+        typo = "n" * 120
+        absent = str(tmp_path / "absent.jsonl")
+        proc = run_cli("evaluate", "--preds", absent, "--gt", absent, "--variant", "n", "--variant", typo)
+        assert proc.returncode == 1
+        assert f"unknown variant '{'n' * 36}...; expected one of n|nv|nt|all|no|vo" in proc.stderr
+        assert typo[:41] not in proc.stderr
+
     def test_bad_config_value(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("k=-1\n")

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import pickle
+import re
 import sys
 import tracemalloc
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from context_forge import core
 from context_forge.aggregation import _RunState
 from context_forge.core import (
     ActionContext,
@@ -28,6 +30,8 @@ from context_forge.core import (
     SummarizerConfig,
     TaggedToken,
     ValidationError,
+    checked_label,
+    clipped,
     config_hash,
     load_config,
     load_embeddings,
@@ -447,6 +451,72 @@ class TestNormalize:
         assert normalize_label(once) == once
 
 
+@pytest.mark.parametrize("raw", [5, ["cup"], None, b"cup"], ids=["int", "list", "none", "bytes"])
+def test_label_that_is_no_string_refused(raw):
+    # a list is unhashable: the type check comes before the memo would hash it
+    with pytest.raises(ValidationError, match=rf"^noun {re.escape(clipped(repr(raw)))} is not a string$"):
+        ObjectInteraction(_BOX, raw, "take", 1.0)
+    with pytest.raises(ValidationError, match="^action verb .* is not a string$"):
+        ActionPair(raw, "cup")
+
+
+def _label_rule(raw, what):
+    """The label rule written out, with no memo: the reference for ``checked_label``."""
+    if "," in raw or ";" in raw:
+        raise ValidationError(f"{what} {clipped(repr(raw))} contains a reserved separator")
+    label = " ".join(raw.lower().split())
+    if not label:
+        raise ValidationError(f"{what} {clipped(repr(raw))} is blank")
+    return label
+
+
+def _outcome(rule, raw, what):
+    try:
+        return "passed", rule(raw, what)
+    except ValidationError as exc:
+        return "refused", str(exc)
+
+
+class TestLabelMemo:
+    """``checked_label`` answers a label that passed from a bounded memo; a refusal is never stored."""
+
+    def test_same_bad_label_refused_with_each_callers_what(self):
+        for what in ("noun", "verb", "noun", "held label"):
+            with pytest.raises(ValidationError, match=f"^{what} 'a;b' contains a reserved separator$"):
+                checked_label("a;b", what)
+
+    def test_bad_label_refused_after_a_good_one_was_cached(self):
+        for _ in range(2):
+            assert checked_label(" Mug ", "noun") == "mug"
+            for raw, rule in [("mug;", "contains a reserved separator"), ("  ", "is blank"), ("", "is blank")]:
+                with pytest.raises(ValidationError, match=f"^noun {re.escape(repr(raw))} {rule}$"):
+                    checked_label(raw, "noun")
+
+    def test_separator_label_refused_after_its_normalized_twin_passed(self):
+        assert checked_label("Pressure  Cooker", "noun") == "pressure cooker"
+        assert checked_label("pressure cooker", "noun") == "pressure cooker"
+        for raw in ("pressure cooker,", "Pressure; Cooker", ";pressure cooker"):
+            with pytest.raises(ValidationError, match=f"^verb {re.escape(repr(raw))} contains a reserved separator$"):
+                checked_label(raw, "verb")
+
+    def test_memo_stays_at_its_bound(self):
+        bound = core._passed_label.cache_info().maxsize
+        assert isinstance(bound, int)
+        for i in range(10 * bound):
+            assert checked_label(f"Label  {i}", "noun") == f"label {i}"
+        assert core._passed_label.cache_info().currsize == bound
+
+    @given(st.lists(
+        st.text(alphabet=st.sampled_from(list(", ;\t\n\u3000\xa0aAxß\u0130\u03a3\u03c2\u03c3")), max_size=8)
+        | st.text(max_size=12),
+        min_size=1, max_size=6,
+    ))
+    def test_memoized_rule_equals_the_rule(self, raws):
+        # each label twice: once as the memo meets it, once more as a hit when it passed
+        for raw in raws + raws:
+            assert _outcome(checked_label, raw, "noun") == _outcome(_label_rule, raw, "noun")
+
+
 def _write_embeddings(path, words, dim=300):
     rows = []
     for i, word in enumerate(words):
@@ -605,6 +675,13 @@ class TestEmbeddings:
         ratio = held(words[:10]) / held(None)
         print(f"held keeping 10 of 1000 rows / held keeping all: {ratio:.3f} (bound 0.1)")
         assert ratio <= 0.1
+
+    @pytest.mark.parametrize(
+        "vector", [[[1, 2], [3]], "abc", {"a": 1}, [10**400] * 300], ids=["ragged", "string", "dict", "huge-int"]
+    )
+    def test_vector_that_does_not_convert_rejected(self, vector):
+        with pytest.raises(ValidationError, match="^vector for 'cup' does not convert to an array of floats$"):
+            EmbeddingTable({"cup": vector})
 
     @pytest.mark.parametrize("word", ["", "  \t "])
     def test_blank_word_rejected(self, word):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from context_forge import metrics
 from context_forge.core import (
@@ -15,6 +15,7 @@ from context_forge.core import (
 )
 from context_forge.metrics import (
     Variant,
+    class_key,
     context_quality,
     iou,
     quality_words,
@@ -417,3 +418,60 @@ class TestScoringCounts:
         monkeypatch.setattr(metrics, "_mean_direction", lambda words, t: calls.append(1) or direction(words, t))
         context_quality(contexts, gts, table)
         assert 0 < len(calls) <= bound
+
+    @pytest.mark.parametrize(
+        "variants, groupings",
+        [([Variant.NOUN, Variant.NOUN_VERB, Variant.NOUN_TTC, Variant.OVERALL], 2), (list(Variant), 3)],
+        ids=["default-variants", "six-variants"],
+    )
+    def test_class_keys_grouped_once_per_kind(self, monkeypatch, variants, groupings):
+        # one grouping takes the class key of every ground truth and every scored prediction once:
+        # noun keys (n, nt, no), noun,verb keys (nv, all) and verb keys (vo)
+        preds, gts = gen_eval_instance(14, n_frames=10, max_preds=5)
+        n_keyed = sum(len(entries) for entries in gts.values()) + sum(min(len(p), 5) for p in preds.values())
+        calls = []
+        monkeypatch.setattr(metrics, "class_key", lambda *args: calls.append(1) or class_key(*args))
+        reports = top5_map(preds, gts, variants)
+        assert len(calls) == groupings * n_keyed
+        monkeypatch.undo()
+        assert reports == top5_map(preds, gts, variants)
+
+
+def _reference_direction(vectors):
+    """The mean direction as numpy's wrappers take it: np.mean(axis=0), then np.linalg.norm."""
+    mean = np.mean(vectors, axis=0)
+    norm = float(np.linalg.norm(mean))
+    if norm == 0.0:
+        largest = float(np.abs(mean).max())
+        if largest == 0.0:
+            return None
+        mean = mean / largest
+        norm = float(np.linalg.norm(mean))
+    return mean / norm
+
+
+_GAUSS = np.random.default_rng(25).standard_normal((3, 300))
+# vectors from 1e-200 (whose squared norm underflows) to 1e148 (squared norm within the table's bound)
+_VECTORS = st.one_of(
+    st.builds(
+        lambda seed, exponent: np.random.default_rng(seed).standard_normal(300) * 10.0 ** exponent,
+        st.integers(0, 2**32 - 1),
+        st.integers(-200, 148),
+    ),
+    st.sampled_from([1e-170, 0.0, 1.0]).map(lambda value: np.full(300, value)),
+)
+
+
+@given(vectors=st.lists(_VECTORS, min_size=1, max_size=6))
+@example(vectors=[np.full(300, 1e-170)] * 3)  # the underflow branch
+@example(vectors=[np.full(300, 1e-170), _GAUSS[0] * 1e148, _GAUSS[1] * 1e-5, _GAUSS[2]])  # mixed magnitudes
+@example(vectors=[np.zeros(300)])
+@settings(deadline=None)
+def test_mean_direction_bit_identical_to_numpy(vectors):
+    words = [f"w{i}" for i in range(len(vectors))]
+    direction, missing = metrics._mean_direction(words + ["absent"], EmbeddingTable(dict(zip(words, vectors))))
+    expected = _reference_direction(vectors)
+    assert missing == 1
+    assert (direction is None) == (expected is None)
+    if expected is not None:
+        assert direction.dtype == expected.dtype and direction.tobytes() == expected.tobytes()
