@@ -1,12 +1,15 @@
 """Core domain types, configuration, and shared assets.
 
 Everything in here is immutable after construction and safe to share
-between worker processes. Every label follows one rule, ``checked_label``,
-which the type holding it applies as it is built; a label that passed
-recently is answered from a bounded memo, so a file's repeated labels are
-each checked once, and a refusal is never stored. Labels are compared
-normalized to lowercase, whitespace-collapsed strings; membership checks
-are exact string matches after normalization.
+between worker processes. Each field follows one rule (``checked_label``,
+``checked_number``, ``checked_integer``, ``checked_frame_id``, or a ``str``),
+which the type holding it applies as it is built, whether from a file or in
+code: a type's one comparison chain passes the common case, and the rule is
+called only to store an int as a float or to word a refusal. A label that
+passed recently is answered from a bounded memo, one string per normalized
+label, and a refusal is never stored. Labels are compared normalized to
+lowercase, whitespace-collapsed strings; membership checks are exact string
+matches after normalization.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import codecs
 import dataclasses
 import functools
 import hashlib
+import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -83,20 +87,39 @@ def checked_label(raw: str, what: str) -> str:
 def _passed_label(raw: str) -> str:
     """``raw`` normalized, memoized for the last 1024 distinct labels that passed.
 
-    A label that breaks the rule raises ``ValueError`` naming the part it breaks; a
-    raise is never stored, so every refusal is worded anew with its caller's ``what``.
+    A spelling that normalizes to another string gets the memo's string for that
+    label. A label that breaks the rule raises ``ValueError`` naming the part it
+    breaks, which is never stored: each refusal is worded with its caller's ``what``.
     """
     if "," in raw or ";" in raw:
         raise ValueError("contains a reserved separator")
     label = normalize_label(raw)
     if not label:
         raise ValueError("is blank")
-    return label
+    return label if label is raw else _passed_label(label)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (float, int)) and not isinstance(value, bool)
+
+
+def checked_number(value, what: str) -> float:
+    """``value`` as a finite float: the number rule. An int is converted; a bool, string or None is refused."""
+    if _is_number(value) and abs(value) <= sys.float_info.max:  # NaN fails too; an int compares exactly
+        return float(value)
+    raise type_refusal(what, "a finite number", value)
+
+
+def checked_integer(value, what: str) -> int:
+    """``value`` when it is an int, never a bool: the integer rule."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise type_refusal(what, "an integer", value)
 
 
 def checked_frame_id(frame_id: int) -> int:
-    """``frame_id``, refused when negative: the frame-id rule of every file that keys by frame."""
-    if frame_id < 0:
+    """``frame_id``, an integer that is not negative: the frame-id rule of every file that keys by frame."""
+    if not (type(frame_id) is int and frame_id >= 0) and checked_integer(frame_id, "frame_id") < 0:
         raise ValidationError(f"negative frame_id {frame_id}")
     return frame_id
 
@@ -104,6 +127,15 @@ def checked_frame_id(frame_id: int) -> int:
 def clipped(text: str) -> str:
     """``text`` as a message shows it: cut to 40 characters."""
     return text if len(text) <= 40 else text[:37] + "..."
+
+
+def type_refusal(what: str, kind: str, value) -> ValidationError:
+    """``{what} must be {kind}, got {value}``, the value in its JSON form (else its repr), clipped."""
+    try:
+        text = json.dumps(value)
+    except (TypeError, ValueError):  # no JSON form, or an int of over 4,300 digits
+        text = f"<{value.bit_length()}-bit int>" if isinstance(value, int) else repr(value)
+    return ValidationError(f"{what} must be {kind}, got {clipped(text)}")
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -123,12 +155,6 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 raise ParseError(f"invalid UTF-8: {exc.reason}", line=lineno, path=str(path)) from None
             if not line.isspace():  # a read line is never empty: it holds at least its line break
                 yield lineno, line.rstrip("\r\n")
-
-
-def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValidationError(f"{name}: non-finite value {v!r}")
 
 
 class Category(Enum):
@@ -159,12 +185,15 @@ class BoundingBox:
     y2: float
 
     def __post_init__(self) -> None:
-        # one chain per axis tests every rule, finiteness included; apart only to word an error
-        if not (0.0 <= self.x1 < self.x2 < math.inf and 0.0 <= self.y1 < self.y2 < math.inf):
-            _require_finite("BoundingBox", self.x1, self.y1, self.x2, self.y2)
-            if min(self.x1, self.y1, self.x2, self.y2) < 0:
+        # one chain tests every rule; the slow path stores ints as floats and words a refusal
+        if not (type(self.x1) is type(self.y1) is type(self.x2) is type(self.y2) is float
+                and 0.0 <= self.x1 < self.x2 < math.inf and 0.0 <= self.y1 < self.y2 < math.inf):
+            for name in ("x1", "y1", "x2", "y2"):
+                object.__setattr__(self, name, checked_number(getattr(self, name), "box coordinate"))
+            if min(self.as_tuple()) < 0:
                 raise ValidationError(f"BoundingBox: negative coordinate in {self.as_tuple()}")
-            raise ValidationError(f"BoundingBox: empty or inverted box {self.as_tuple()}")
+            if not (self.x1 < self.x2 and self.y1 < self.y2):
+                raise ValidationError(f"BoundingBox: empty or inverted box {self.as_tuple()}")
 
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
@@ -183,9 +212,10 @@ class ObjectInteraction:
     ttc: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.ttc < math.inf:  # finite and not negative, worded apart on failure
-            _require_finite("ObjectInteraction.ttc", self.ttc)
-            raise ValidationError(f"ObjectInteraction: negative time to contact {self.ttc}")
+        if not (type(self.ttc) is float and 0.0 <= self.ttc < math.inf):  # as BoundingBox's chain
+            object.__setattr__(self, "ttc", checked_number(self.ttc, "ttc"))
+            if self.ttc < 0:
+                raise ValidationError(f"ObjectInteraction: negative time to contact {self.ttc}")
         object.__setattr__(self, "noun", checked_label(self.noun, "noun"))
         object.__setattr__(self, "verb", checked_label(self.verb, "verb"))
 
@@ -198,8 +228,12 @@ class Prediction:
     score: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.score <= 1.0):
-            raise ValidationError(f"Prediction: score {self.score} outside [0, 1]")
+        if not (type(self.score) is float and 0.0 <= self.score <= 1.0):  # as BoundingBox's chain
+            # a float's range refuses NaN and the infinities too, and words that refusal
+            score = float(self.score) if isinstance(self.score, float) else checked_number(self.score, "score")
+            if not 0.0 <= score <= 1.0:
+                raise ValidationError(f"Prediction: score {score} outside [0, 1]")
+            object.__setattr__(self, "score", score)
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,6 +251,10 @@ class TaggedToken:
     def __post_init__(self) -> None:
         if not isinstance(self.pos, PosTag):
             raise ValidationError(f"TaggedToken: bad part-of-speech tag {self.pos!r}")
+        if not isinstance(self.lemma, str):
+            raise type_refusal("lemma", "a string", self.lemma)
+        if not isinstance(self.surface, str):
+            raise type_refusal("surface", "a string", self.surface)
         if self.pos is not PosTag.OTHER:
             checked_label(self.lemma, f"{self.pos.value} lemma")
         elif not self.lemma:
@@ -250,7 +288,8 @@ def term_text(term: Term) -> str:
 class FrameRecord:
     """One frame's ingested raw signals. Any field may be empty; sparse input is legal.
 
-    Its labels (``label_scores`` keys, detection labels) are checked but kept as given.
+    Its labels (``label_scores`` keys, detection labels) are checked but kept as given;
+    when a score is an int, the score fields are stored as copies holding floats.
     """
 
     video_id: str
@@ -261,13 +300,25 @@ class FrameRecord:
     detections: tuple[tuple[str, BoundingBox, float], ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.video_id, str):
+            raise type_refusal("video_id", "a string", self.video_id)
         checked_frame_id(self.frame_id)
+        floats = True
         for label, score in self.label_scores.items():
             checked_label(label, "label_scores key")
-            if not (-1.0 <= score <= 1.0):
-                raise ValidationError(f"FrameRecord: score {score} for {label!r} outside [-1, 1]")
-        for label, _, _ in self.detections:
+            if not (type(score) is float and -1.0 <= score <= 1.0):  # as Prediction's score
+                score = float(score) if isinstance(score, float) else checked_number(score, "label score")
+                if not -1.0 <= score <= 1.0:
+                    raise ValidationError(f"FrameRecord: score {score} for {label!r} outside [-1, 1]")
+                floats = False
+        for label, _, score in self.detections:
             checked_label(label, "detection label")
+            if not (type(score) is float and -math.inf < score < math.inf):
+                checked_number(score, "score")
+                floats = False
+        if not floats:
+            object.__setattr__(self, "label_scores", {label: float(s) for label, s in self.label_scores.items()})
+            object.__setattr__(self, "detections", tuple([(label, box, float(s)) for label, box, s in self.detections]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,12 +333,14 @@ class Segment:
     active: bool
 
     def __post_init__(self) -> None:
-        if self.start_frame > self.end_frame:
-            raise ValidationError(
-                f"Segment: start {self.start_frame} after end {self.end_frame}"
-            )
-        if self.occurrences < 1:
-            raise ValidationError(f"Segment: occurrence count {self.occurrences} < 1")
+        if not (type(self.start_frame) is type(self.end_frame) is type(self.occurrences) is int
+                and self.start_frame <= self.end_frame and self.occurrences >= 1):  # as BoundingBox's chain
+            for name in ("start_frame", "end_frame", "occurrences"):
+                checked_integer(getattr(self, name), name)
+            if self.start_frame > self.end_frame:
+                raise ValidationError(f"Segment: start {self.start_frame} after end {self.end_frame}")
+            if self.occurrences < 1:
+                raise ValidationError(f"Segment: occurrence count {self.occurrences} < 1")
 
     def overlaps(self, other: "Segment") -> bool:
         return self.start_frame <= other.end_frame and other.start_frame <= self.end_frame
@@ -532,8 +585,9 @@ class EmbeddingTable:
     """Word -> 300-d vector lookup, case-insensitive on lowercase words.
 
     ``vectors`` is a mapping or ``(word, vector)`` entries, each checked as it
-    is added. When ``words`` is given, only those words' vectors are kept; a
-    dropped row is entered as None, so a repeat of its word is still found.
+    is added: a word is a string, a vector an array or list of numbers. When
+    ``words`` is given, only those words' vectors are kept; a dropped row is
+    entered as None, so a repeat of its word is still found.
     """
 
     def __init__(
@@ -549,9 +603,15 @@ class EmbeddingTable:
             raise ValidationError("no embeddings")
 
     def _add(self, word: str, vector: np.ndarray | list[float], keep: Container[str] | None) -> None:
+        if not isinstance(word, str):
+            raise type_refusal("word", "a string", word)
         try:
+            # np.array would also convert strings and bools
+            if not (vector.dtype.kind in "fiu" if isinstance(vector, np.ndarray)
+                    else isinstance(vector, (list, tuple)) and all(map(_is_number, vector))):
+                raise TypeError
             array = np.array(vector, dtype=np.float64)  # the table's own copy
-        except (TypeError, ValueError, OverflowError):  # ragged, or a value that is no float
+        except (TypeError, OverflowError):  # a value that is no number, or an int beyond the float range
             raise ValidationError(f"vector for {clipped(repr(word))} does not convert to an array of floats") from None
         if array.shape != (EMBEDDING_DIM,):
             raise ValidationError(
@@ -599,7 +659,7 @@ def load_embeddings(path: str | Path, words: Iterable[str] | None = None) -> Emb
     """
     lineno = 0
 
-    def entries() -> Iterator[tuple[str, list[float]]]:
+    def entries() -> Iterator[tuple[str, np.ndarray]]:
         nonlocal lineno
         for lineno, line in read_lines(path):
             parts = line.split("\t")
@@ -608,7 +668,7 @@ def load_embeddings(path: str | Path, words: Iterable[str] | None = None) -> Emb
             values = line[len(parts[0]):]
             if not values.isascii() or "_" in values:
                 raise ValidationError("embedding values must be plain ASCII numbers")
-            yield parts[0], [float(p) for p in parts[1:]]
+            yield parts[0], np.array([float(p) for p in parts[1:]], dtype=np.float64)
 
     try:
         return EmbeddingTable(entries(), words)

@@ -11,27 +11,24 @@ preds/gt: {"video_id", "frame_id", "entries": [{"box","noun","verb","ttc","score
 contexts: {"video_id", "frame_id", "text", "action_terms": [[verb,noun]...],
            "held": [...], "salient": [...]}
 
-Every reader decodes one line at a time with ``_object``,
-and every field through ``_get``/``_as``, which decode strictly: an
-integer is a JSON integer, a number is a finite JSON number (never a
-string, a boolean or null), and lists and objects are type-checked
-before they are read. Strings must be valid Unicode: invalid UTF-8 and
-escaped lone surrogates are rejected. The readers check only JSON shape
-and type: the value types they build apply the rest, the label rule
-(``core.checked_label``) included. Beyond that, a ground-truth ``ttc``
-may not fall below the config's ``min_ttc``, and a context's text must
-equal the ``assemble`` rendering of its terms, after ``normalize_label``
-of both. A (video_id, frame_id) key appears at most once per file, its
-frame id is not negative, and a frames file keeps each video's lines
-together. Any malformed line raises ``ParseError`` naming ``path:line``.
+Every reader decodes one line at a time with ``_object``, and checks only
+JSON structure through ``_get``/``_as``: objects, required keys, lists, and
+the strings it uses itself (a ``video_id`` it keys by, the token fields
+``_tagged`` hashes, a context's ``text``). Every other scalar goes as
+decoded to the value type that holds it, whose field rules (``core``'s
+``checked_*``) check it once. Strings must be valid Unicode: invalid UTF-8
+and escaped lone surrogates are rejected. Beyond that, a ground-truth
+``ttc`` may not fall below the config's ``min_ttc``, and a context's text
+must equal the ``assemble`` rendering of its terms, after
+``normalize_label`` of both. A (video_id, frame_id) key appears at most
+once per file, and a frames file keeps each video's lines together. Any
+malformed line raises ``ParseError`` naming ``path:line``.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
-import sys
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .assembly import assemble
@@ -50,15 +47,15 @@ from .core import (
     clipped,
     normalize_label,
     read_lines,
+    type_refusal,
 )
 
 FrameKey = tuple[str, int]
 T = TypeVar("T")
 
 _REQUIRED = object()
-_KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object"}
+_KINDS = {str: "a string", list: "a list", dict: "an object"}
 _POS_TAGS = {tag.value: tag for tag in PosTag}
-_MAX_FLOAT_INT = int(sys.float_info.max)
 
 
 def dumps_record(obj: dict) -> str:
@@ -66,31 +63,23 @@ def dumps_record(obj: dict) -> str:
 
 
 def _as(value, kind: type, what: str):
-    """Check one decoded JSON value against ``kind``: int, float, str, list or dict.
-
-    JSON decoding yields exact types, so ``type(value) is kind`` rejects
-    booleans where integers or numbers are expected. A float also takes
-    a JSON integer, but never a non-finite value.
-    """
+    """``value``, a decoded JSON value, refused unless it is of type ``kind``: str, list or dict."""
     if type(value) is kind:
-        if kind is not float or math.isfinite(value):
-            return value
-    elif kind is float and type(value) is int and abs(value) <= _MAX_FLOAT_INT:
-        return float(value)
-    raise ValidationError(f"{what} must be {_KINDS[kind]}, got {clipped(json.dumps(value))}")
+        return value
+    raise type_refusal(what, _KINDS[kind], value)
 
 
-def _get(obj: dict, key: str, kind: type, default=_REQUIRED):
-    """``obj[key]`` checked by ``_as``; ``default`` (unchecked) when the key is absent."""
+def _get(obj: dict, key: str, kind: type | None = None, default=_REQUIRED):
+    """``obj[key]``, checked by ``_as`` when ``kind`` is given; ``default`` (unchecked) when the key is absent."""
     if key not in obj:
         if default is _REQUIRED:
             raise ValidationError(f"missing field {key!r}")
         return default
     value = obj[key]
     # the common case inline: this runs for nearly every field of every line
-    if type(value) is kind and (kind is not float or math.isfinite(value)):
+    if kind is None or type(value) is kind:
         return value
-    return _as(value, kind, key)
+    raise type_refusal(key, _KINDS[kind], value)
 
 
 def _object(line: str) -> dict:
@@ -110,7 +99,7 @@ def _read_keyed(path: str, decode: Callable[[dict], T]) -> dict[FrameKey, T]:
     for lineno, line in read_lines(path):
         try:
             obj = _object(line)
-            key = (_get(obj, "video_id", str), checked_frame_id(_get(obj, "frame_id", int)))
+            key = (_get(obj, "video_id", str), checked_frame_id(_get(obj, "frame_id")))
             if key in out:
                 raise ValidationError(f"duplicate frame {clipped(key[0])}:{key[1]}")
             out[key] = decode(obj)
@@ -122,13 +111,7 @@ def _read_keyed(path: str, decode: Callable[[dict], T]) -> dict[FrameKey, T]:
 def _box(coords: list) -> BoundingBox:
     if len(coords) != 4:
         raise ValidationError(f"box must be [x1, y1, x2, y2], got {len(coords)} values")
-    # BoundingBox rejects non-finite coordinates itself
-    return BoundingBox(*[v if type(v) is float else _as(v, float, "box coordinate") for v in coords])
-
-
-def _labels(values: list) -> list[str]:
-    """Context labels, each checked to be a string; ``ActionPair`` and ``assemble`` apply the label rule."""
-    return [v if type(v) is str else _as(v, str, "label") for v in values]
+    return BoundingBox(*coords)
 
 
 @functools.lru_cache(maxsize=256)
@@ -152,7 +135,7 @@ def _token(value) -> TaggedToken:
 
 def _detection(value) -> tuple[str, BoundingBox, float]:
     det = _as(value, dict, "detection")
-    return _get(det, "label", str), _box(_get(det, "box", list)), _get(det, "score", float)
+    return _get(det, "label"), _box(_get(det, "box", list)), _get(det, "score")
 
 
 def _frame_record(obj: dict) -> FrameRecord:
@@ -164,10 +147,7 @@ def _frame_record(obj: dict) -> FrameRecord:
             tuple([_token(tok) for tok in _as(caption, list, "caption")])
             for caption in _get(obj, "captions", list, ())
         ]),
-        label_scores={
-            label: _as(score, float, "label score")
-            for label, score in _get(obj, "label_scores", dict, {}).items()
-        },
+        label_scores=_get(obj, "label_scores", dict, {}),
         active_boxes=tuple([_box(_as(b, list, "active box")) for b in _get(obj, "active_boxes", list, ())]),
         detections=tuple([_detection(det) for det in _get(obj, "detections", list, ())]),
     )
@@ -177,7 +157,7 @@ def _frame_lines(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[
     """(line number, line, object, whether the line starts a video) per frames line.
 
     The one place for a frames file's structure: each line is one JSON
-    object with a string ``video_id`` and an integer ``frame_id``, a video's
+    object with a string ``video_id`` and a ``checked_frame_id``, a video's
     lines are contiguous and its frame ids distinct. A line that breaks a
     rule raises ``ParseError`` at that line; the other fields are left to
     ``_frame_record``.
@@ -196,7 +176,7 @@ def _frame_lines(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[
                 finished.add(video_id)
                 frame_ids.clear()
                 video_id = line_video
-            frame_id = _get(obj, "frame_id", int)
+            frame_id = checked_frame_id(_get(obj, "frame_id"))
             if frame_id in frame_ids:
                 raise ValidationError(f"video {clipped(repr(video_id))}: duplicate frame id {frame_id}")
             frame_ids.add(frame_id)
@@ -283,46 +263,27 @@ def _entries(obj: dict) -> Iterator[dict]:
     return (_as(entry, dict, "entry") for entry in _get(obj, "entries", list))
 
 
-def _label(entry: dict, key: str, labels: dict[str, str]) -> str:
-    """An entry's normalized noun or verb, as the one string ``labels`` holds for it.
-
-    Each entries reader passes one ``labels`` for the length of its call, so
-    its entries share one string per distinct label (not ``sys.intern``: on
-    Python 3.12, released interned strings stay allocated). It maps each
-    label read so far, as read and as normalized, to that string, so a label
-    seen before is not normalized again. ``ObjectInteraction`` applies the label rule.
-    """
-    raw = _get(entry, key, str)
-    label = labels.get(raw)
-    if label is None:
-        label = normalize_label(raw)
-        label = labels[raw] = labels.setdefault(label, label)
-    return label
-
-
-def _interaction(entry: dict, labels: dict[str, str]) -> ObjectInteraction:
+def _interaction(entry: dict) -> ObjectInteraction:
+    # the labels go as read: checked_label shares one string per normalized label
     return ObjectInteraction(
         box=_box(_get(entry, "box", list)),
-        noun=_label(entry, "noun", labels),
-        verb=_label(entry, "verb", labels),
-        ttc=_get(entry, "ttc", float),
+        noun=_get(entry, "noun"),
+        verb=_get(entry, "verb"),
+        ttc=_get(entry, "ttc"),
     )
 
 
+def _predictions(obj: dict) -> list[Prediction]:
+    return [Prediction(_interaction(e), _get(e, "score")) for e in _entries(obj)]
+
+
 def read_predictions(path: str) -> dict[FrameKey, list[Prediction]]:
-    labels: dict[str, str] = {}
-
-    def predictions(obj: dict) -> list[Prediction]:
-        return [Prediction(_interaction(e, labels), _get(e, "score", float)) for e in _entries(obj)]
-
-    return _read_keyed(path, predictions)
+    return _read_keyed(path, _predictions)
 
 
 def read_ground_truth(path: str, *, min_ttc: float) -> dict[FrameKey, list[ObjectInteraction]]:
-    labels: dict[str, str] = {}
-
     def ground_truth(obj: dict) -> list[ObjectInteraction]:
-        gts = [_interaction(e, labels) for e in _entries(obj)]
+        gts = [_interaction(e) for e in _entries(obj)]
         for gt in gts:
             if gt.ttc < min_ttc:
                 raise ValidationError(f"time to contact {gt.ttc} below minimum {min_ttc}")
@@ -370,15 +331,14 @@ def _action_pair(value) -> ActionPair:
     pair = _as(value, list, "action term")
     if len(pair) != 2:
         raise ValidationError(f"action term must be [verb, noun], got {len(pair)} items")
-    verb, noun = _labels(pair)
-    return ActionPair(verb=verb, noun=noun)
+    return ActionPair(*pair)
 
 
 def _context(obj: dict) -> ActionContext:
     context = assemble(
         [_action_pair(p) for p in _get(obj, "action_terms", list)],
-        _labels(_get(obj, "held", list)),
-        _labels(_get(obj, "salient", list)),
+        _get(obj, "held", list),
+        _get(obj, "salient", list),
     )
     text = _get(obj, "text", str)
     if normalize_label(text) != normalize_label(context.text):

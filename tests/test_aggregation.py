@@ -285,6 +285,11 @@ class TestContextForFrame:
         ]
         assert out == expected
 
+    def test_salient_occurrence_tie_ranks_earlier_start_first(self):
+        # equal counts: start decides, and the term text, which would rank "a" first, does not
+        segments = [seg("a", 9, 30, 5, active=True), seg("b", 0, 30, 5, active=True), seg("c", 4, 30, 5, active=True)]
+        assert context_for_frame(segments, 30, 2, SelectionMode.CURRENT_ONLY) == ["b", "c"]
+
     def test_future_segments_ignored(self):
         segments = [seg("future", 40, 50, 9), seg("cur", 0, 30, 2, active=True)]
         assert context_for_frame(segments, 30, 3, SelectionMode.CURRENT_AND_PAST) == ["cur"]

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from context_forge import core
 from context_forge.aggregation import _RunState
+from context_forge.assembly import assemble
 from context_forge.core import (
     ActionContext,
     ActionPair,
@@ -30,7 +31,9 @@ from context_forge.core import (
     SummarizerConfig,
     TaggedToken,
     ValidationError,
+    checked_integer,
     checked_label,
+    checked_number,
     clipped,
     config_hash,
     load_config,
@@ -40,7 +43,7 @@ from context_forge.core import (
 )
 from context_forge.extraction import FrameContext
 from context_forge.metrics import Variant, class_key
-from context_forge.records import read_contexts, read_frame_records, read_ground_truth
+from context_forge.records import read_contexts, read_frame_records, read_ground_truth, read_predictions
 
 
 class TestDefaults:
@@ -387,8 +390,8 @@ def test_value_type_is_slotted_and_round_trips(value):
 
 
 _ENTRY = {"box": [0.0, 1.0, 2.5, 3.0], "ttc": 1.0}
-# A label built in code, and the one-line file whose reader meets the same label:
-# (build the value, read the file, the file's record).
+# A label or another scalar built in code, and the one-line file whose reader
+# meets the same value: (build the value, read the file, the file's record).
 LABELS_BUILT_AND_READ = {
     "entry-noun-comma": (
         lambda: ObjectInteraction(_BOX, "a,b", "take", 1.0),
@@ -421,6 +424,71 @@ LABELS_BUILT_AND_READ = {
         lambda path: list(read_frame_records(path)),
         {"video_id": "v", "frame_id": 0, "detections": [{"label": "", "box": _ENTRY["box"], "score": 0.9}]},
     ),
+    "noun-int": (
+        lambda: ObjectInteraction(_BOX, 5, "take", 1.0),
+        lambda path: read_ground_truth(path, min_ttc=0.0),
+        {"video_id": "v", "frame_id": 0, "entries": [dict(_ENTRY, noun=5, verb="take")]},
+    ),
+    "held-int": (
+        lambda: assemble([], [1], []),
+        read_contexts,
+        {"video_id": "v", "frame_id": 0, "text": "", "action_terms": [], "held": [1], "salient": []},
+    ),
+    "frame-video_id-int": (
+        lambda: FrameRecord(5, 0),
+        lambda path: list(read_frame_records(path)),
+        {"video_id": 5, "frame_id": 0},
+    ),
+    "frame_id-bool": (
+        lambda: FrameRecord("v", True),
+        lambda path: list(read_frame_records(path)),
+        {"video_id": "v", "frame_id": True},
+    ),
+    "frame_id-float": (
+        lambda: FrameRecord("v", 1.5),
+        lambda path: list(read_frame_records(path)),
+        {"video_id": "v", "frame_id": 1.5},
+    ),
+    "box-coordinate-bool": (
+        lambda: BoundingBox(True, 0, 2, 2),
+        lambda path: list(read_frame_records(path)),
+        {"video_id": "v", "frame_id": 0, "active_boxes": [[True, 0, 2, 2]]},
+    ),
+    "box-coordinate-string": (
+        lambda: BoundingBox("0", 0, 2, 2),
+        lambda path: list(read_frame_records(path)),
+        {"video_id": "v", "frame_id": 0, "active_boxes": [["0", 0, 2, 2]]},
+    ),
+    "label-score-nan": (
+        lambda: FrameRecord("v", 0, label_scores={"cup": math.nan}),
+        lambda path: list(read_frame_records(path)),
+        {"video_id": "v", "frame_id": 0, "label_scores": {"cup": math.nan}},
+    ),
+    "detection-score-null": (
+        lambda: FrameRecord("v", 0, detections=(("cup", _BOX, None),)),
+        lambda path: list(read_frame_records(path)),
+        {"video_id": "v", "frame_id": 0, "detections": [{"label": "cup", "box": _ENTRY["box"], "score": None}]},
+    ),
+    "token-surface-int": (
+        lambda: TaggedToken(5, "x", PosTag.OTHER),
+        lambda path: list(read_frame_records(path)),
+        {"video_id": "v", "frame_id": 0, "captions": [[{"surface": 5, "lemma": "x", "pos": "OTHER"}]]},
+    ),
+    "prediction-score-bool": (
+        lambda: Prediction(ObjectInteraction(_BOX, "cup", "take", 1.0), True),
+        read_predictions,
+        {"video_id": "v", "frame_id": 0, "entries": [dict(_ENTRY, noun="cup", verb="take", score=True)]},
+    ),
+    "prediction-score-infinite": (
+        lambda: Prediction(ObjectInteraction(_BOX, "cup", "take", 1.0), math.inf),
+        read_predictions,
+        {"video_id": "v", "frame_id": 0, "entries": [dict(_ENTRY, noun="cup", verb="take", score=math.inf)]},
+    ),
+    "ttc-beyond-float-range": (
+        lambda: ObjectInteraction(_BOX, "cup", "take", 10**400),
+        lambda path: read_ground_truth(path, min_ttc=0.0),
+        {"video_id": "v", "frame_id": 0, "entries": [dict(_ENTRY, noun="cup", verb="take", ttc=10**400)]},
+    ),
 }
 
 
@@ -434,6 +502,42 @@ def test_code_built_label_refused_as_its_reader_refuses_it(tmp_path, case):
     with pytest.raises(ParseError) as read_error:
         read(str(path))
     assert str(read_error.value) == f"{path}:line 1: {built.value}"
+
+
+class TestScalarRules:
+    """The number and integer rules, which each value type applies to its fields."""
+
+    @pytest.mark.parametrize("value", [True, "1", None, [1.0], 10**400, math.nan, -math.inf])
+    def test_number_rule_refuses(self, value):
+        with pytest.raises(ValidationError, match="^x must be a finite number, got "):
+            checked_number(value, "x")
+
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None])
+    def test_integer_rule_refuses(self, value):
+        with pytest.raises(ValidationError, match="^x must be an integer, got "):
+            checked_integer(value, "x")
+
+    def test_int_too_long_to_print_is_shown_by_its_size(self):
+        with pytest.raises(ValidationError, match=r"^box coordinate must be a finite number, got <\d+-bit int>$"):
+            BoundingBox(10**5000, 0, 2, 2)
+
+    @pytest.mark.parametrize("field, value, shown", [
+        ("start_frame", True, "true"), ("end_frame", 4.0, "4.0"), ("occurrences", "2", '"2"'),
+    ])
+    def test_segment_counts_are_integers(self, field, value, shown):
+        fields = dict(category=Category.ACTION, term=_PAIR, start_frame=1, end_frame=4, occurrences=2, active=True)
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got {re.escape(shown)}$"):
+            Segment(**{**fields, field: value})
+
+    def test_int_numbers_stored_as_floats(self):
+        box = BoundingBox(0, 1, 2, 3)
+        gt = ObjectInteraction(box, "cup", "take", 1)
+        scores = {"cup": 1}
+        record = FrameRecord("v", 0, label_scores=scores, detections=(("cup", box, 1),))
+        stored = [*box.as_tuple(), gt.ttc, Prediction(gt, 1).score, record.label_scores["cup"], record.detections[0][2]]
+        assert stored == [0.0, 1.0, 2.0, 3.0, 1.0, 1.0, 1.0, 1.0]
+        assert {type(v) for v in stored} == {float}
+        assert type(scores["cup"]) is int  # a copy holds the float: the caller's mapping is left alone
 
 
 def test_labels_that_would_merge_two_classes_refused():
@@ -612,6 +716,27 @@ class TestEmbeddings:
         vec[7] = value
         with pytest.raises(ValidationError, match="squared norm"):
             EmbeddingTable({"cup": vec})
+
+    @pytest.mark.parametrize("word", [5, None, b"cup"], ids=["int", "none", "bytes"])
+    def test_word_that_is_no_string_refused(self, word):
+        with pytest.raises(ValidationError, match="^word must be a string, got "):
+            EmbeddingTable({word: np.ones(300)})
+
+    @pytest.mark.parametrize("vector", [
+        ["1_0"] * 300, ["\u0663"] * 300, ["1.0"] * 300, [True] * 300, [1.0] * 299 + [True], [None] * 300,
+        np.full(300, True), np.full(300, "1.0"), [[1.0] * 300],
+    ], ids=[
+        "underscore", "non-ascii-digit", "string", "bool", "one-bool", "none", "bool-array", "string-array", "nested",
+    ])
+    def test_vector_values_follow_the_number_rule(self, vector):
+        # np.array would convert each of these: '1_0' to 10.0, '\u0663' to 3.0, True to 1.0
+        with pytest.raises(ValidationError, match=r"^vector for 'cup' does not convert to an array of floats$"):
+            EmbeddingTable({"cup": vector})
+
+    def test_int_vector_values_stored_as_floats(self):
+        for vector in ([1] * 300, np.ones(300, dtype=np.int64), (0.5,) * 300):
+            stored = EmbeddingTable({"cup": vector}).lookup("cup")
+            assert stored.dtype == np.float64 and np.array_equal(stored, np.array(vector, dtype=np.float64))
 
     @pytest.mark.parametrize(
         "word,vector,message", BAD_EMBEDDING_ENTRIES.values(), ids=BAD_EMBEDDING_ENTRIES.keys()

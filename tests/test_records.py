@@ -9,11 +9,28 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from context_forge.assembly import assemble
 from context_forge.cli import main
-from context_forge.core import TaggedToken
-from context_forge.records import dumps_record, frame_record_to_dict, read_contexts, read_frame_records
+from context_forge.core import (
+    ActionPair,
+    BoundingBox,
+    FrameRecord,
+    ObjectInteraction,
+    PosTag,
+    Prediction,
+    TaggedToken,
+    ValidationError,
+)
+from context_forge.records import (
+    dumps_record,
+    frame_record_to_dict,
+    read_contexts,
+    read_frame_records,
+    read_ground_truth,
+    read_predictions,
+)
 from context_forge.synth import gen_scenario, scenario_to_frame_records
 
 BOX = [0.0, 0.0, 10.0, 10.0]
@@ -529,4 +546,143 @@ def test_single_field_mutations_never_exit_3(tmp_path, capsys, case):
     code, err, path = run(tmp_path, capsys, command, kind, line2)
     assert code in (0, 1, 2), err
     if code == 1 and (kind in RECORDS or kind == "config"):
-        assert f"{path}:line 2: " in err
+        # a drawn config value may hold line breaks: line 2 then spans more than one line
+        assert any(f"{path}:line {n}: " in err for n in range(2, 3 + line2.count("\n"))), err
+
+
+def _box_with(value, index):
+    coords = [0.0, 1.0, 2.5, 3.0]
+    coords[index] = value
+    return coords
+
+
+def _frames_line(**fields):
+    return {"video_id": "v", "frame_id": 0, **fields}
+
+
+def _entries_line(kind, **fields):
+    entry = {"box": [0.0, 1.0, 2.5, 3.0], "noun": "cup", "verb": "take", "ttc": 1.0}
+    if kind == "preds":
+        entry["score"] = 0.5
+    return {"video_id": "v", "frame_id": 0, "entries": [{**entry, **fields}]}
+
+
+def _built_context(line):
+    return assemble([ActionPair(*pair) for pair in line["action_terms"]], line["held"], line["salient"])
+
+
+def _context_line(**fields):
+    line = {"video_id": "v", "frame_id": 0, "action_terms": [], "held": [], "salient": [], **fields}
+    try:
+        line["text"] = _built_context(line).text
+    except ValidationError:
+        line["text"] = ""  # the reader refuses such fields before it reads the text
+    return line
+
+
+def _built_key(line):
+    """A keyed line's frame key, under the rules ``FrameRecord`` holds its key to."""
+    record = FrameRecord(line["video_id"], line["frame_id"])
+    return record.video_id, record.frame_id
+
+
+def _built_interaction(entry):
+    return ObjectInteraction(BoundingBox(*entry["box"]), entry["noun"], entry["verb"], entry["ttc"])
+
+
+# Per format, (build the value types in code from a decoded line, read a file).
+BUILT_AND_READ = {
+    "frames": (
+        lambda line: [FrameRecord(
+            line["video_id"],
+            line["frame_id"],
+            tuple(tuple(TaggedToken(t["surface"], t["lemma"], PosTag[t["pos"]]) for t in c)
+                  for c in line.get("captions", [])),
+            line.get("label_scores", {}),
+            tuple(BoundingBox(*box) for box in line.get("active_boxes", [])),
+            tuple((d["label"], BoundingBox(*d["box"]), d["score"]) for d in line.get("detections", [])),
+        )],
+        lambda path: list(read_frame_records(path)),
+    ),
+    "preds": (
+        lambda line: {_built_key(line): [Prediction(_built_interaction(e), e["score"]) for e in line["entries"]]},
+        read_predictions,
+    ),
+    "gt": (
+        lambda line: {_built_key(line): [_built_interaction(e) for e in line["entries"]]},
+        lambda path: read_ground_truth(path, min_ttc=0.0),
+    ),
+    "contexts": (lambda line: {_built_key(line): _built_context(line)}, read_contexts),
+}
+_VALID_LINES = {
+    "frames": _frames_line(), "preds": _entries_line("preds"), "gt": _entries_line("gt"), "contexts": _context_line(),
+}
+_DETECTION = {"label": "saw", "box": [0.0, 1.0, 2.5, 3.0], "score": 0.9}
+# Every scalar field of the four formats: its format, and its line holding a value.
+# Two scalars have no twin built in code: a token's "pos", which is a PosTag in
+# code, and a context's "text", which is checked against the rendering.
+SCALAR_FIELDS = {
+    **{
+        f"{kind}.{key}": (kind, lambda v, kind=kind, key=key: {**_VALID_LINES[kind], key: v})
+        for kind in BUILT_AND_READ for key in ("video_id", "frame_id")
+    },
+    **{
+        f"frames.captions.{pos}.{field}": ("frames", lambda v, pos=pos, field=field: _frames_line(
+            captions=[[{"surface": "cups", "lemma": "cup", "pos": pos, field: v}]]))
+        for pos in ("VERB", "OTHER") for field in ("surface", "lemma")
+    },
+    "frames.label_scores.key": ("frames", lambda v: _frames_line(label_scores={v: 0.5})),
+    "frames.label_scores.value": ("frames", lambda v: _frames_line(label_scores={"knife": v})),
+    **{
+        f"frames.active_boxes.{i}": ("frames", lambda v, i=i: _frames_line(active_boxes=[_box_with(v, i)]))
+        for i in range(4)
+    },
+    **{
+        f"frames.detections.{field}": (
+            "frames", lambda v, field=field: _frames_line(detections=[{**_DETECTION, field: v}]))
+        for field in ("label", "score")
+    },
+    "frames.detections.box.2": ("frames", lambda v: _frames_line(detections=[{**_DETECTION, "box": _box_with(v, 2)}])),
+    **{
+        f"{kind}.entries.{field}": (kind, lambda v, kind=kind, field=field: _entries_line(kind, **{field: v}))
+        for kind in ("preds", "gt") for field in ("noun", "verb", "ttc", "score")
+        if kind == "preds" or field != "score"
+    },
+    **{
+        f"{kind}.entries.box.{i}": (kind, lambda v, kind=kind, i=i: _entries_line(kind, box=_box_with(v, i)))
+        for kind in ("preds", "gt") for i in range(4)
+    },
+    "contexts.action_terms.verb": ("contexts", lambda v: _context_line(action_terms=[[v, "cup"]])),
+    "contexts.action_terms.noun": ("contexts", lambda v: _context_line(action_terms=[["take", v]])),
+    "contexts.held": ("contexts", lambda v: _context_line(held=[v])),
+    "contexts.salient": ("contexts", lambda v: _context_line(salient=[v])),
+}
+
+
+def _outcome(run):
+    try:
+        return "passed", run()
+    except ValidationError as exc:
+        return "refused", str(exc)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(sorted(SCALAR_FIELDS)), data=st.data())
+def test_scalar_field_read_as_built_in_code(tmp_path, field, data):
+    """A one-line file's value has the outcome of the same value built in code.
+
+    That is an equal value, or the same ``ValidationError`` message after the file's ``path:line``.
+    """
+    kind, line_of = SCALAR_FIELDS[field]
+    build, read = BUILT_AND_READ[kind]
+    value = data.draw(st.text(max_size=5) if field.endswith(".key") else JSON_VALUES)  # an object key is a string
+    line = line_of(value)
+    # a lone surrogate has no UTF-8 form: no file holds it, so the reader refuses its line as a whole
+    assume(not any("\ud800" <= c <= "\udfff" for c in json.dumps(line, ensure_ascii=False)))
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    status, result = _outcome(lambda: read(str(path)))
+    if status == "refused":
+        assert result.startswith(f"{path}:line 1: "), result
+        result = result[len(f"{path}:line 1: "):]
+    assert (status, result) == _outcome(lambda: build(line))
