@@ -120,7 +120,7 @@ def checked_integer(value, what: str) -> int:
 def checked_frame_id(frame_id: int) -> int:
     """``frame_id``, an integer that is not negative: the frame-id rule of every file that keys by frame."""
     if not (type(frame_id) is int and frame_id >= 0) and checked_integer(frame_id, "frame_id") < 0:
-        raise ValidationError(f"negative frame_id {frame_id}")
+        raise ValidationError(f"negative frame_id {shown(frame_id)}")
     return frame_id
 
 
@@ -129,13 +129,18 @@ def clipped(text: str) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
-def type_refusal(what: str, kind: str, value) -> ValidationError:
-    """``{what} must be {kind}, got {value}``, the value in its JSON form (else its repr), clipped."""
+def shown(value) -> str:
+    """``value`` in a message: its JSON form, else its repr (``<N-bit int>`` past 4,300 digits), clipped."""
     try:
         text = json.dumps(value)
     except (TypeError, ValueError):  # no JSON form, or an int of over 4,300 digits
         text = f"<{value.bit_length()}-bit int>" if isinstance(value, int) else repr(value)
-    return ValidationError(f"{what} must be {kind}, got {clipped(text)}")
+    return clipped(text)
+
+
+def type_refusal(what: str, kind: str, value) -> ValidationError:
+    """``{what} must be {kind}, got {value}``, the value ``shown``."""
+    return ValidationError(f"{what} must be {kind}, got {shown(value)}")
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -250,7 +255,7 @@ class TaggedToken:
 
     def __post_init__(self) -> None:
         if not isinstance(self.pos, PosTag):
-            raise ValidationError(f"TaggedToken: bad part-of-speech tag {self.pos!r}")
+            raise ValidationError(f"TaggedToken: bad part-of-speech tag {clipped(repr(self.pos))}")
         if not isinstance(self.lemma, str):
             raise type_refusal("lemma", "a string", self.lemma)
         if not isinstance(self.surface, str):
@@ -309,7 +314,7 @@ class FrameRecord:
             if not (type(score) is float and -1.0 <= score <= 1.0):  # as Prediction's score
                 score = float(score) if isinstance(score, float) else checked_number(score, "label score")
                 if not -1.0 <= score <= 1.0:
-                    raise ValidationError(f"FrameRecord: score {score} for {label!r} outside [-1, 1]")
+                    raise ValidationError(f"FrameRecord: score {score} for {clipped(repr(label))} outside [-1, 1]")
                 floats = False
         for label, _, score in self.detections:
             checked_label(label, "detection label")
@@ -338,9 +343,9 @@ class Segment:
             for name in ("start_frame", "end_frame", "occurrences"):
                 checked_integer(getattr(self, name), name)
             if self.start_frame > self.end_frame:
-                raise ValidationError(f"Segment: start {self.start_frame} after end {self.end_frame}")
+                raise ValidationError(f"Segment: start {shown(self.start_frame)} after end {shown(self.end_frame)}")
             if self.occurrences < 1:
-                raise ValidationError(f"Segment: occurrence count {self.occurrences} < 1")
+                raise ValidationError(f"Segment: occurrence count {shown(self.occurrences)} < 1")
 
     def overlaps(self, other: "Segment") -> bool:
         return self.start_frame <= other.end_frame and other.start_frame <= self.end_frame
@@ -372,9 +377,10 @@ class PerCategory:
 class SummarizerConfig:
     """All pipeline knobs with their reference operating-point defaults; some subcommand reads each.
 
-    Empty vocabularies and merge tables disable the corresponding
-    filtering entirely (the unfiltered operating mode); non-empty sets
-    enforce exact membership after label normalization.
+    Each field is stored as its key's rule in ``_CONFIG_KEYS`` returns it, as ``load_config``
+    stores the same text: an int for a float key becomes a float, labels are normalized and
+    merge-table pairs sorted. Empty vocabularies and merge tables disable the corresponding
+    filtering (the unfiltered operating mode); non-empty sets enforce exact membership.
     """
 
     d: int = 4
@@ -393,7 +399,10 @@ class SummarizerConfig:
     merge_table: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        _validate_config(self)
+        for key, (path, _, rule) in _CONFIG_KEYS.items():
+            value = rule(_config_value(self, path), key)
+            if "." not in path:  # a PerCategory part, an int, is kept as given
+                object.__setattr__(self, path, value)
 
     # Extraction reads these lookups for every processed frame, so each is
     # built once per config. The cache is not a field: equality, hashing
@@ -412,118 +421,97 @@ class SummarizerConfig:
         return self.vocab_noun | self.generic_nouns
 
 
-def _at_least(low: float):
-    return lambda value: value >= low
+def _in_range(checked, low, high):
+    """The rule of a number key: ``checked``, the integer or number rule, then ``low <= value <= high``."""
+    def rule(value, key: str):
+        value = checked(value, key)
+        if not low <= value <= high:
+            raise ValidationError(f"{key} {shown(value)} out of range [{low}, {high}]")
+        return value
+    return rule
 
 
-def _parse_label_set(raw: str) -> frozenset[str]:
-    return frozenset(checked_label(p, "label") for p in raw.split(",") if p.strip())
+# every integer stops where a deque's maxlen does, which a context length sizes
+_COUNT, _POSITIVE = _in_range(checked_integer, 0, sys.maxsize), _in_range(checked_integer, 1, sys.maxsize)
+_FRACTION, _NON_NEGATIVE = _in_range(checked_number, 0, 1), _in_range(checked_number, 0, math.inf)
 
 
-def _parse_merge_table(raw: str) -> tuple[tuple[str, str], ...]:
-    seen: dict[str, str] = {}
-    for chunk in raw.split(","):
-        if not chunk.strip():
-            continue
-        if "->" not in chunk:
-            raise ValidationError(f"merge_table entry {chunk.strip()!r} missing '->'")
-        src, dst = chunk.split("->", 1)
-        src, dst = checked_label(src, "merge_table source"), checked_label(dst, "merge_table target")
-        if seen.setdefault(src, dst) != dst:
-            raise ValidationError(f"config: merge_table maps {src!r} to both {seen[src]!r} and {dst!r}")
-    return tuple(sorted(seen.items()))
+def _label_set(value, key: str) -> frozenset[str]:
+    """The rule of a label set, stored normalized; checked in sorted order, so a refusal names one label."""
+    if not isinstance(value, (set, frozenset)):
+        raise type_refusal(key, "a set of labels", value)
+    return frozenset(checked_label(label, f"{key} label") for label in sorted(value, key=repr))
 
 
-# Every config key, in file and hash order: the field it sets
-# ("field.part" for a PerCategory part), its parser (int, float or a
-# text parser) and its range (None: any parsed value).
+def _merge_table(value, key: str) -> tuple[tuple[str, str], ...]:
+    """The merge-table rule: (source, target) label pairs, each source mapped once; stored sorted."""
+    if not (isinstance(value, tuple) and all(isinstance(pair, tuple) and len(pair) == 2 for pair in value)):
+        raise type_refusal(key, "a tuple of (source, target) pairs", value)
+    targets: dict[str, str] = {}
+    for source, target in value:
+        source, target = checked_label(source, f"{key} source"), checked_label(target, f"{key} target")
+        if "->" in source:  # a config line splits its pair at the first '->'
+            raise ValidationError(f"{key} source {clipped(repr(source))} contains '->'")
+        if targets.setdefault(source, target) != target:
+            shown_pair = f"{clipped(repr(targets[source]))} and {clipped(repr(target))}"
+            raise ValidationError(f"{key} maps {clipped(repr(source))} to both {shown_pair}")
+    return tuple(sorted(targets.items()))
+
+
+def _split_labels(raw: str) -> frozenset[str]:
+    return frozenset(part for part in raw.split(",") if part.strip())
+
+
+def _split_pairs(raw: str) -> tuple[tuple[str, str], ...]:
+    entries = [entry.strip() for entry in raw.split(",") if entry.strip()]
+    for entry in entries:
+        if "->" not in entry:
+            raise ValidationError(f"merge_table entry {clipped(repr(entry))} missing '->'")
+    return tuple(tuple(entry.split("->", 1)) for entry in entries)
+
+
+# Every config key, in file and hash order: the field it sets ("field.part"
+# for a PerCategory part), the decoder of its text (int or float, read as
+# plain ASCII, or a split), and its rule, the value's one check in code and
+# on a config line alike, which returns the value to store.
 _CONFIG_KEYS = {
-    "d": ("d", int, _at_least(0)),
-    "k": ("k", int, _at_least(0)),
-    "stride": ("stride", int, _at_least(1)),
-    "p_o_action": ("p_o.action", int, _at_least(1)),
-    "p_o_held": ("p_o.held", int, _at_least(1)),
-    "p_o_salient": ("p_o.salient", int, _at_least(1)),
-    "p_l_action": ("p_l.action", int, _at_least(0)),
-    "p_l_held": ("p_l.held", int, _at_least(0)),
-    "p_l_salient": ("p_l.salient", int, _at_least(0)),
-    "l_action": ("context_lengths.action", int, _at_least(0)),
-    "l_held": ("context_lengths.held", int, _at_least(0)),
-    "l_salient": ("context_lengths.salient", int, _at_least(0)),
-    "theta_iou": ("theta_iou", float, lambda value: 0 <= value <= 1),
-    "min_ttc": ("min_ttc", float, _at_least(0)),
-    "iou_thresh": ("iou_thresh", float, lambda value: 0 <= value <= 1),
-    "t_delta": ("t_delta", float, _at_least(0)),
-    "vocab_noun": ("vocab_noun", _parse_label_set, None),
-    "vocab_verb": ("vocab_verb", _parse_label_set, None),
-    "generic_nouns": ("generic_nouns", _parse_label_set, None),
-    "merge_table": ("merge_table", _parse_merge_table, None),
+    "d": ("d", int, _COUNT),
+    "k": ("k", int, _COUNT),
+    "stride": ("stride", int, _POSITIVE),
+    "p_o_action": ("p_o.action", int, _POSITIVE),
+    "p_o_held": ("p_o.held", int, _POSITIVE),
+    "p_o_salient": ("p_o.salient", int, _POSITIVE),
+    "p_l_action": ("p_l.action", int, _COUNT),
+    "p_l_held": ("p_l.held", int, _COUNT),
+    "p_l_salient": ("p_l.salient", int, _COUNT),
+    "l_action": ("context_lengths.action", int, _COUNT),
+    "l_held": ("context_lengths.held", int, _COUNT),
+    "l_salient": ("context_lengths.salient", int, _COUNT),
+    "theta_iou": ("theta_iou", float, _FRACTION),
+    "min_ttc": ("min_ttc", float, _NON_NEGATIVE),
+    "iou_thresh": ("iou_thresh", float, _FRACTION),
+    "t_delta": ("t_delta", float, _NON_NEGATIVE),
+    "vocab_noun": ("vocab_noun", _split_labels, _label_set),
+    "vocab_verb": ("vocab_verb", _split_labels, _label_set),
+    "generic_nouns": ("generic_nouns", _split_labels, _label_set),
+    "merge_table": ("merge_table", _split_pairs, _merge_table),
 }
 
 
 def _config_value(cfg: SummarizerConfig, path: str):
     name, _, part = path.partition(".")
     value = getattr(cfg, name)
+    if part and not isinstance(value, PerCategory):
+        raise type_refusal(name, "a PerCategory", value)
     return getattr(value, part) if part else value
-
-
-def _round_trips(parse, value) -> bool:
-    try:
-        return parse(_render_config_value(parse, value)) == value
-    except (TypeError, ValueError, ValidationError):  # a value that does not render, or renders unparsable
-        return False
-
-
-def _check_value(key: str, value) -> None:
-    # the rules of one value, in a built config and on a config line alike: serialize_config
-    # must render what load_config reads back, so a number has the exact type, a float is
-    # finite, and a text value parses back to itself
-    _, parse, ok = _CONFIG_KEYS[key]
-    if isinstance(value, int) and abs(value) > sys.maxsize:
-        # every config int stops where a deque's maxlen does, and str() refuses an int of
-        # over 4,300 digits, so a longer one is not shown
-        shown = value if value.bit_length() <= 128 else f"<{value.bit_length()}-bit int>"
-        raise ValidationError(f"config: {key}={shown} out of range")
-    if parse is int or parse is float:
-        if type(value) is not parse:
-            raise ValidationError(f"config: {key}={value!r} is not of type {parse.__name__}")
-        if parse is float and not math.isfinite(value):
-            raise ValidationError(f"config: {key}={value!r} is not finite")
-    elif not _round_trips(parse, value):
-        raise ValidationError(f"config: {key}={value!r} does not read back from its serialized form")
-    if ok is not None and not ok(value):
-        raise ValidationError(f"config: {key}={value!r} out of range")
-
-
-def _validate_config(cfg: SummarizerConfig) -> None:
-    for key, (path, _, _) in _CONFIG_KEYS.items():
-        _check_value(key, _config_value(cfg, path))
-
-
-def _parse_config_line(key: str, raw: str):
-    if key not in _CONFIG_KEYS:
-        raise ValidationError(f"unknown key {clipped(repr(key))}")
-    parse = _CONFIG_KEYS[key][1]
-    if parse is int or parse is float:
-        # int() and float() also take '_' separators and non-ASCII digits; JSON numbers do not
-        try:
-            if not raw.isascii() or "_" in raw:
-                raise ValueError(raw)
-            value = parse(raw)
-        except ValueError:
-            raise ValidationError(f"key {key!r}: {clipped(raw)!r} is not a plain ASCII {parse.__name__}") from None
-    else:
-        value = parse(raw)
-    _check_value(key, value)
-    return value
 
 
 def load_config(path: str | Path) -> SummarizerConfig:
     """Parse a flat ``key=value`` config file; unspecified keys keep defaults.
 
-    Unknown keys are errors, and so are numbers that are not plain ASCII,
-    not finite or out of range; each names its ``path:line``. Blank lines
-    and ``#`` comments are ignored.
+    Each value is decoded from its text, then checked by its key's rule as in code. Unknown
+    or repeated keys, numbers that are not plain ASCII and values that break their rule are
+    errors naming ``path:line``. Blank lines and ``#`` comments are ignored.
     """
     seen: set[str] = set()
     fields: dict = {}
@@ -531,17 +519,27 @@ def load_config(path: str | Path) -> SummarizerConfig:
         line = raw.strip()
         if line.startswith("#"):
             continue
-        key, sep, value = (part.strip() for part in line.partition("="))
+        key, sep, text = (part.strip() for part in line.partition("="))
         try:
             if not sep:
                 raise ValidationError(f"expected key=value, got {clipped(repr(line))}")
+            if key not in _CONFIG_KEYS:
+                raise ValidationError(f"unknown key {clipped(repr(key))}")
             if key in seen:
                 raise ValidationError(f"duplicate key {key!r}")
-            value = _parse_config_line(key, value)
+            field_path, decode, rule = _CONFIG_KEYS[key]
+            try:
+                # int() and float() also take '_' separators and non-ASCII digits; JSON numbers do not
+                if (decode is int or decode is float) and (not text.isascii() or "_" in text):
+                    raise ValueError(text)
+                value = decode(text)
+            except ValueError:  # only int() and float() raise it
+                raise ValidationError(f"key {key!r}: {clipped(text)!r} is not a plain ASCII {decode.__name__}") from None
+            value = rule(value, key)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=str(path)) from None
         seen.add(key)
-        name, _, part = _CONFIG_KEYS[key][0].partition(".")
+        name, _, part = field_path.partition(".")
         if part:  # a PerCategory part: the other parts keep their values so far
             group = fields.get(name, SummarizerConfig.__dataclass_fields__[name].default)
             value = dataclasses.replace(group, **{part: value})
@@ -549,24 +547,21 @@ def load_config(path: str | Path) -> SummarizerConfig:
     return SummarizerConfig(**fields)
 
 
-def _render_config_value(parse, value) -> str:
-    if parse is _parse_label_set:
-        return ",".join(sorted(value))
-    if parse is _parse_merge_table:
-        return ",".join(f"{s}->{d}" for s, d in value)
-    return repr(value) if parse is float else f"{value}"
-
-
 def serialize_config(cfg: SummarizerConfig) -> str:
     """Render a config back to the flat file format, deterministically.
 
-    ``load_config`` on the result reproduces an equal config; ``repr`` is
-    used for floats so values round-trip exactly.
+    ``load_config`` on the result reproduces an equal config: a float is
+    written in its shortest form that reads back exactly.
     """
-    return "".join(
-        f"{key}={_render_config_value(parse, _config_value(cfg, path))}\n"
-        for key, (path, parse, _) in _CONFIG_KEYS.items()
-    )
+    lines = []
+    for key, (path, decode, _) in _CONFIG_KEYS.items():
+        value = _config_value(cfg, path)
+        if decode is _split_labels:
+            value = ",".join(sorted(value))
+        elif decode is _split_pairs:
+            value = ",".join(f"{source}->{target}" for source, target in value)
+        lines.append(f"{key}={value}\n")
+    return "".join(lines)
 
 
 def config_hash(cfg: SummarizerConfig) -> str:

@@ -51,6 +51,8 @@ from .core import (
     SummarizerConfig,
     Term,
     ValidationError,
+    clipped,
+    shown,
 )
 from .extraction import FrameContext, extract_frame_context
 
@@ -142,7 +144,7 @@ def summarize_video(
     previous = last_selected = None
     for t, frame_ctx in extracted:
         if previous == t:
-            raise ValidationError(f"video {video_id!r}: duplicate frame id {t}")
+            raise ValidationError(f"video {clipped(repr(video_id))}: duplicate frame id {shown(t)}")
         previous = t
         selected = [lane.select(t) for lane in lanes]
         if selected != last_selected:

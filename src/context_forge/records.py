@@ -47,6 +47,7 @@ from .core import (
     clipped,
     normalize_label,
     read_lines,
+    shown,
     type_refusal,
 )
 
@@ -101,7 +102,7 @@ def _read_keyed(path: str, decode: Callable[[dict], T]) -> dict[FrameKey, T]:
             obj = _object(line)
             key = (_get(obj, "video_id", str), checked_frame_id(_get(obj, "frame_id")))
             if key in out:
-                raise ValidationError(f"duplicate frame {clipped(key[0])}:{key[1]}")
+                raise ValidationError(f"duplicate frame {clipped(key[0])}:{shown(key[1])}")
             out[key] = decode(obj)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=path) from None
@@ -178,7 +179,7 @@ def _frame_lines(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[
                 video_id = line_video
             frame_id = checked_frame_id(_get(obj, "frame_id"))
             if frame_id in frame_ids:
-                raise ValidationError(f"video {clipped(repr(video_id))}: duplicate frame id {frame_id}")
+                raise ValidationError(f"video {clipped(repr(video_id))}: duplicate frame id {shown(frame_id)}")
             frame_ids.add(frame_id)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=path) from None

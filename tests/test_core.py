@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from context_forge import core
 from context_forge.aggregation import _RunState
@@ -43,6 +43,7 @@ from context_forge.core import (
 )
 from context_forge.extraction import FrameContext
 from context_forge.metrics import Variant, class_key
+from context_forge.pipeline import summarize_video
 from context_forge.records import read_contexts, read_frame_records, read_ground_truth, read_predictions
 
 
@@ -185,17 +186,17 @@ class TestConfigParsing:
         ]
 
     @pytest.mark.parametrize(
-        "fields", [{"d": True}, {"k": 2.5}, {"theta_iou": 1}, {"p_o": PerCategory(1, True, 10)}]
+        "fields", [{"d": True}, {"k": 2.5}, {"theta_iou": "1"}, {"p_o": PerCategory(1, True, 10)}]
     )
     def test_wrong_type_rejected(self, fields):
-        # serialize_config would write a value that load_config rejects
-        with pytest.raises(ValidationError, match="is not of type"):
+        # the integer and number rules of every value type: never a bool, a float for an int, or a string
+        with pytest.raises(ValidationError, match=r"^\w+ must be (an integer|a finite number), got "):
             SummarizerConfig(**fields)
 
     @pytest.mark.parametrize("key", ["min_ttc", "t_delta", "iou_thresh"])
     def test_non_finite_float_rejected(self, key):
         # serialize_config would write 'inf', which load_config rejects
-        with pytest.raises(ValidationError, match="is not finite"):
+        with pytest.raises(ValidationError, match=f"^{key} must be a finite number, got Infinity$"):
             SummarizerConfig(**{key: math.inf})
 
     @pytest.mark.parametrize("value", [5e-324, sys.float_info.max])
@@ -218,7 +219,7 @@ class TestConfigParsing:
     )
     def test_int_beyond_sys_maxsize_rejected(self, fields):
         # an int of over 4,300 digits must not reach a message or config_hash, which cannot print it
-        with pytest.raises(ValidationError, match="out of range"):
+        with pytest.raises(ValidationError, match=r"out of range|, got <\d+-bit int>$"):
             SummarizerConfig(**fields)
 
     def test_int_at_sys_maxsize_round_trips(self, tmp_path):
@@ -250,22 +251,29 @@ class TestConfigParsing:
         with pytest.raises(ParseError, match=f"line 1: key 'd': '{shown}' is not a plain ASCII int$"):
             load_config(path)
 
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            {"vocab_noun": frozenset({"a;b"})},
-            {"merge_table": (("x", "y;z"),)},
-            {"vocab_noun": frozenset({"Cup"})},
-            {"generic_nouns": frozenset({" thing"})},
-            {"merge_table": (("b", "x"), ("a", "y"))},
-            {"merge_table": (("a->b", "c"),)},
-            {"vocab_verb": frozenset({1})},
-        ],
-    )
-    def test_labels_that_do_not_read_back_rejected(self, fields):
-        # each would serialize to a file that load_config rejects or reads back unequal
-        with pytest.raises(ValidationError, match="does not read back"):
-            SummarizerConfig(**fields)
+    @pytest.mark.parametrize("fields, stored", [
+        pytest.param(fields, stored, id=f"fields{i}") for i, (fields, stored) in enumerate([
+            ({"vocab_noun": frozenset({"a;b"})}, "vocab_noun label 'a;b' contains a reserved separator"),
+            ({"merge_table": (("x", "y;z"),)}, "merge_table target 'y;z' contains a reserved separator"),
+            ({"vocab_noun": frozenset({"Cup"})}, {"vocab_noun": frozenset({"cup"})}),
+            ({"generic_nouns": frozenset({" thing"})}, {"generic_nouns": frozenset({"thing"})}),
+            ({"merge_table": (("b", "x"), ("a", "y"))}, {"merge_table": (("a", "y"), ("b", "x"))}),
+            ({"merge_table": (("a->b", "c"),)}, "merge_table source 'a->b' contains '->'"),
+            ({"vocab_verb": frozenset({1})}, "vocab_verb label 1 is not a string"),
+        ])
+    ])
+    def test_labels_that_do_not_read_back_rejected(self, tmp_path, fields, stored):
+        # a label is stored normalized and a merge table sorted, as load_config stores them,
+        # so each reads back from serialize_config; a label that cannot is refused
+        if isinstance(stored, str):
+            with pytest.raises(ValidationError, match=f"^{re.escape(stored)}$"):
+                SummarizerConfig(**fields)
+            return
+        cfg = SummarizerConfig(**fields)
+        assert {name: getattr(cfg, name) for name in fields} == stored
+        path = tmp_path / "c.cfg"
+        path.write_text(serialize_config(cfg))
+        assert load_config(path) == cfg
 
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -307,6 +315,96 @@ class TestConfigParsing:
         path = tmp_path_factory.mktemp("cfg") / "c.cfg"
         path.write_text(serialize_config(cfg))
         assert load_config(path) == cfg
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"p_o": (1, 2, 3)}, "p_o must be a PerCategory, got [1, 2, 3]"),
+        ({"context_lengths": None}, "context_lengths must be a PerCategory, got null"),
+        ({"vocab_noun": "cup"}, 'vocab_noun must be a set of labels, got "cup"'),
+        ({"generic_nouns": ["thing"]}, 'generic_nouns must be a set of labels, got ["thing"]'),
+        ({"merge_table": (("a", "b", "c"),)},
+         'merge_table must be a tuple of (source, target) pairs, got [["a", "b", "c"]]'),
+        ({"merge_table": [("a", "b")]}, 'merge_table must be a tuple of (source, target) pairs, got [["a", "b"]]'),
+        ({"merge_table": {"a": "b"}}, 'merge_table must be a tuple of (source, target) pairs, got {"a": "b"}'),
+    ], ids=["per-category-tuple", "per-category-none", "label-set-string", "label-set-list", "merge-triple",
+            "merge-list", "merge-dict"])
+    def test_field_of_wrong_structure_refused(self, fields, message):
+        # a string is never taken for the set of its characters
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            SummarizerConfig(**fields)
+
+
+def _config_text(value) -> str:
+    """A value drawn for a config key as a config line writes it, written here apart from serialize_config."""
+    if isinstance(value, list):  # a label set, in the order drawn
+        return ",".join(value)
+    if isinstance(value, tuple):
+        return ",".join(f"{source}->{target}" for source, target in value)
+    return f"{value}"
+
+
+# Labels in any case and padding, and a label the rule refuses. No blank label: a line's
+# list syntax skips an empty item between commas, where code has a blank label to refuse.
+RAW_LABELS = st.builds(lambda label, upper, pad: pad + (label.upper() if upper else label) + pad,
+                       LABELS, st.booleans(), st.sampled_from(["", " ", "  "])) | st.just("a;b")
+# Ints for float keys stay within the float range: a line's text reads a larger one as inf,
+# where code refuses the int itself. An int of over 4,300 digits has no text at all.
+INTS = st.integers(-3, 12) | st.integers(sys.maxsize - 1, 10**30) | st.just(10**4299)
+FLOATS = st.floats() | st.integers(-(10**20), 10**20) | st.sampled_from([5e-324, 1.5, 10**300])
+
+
+def _key_and_value(key):
+    """``key`` with a value drawn for it: a bool, an int or float, a label set (a list, in any
+    order) in mixed case and padding, or a merge table in any order."""
+    decode = core._CONFIG_KEYS[key][1]
+    if decode is int or decode is float:
+        values = st.booleans() | (INTS if decode is int else FLOATS)
+    elif key == "merge_table":
+        values = st.lists(st.tuples(RAW_LABELS, RAW_LABELS), max_size=4).map(tuple)
+    else:
+        values = st.lists(RAW_LABELS, max_size=4)
+    return st.tuples(st.just(key), values)
+
+
+def _tried(run):
+    try:
+        return "passed", run()
+    except ValidationError as exc:
+        return "refused", str(exc)
+
+
+def _built(key, value) -> SummarizerConfig:
+    name, _, part = core._CONFIG_KEYS[key][0].partition(".")
+    if part:
+        value = dataclasses.replace(getattr(SummarizerConfig(), name), **{part: value})
+    return SummarizerConfig(**{name: frozenset(value) if isinstance(value, list) else value})
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(sorted(core._CONFIG_KEYS)).flatmap(_key_and_value))
+@example(case=("theta_iou", 1))  # stored as 1.0, as the line theta_iou=1 is
+def test_config_line_read_as_built_in_code(tmp_path, case):
+    """A config line's value has the outcome of the same value built in code.
+
+    That is an equal config, or the same ``ValidationError`` message after the line's ``path:line``.
+    A bool has no line form: its text ``True`` is not a plain ASCII number, and code refuses it too.
+    Every accepted config reads back through ``serialize_config`` with the same ``config_hash``.
+    """
+    key, value = case
+    path = tmp_path / "c.cfg"
+    path.write_text(f"{key}={_config_text(value)}\n", encoding="utf-8")
+    line, built = _tried(lambda: load_config(path)), _tried(lambda: _built(key, value))
+    if line[0] == "refused":
+        assert line[1].startswith(f"{path}:line 1: "), line
+        line = ("refused", line[1][len(f"{path}:line 1: "):])
+    if isinstance(value, bool):
+        assert line[0] == built[0] == "refused" and line[1].startswith(f"key {key!r}: ")
+        return
+    assert line == built
+    if built[0] == "passed":
+        cfg = built[1]
+        path.write_text(serialize_config(cfg), encoding="utf-8")
+        assert load_config(path) == cfg and config_hash(load_config(path)) == config_hash(cfg)
+        assert config_hash(line[1]) == config_hash(cfg)
 
 
 class TestBoundingBox:
@@ -538,6 +636,39 @@ class TestScalarRules:
         assert stored == [0.0, 1.0, 2.0, 3.0, 1.0, 1.0, 1.0, 1.0]
         assert {type(v) for v in stored} == {float}
         assert type(scores["cup"]) is int  # a copy holds the float: the caller's mapping is left alone
+
+
+_LONG = "x" * 3000
+_LONG_INT = int("9" * 3000)
+# Every message that shows a value, each given a 3,000-character one: a label, an id or a number.
+LONG_VALUE_MESSAGES = {
+    "label-score-label": lambda tmp_path: FrameRecord("v", 0, label_scores={_LONG: 2.0}),
+    "negative-frame-id": lambda tmp_path: FrameRecord("v", -_LONG_INT),
+    "part-of-speech-tag": lambda tmp_path: TaggedToken("x", "x", _LONG),
+    "summarize-duplicate-frame": lambda tmp_path: summarize_video(
+        _LONG, [FrameRecord(_LONG, 0), FrameRecord(_LONG, 0)], SummarizerConfig()),
+    "segment-counts": lambda tmp_path: Segment(Category.ACTION, _PAIR, _LONG_INT, 0, 1, True),
+    "config-out-of-range": lambda tmp_path: SummarizerConfig(d=_LONG_INT),
+    "config-merge-conflict": lambda tmp_path: SummarizerConfig(merge_table=((_LONG, _LONG + "a"), (_LONG, _LONG + "b"))),
+    "config-merge-missing-arrow": lambda tmp_path: _read_line(tmp_path, "c.cfg", f"merge_table={_LONG}", load_config),
+    "frames-duplicate-frame-id": lambda tmp_path: _read_line(
+        tmp_path, "frames.jsonl", f'{{"video_id": "v", "frame_id": {_LONG_INT}}}\n' * 2,
+        lambda path: list(read_frame_records(str(path)))),
+}
+
+
+def _read_line(tmp_path, name, text, read):
+    path = tmp_path / name
+    path.write_text(text + "\n")
+    return read(path)
+
+
+@pytest.mark.parametrize("case", sorted(LONG_VALUE_MESSAGES))
+def test_long_value_cut_in_every_message(tmp_path, case):
+    with pytest.raises(ValidationError) as refused:
+        LONG_VALUE_MESSAGES[case](tmp_path)
+    message = refused.value.args[0]  # a ParseError's message, without its path:line
+    assert "..." in message and len(message) <= 160, message
 
 
 def test_labels_that_would_merge_two_classes_refused():
