@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .core import Category, Segment, Term, ValidationError, term_text
+from .core import COUNT, POSITIVE, Category, Segment, Term, ValidationError, term_text
 
 
 @dataclass(slots=True)
@@ -73,13 +73,9 @@ class StreamAggregator:
     """
 
     def __init__(self, category: Category, p_o: int, p_l: int):
-        if p_o < 1:
-            raise ValidationError(f"p_o={p_o} must be >= 1")
-        if p_l < 0:
-            raise ValidationError(f"p_l={p_l} must be >= 0")
         self.category = category
-        self.p_o = p_o
-        self.p_l = p_l
+        self.p_o = POSITIVE(p_o, f"p_o_{category.value}")
+        self.p_l = COUNT(p_l, f"p_l_{category.value}")
         self._closed: list[Segment] = []  # in _segment_order
         self._taken = 0  # _closed[:_taken] is what take_settled has handed out
         self._runs: dict[Term, _RunState] = {}  # live runs, ordered by last_seen

@@ -23,11 +23,12 @@ from typing import Iterable, Iterator
 
 from . import __version__
 from .core import (
+    AT_LEAST_ONE,
+    NATURAL,
     ActionContext,
     ContextForgeError,
     InvariantError,
     SummarizerConfig,
-    ValidationError,
     config_hash,
     load_config,
     load_embeddings,
@@ -170,8 +171,7 @@ def _videos_in_workers(path: str, cfg: SummarizerConfig, workers: int) -> Iterat
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs {args.jobs} must be at least 1")
+    AT_LEAST_ONE(args.jobs, "--jobs")
     cfg = _load_config(args.config)
     workers = min(args.jobs, os.cpu_count() or 1)  # a pool of one would only parse each line twice
     if workers == 1:
@@ -259,8 +259,7 @@ def cmd_fuse_check(args: argparse.Namespace) -> int:
     from .fusion import load_params, random_fusion_params, save_params
     from .checks import run_invariant_checks
 
-    if args.seed < 0:
-        raise ValidationError(f"--seed {args.seed} must be at least 0")
+    NATURAL(args.seed, "--seed")
     if args.params:
         scales = load_params(args.params)
     else:
@@ -279,8 +278,7 @@ def cmd_fuse_check(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.n_videos < 1:
-        raise ValidationError(f"--n-videos {args.n_videos} must be at least 1")
+    AT_LEAST_ONE(args.n_videos, "--n-videos")
     records = []
     for i in range(args.n_videos):
         planted, stream = gen_scenario(

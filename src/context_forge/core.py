@@ -2,14 +2,15 @@
 
 Everything in here is immutable after construction and safe to share
 between worker processes. Each field follows one rule (``checked_label``,
-``checked_number``, ``checked_integer``, ``checked_frame_id``, or a ``str``),
-which the type holding it applies as it is built, whether from a file or in
-code: a type's one comparison chain passes the common case, and the rule is
-called only to store an int as a float or to word a refusal. A label that
-passed recently is answered from a bounded memo, one string per normalized
-label, and a refusal is never stored. Labels are compared normalized to
-lowercase, whitespace-collapsed strings; membership checks are exact string
-matches after normalization.
+``checked_number``, ``checked_integer``, ``checked_text``, or a rule that
+``in_range``, the one range check, builds), which the type holding it
+applies as it is built, whether from a file or in code: a type's one
+comparison chain passes the common case, and the rule is called only to
+store an int as a float or to word a refusal. A label that passed recently
+is answered from a bounded memo, one string per normalized label, and a
+refusal is never stored. Labels are compared normalized to lowercase,
+whitespace-collapsed strings; membership checks are exact string matches
+after normalization.
 """
 
 from __future__ import annotations
@@ -93,6 +94,10 @@ def _passed_label(raw: str) -> str:
     """
     if "," in raw or ";" in raw:
         raise ValueError("contains a reserved separator")
+    try:
+        raw.encode("utf-8")  # a lone surrogate has no UTF-8 form, so no file can hold it
+    except UnicodeEncodeError:
+        raise ValueError("has no UTF-8 form") from None
     label = normalize_label(raw)
     if not label:
         raise ValueError("is blank")
@@ -117,10 +122,42 @@ def checked_integer(value, what: str) -> int:
     raise type_refusal(what, "an integer", value)
 
 
+def checked_text(value, what: str) -> str:
+    """``value`` when it is a string with a UTF-8 form, as a label is: the rule of other strings."""
+    if not isinstance(value, str):
+        raise type_refusal(what, "a string", value)
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"{what} {clipped(repr(value))} has no UTF-8 form") from None
+    return value
+
+
+def in_range(checked, low, high=math.inf):
+    """The range rule of every bounded number: ``checked`` (the integer or number rule), then ``low <= value <= high``.
+
+    Its one refusal is ``{what} {value} out of range [{low}, {high}]``, the value ``shown``; ``high`` defaults to inf.
+    """
+    def rule(value, what: str):
+        value = checked(value, what)
+        if not low <= value <= high:
+            raise ValidationError(f"{what} {shown(value)} out of range [{low}, {high}]")
+        return value
+    return rule
+
+
+# Range rules shared by several values. The config's integers (COUNT, POSITIVE) stop where a deque's
+# maxlen does, which a context length sizes; every other integer (NATURAL, AT_LEAST_ONE) is unbounded.
+COUNT, POSITIVE = in_range(checked_integer, 0, sys.maxsize), in_range(checked_integer, 1, sys.maxsize)
+NATURAL, AT_LEAST_ONE = in_range(checked_integer, 0), in_range(checked_integer, 1)
+FRACTION, NON_NEGATIVE = in_range(checked_number, 0, 1), in_range(checked_number, 0)
+_LABEL_SCORE = in_range(checked_number, -1, 1)
+
+
 def checked_frame_id(frame_id: int) -> int:
     """``frame_id``, an integer that is not negative: the frame-id rule of every file that keys by frame."""
-    if not (type(frame_id) is int and frame_id >= 0) and checked_integer(frame_id, "frame_id") < 0:
-        raise ValidationError(f"negative frame_id {shown(frame_id)}")
+    if not (type(frame_id) is int and frame_id >= 0):
+        NATURAL(frame_id, "frame_id")
     return frame_id
 
 
@@ -194,9 +231,7 @@ class BoundingBox:
         if not (type(self.x1) is type(self.y1) is type(self.x2) is type(self.y2) is float
                 and 0.0 <= self.x1 < self.x2 < math.inf and 0.0 <= self.y1 < self.y2 < math.inf):
             for name in ("x1", "y1", "x2", "y2"):
-                object.__setattr__(self, name, checked_number(getattr(self, name), "box coordinate"))
-            if min(self.as_tuple()) < 0:
-                raise ValidationError(f"BoundingBox: negative coordinate in {self.as_tuple()}")
+                object.__setattr__(self, name, NON_NEGATIVE(getattr(self, name), "box coordinate"))
             if not (self.x1 < self.x2 and self.y1 < self.y2):
                 raise ValidationError(f"BoundingBox: empty or inverted box {self.as_tuple()}")
 
@@ -217,10 +252,10 @@ class ObjectInteraction:
     ttc: float
 
     def __post_init__(self) -> None:
-        if not (type(self.ttc) is float and 0.0 <= self.ttc < math.inf):  # as BoundingBox's chain
-            object.__setattr__(self, "ttc", checked_number(self.ttc, "ttc"))
-            if self.ttc < 0:
-                raise ValidationError(f"ObjectInteraction: negative time to contact {self.ttc}")
+        if not (type(self.ttc) is float and 0.0 <= self.ttc < math.inf and type(self.box) is BoundingBox):
+            if not isinstance(self.box, BoundingBox):
+                raise type_refusal("box", "a BoundingBox", self.box)
+            object.__setattr__(self, "ttc", NON_NEGATIVE(self.ttc, "ttc"))
         object.__setattr__(self, "noun", checked_label(self.noun, "noun"))
         object.__setattr__(self, "verb", checked_label(self.verb, "verb"))
 
@@ -233,12 +268,10 @@ class Prediction:
     score: float
 
     def __post_init__(self) -> None:
-        if not (type(self.score) is float and 0.0 <= self.score <= 1.0):  # as BoundingBox's chain
-            # a float's range refuses NaN and the infinities too, and words that refusal
-            score = float(self.score) if isinstance(self.score, float) else checked_number(self.score, "score")
-            if not 0.0 <= score <= 1.0:
-                raise ValidationError(f"Prediction: score {score} outside [0, 1]")
-            object.__setattr__(self, "score", score)
+        if not (type(self.score) is float and 0.0 <= self.score <= 1.0 and type(self.interaction) is ObjectInteraction):
+            if not isinstance(self.interaction, ObjectInteraction):
+                raise type_refusal("interaction", "an ObjectInteraction", self.interaction)
+            object.__setattr__(self, "score", FRACTION(self.score, "score"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,10 +289,10 @@ class TaggedToken:
     def __post_init__(self) -> None:
         if not isinstance(self.pos, PosTag):
             raise ValidationError(f"TaggedToken: bad part-of-speech tag {clipped(repr(self.pos))}")
-        if not isinstance(self.lemma, str):
-            raise type_refusal("lemma", "a string", self.lemma)
-        if not isinstance(self.surface, str):
-            raise type_refusal("surface", "a string", self.surface)
+        if not (type(self.lemma) is str and self.lemma.isascii()):
+            checked_text(self.lemma, "lemma")
+        if not (type(self.surface) is str and self.surface.isascii()):
+            checked_text(self.surface, "surface")
         if self.pos is not PosTag.OTHER:
             checked_label(self.lemma, f"{self.pos.value} lemma")
         elif not self.lemma:
@@ -305,16 +338,14 @@ class FrameRecord:
     detections: tuple[tuple[str, BoundingBox, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.video_id, str):
-            raise type_refusal("video_id", "a string", self.video_id)
+        if not (type(self.video_id) is str and self.video_id.isascii()):
+            checked_text(self.video_id, "video_id")
         checked_frame_id(self.frame_id)
         floats = True
         for label, score in self.label_scores.items():
             checked_label(label, "label_scores key")
             if not (type(score) is float and -1.0 <= score <= 1.0):  # as Prediction's score
-                score = float(score) if isinstance(score, float) else checked_number(score, "label score")
-                if not -1.0 <= score <= 1.0:
-                    raise ValidationError(f"FrameRecord: score {score} for {clipped(repr(label))} outside [-1, 1]")
+                _LABEL_SCORE(score, f"label_scores[{clipped(repr(label))}]")
                 floats = False
         for label, _, score in self.detections:
             checked_label(label, "detection label")
@@ -340,12 +371,11 @@ class Segment:
     def __post_init__(self) -> None:
         if not (type(self.start_frame) is type(self.end_frame) is type(self.occurrences) is int
                 and self.start_frame <= self.end_frame and self.occurrences >= 1):  # as BoundingBox's chain
-            for name in ("start_frame", "end_frame", "occurrences"):
+            for name in ("start_frame", "end_frame"):
                 checked_integer(getattr(self, name), name)
+            AT_LEAST_ONE(self.occurrences, "occurrences")
             if self.start_frame > self.end_frame:
                 raise ValidationError(f"Segment: start {shown(self.start_frame)} after end {shown(self.end_frame)}")
-            if self.occurrences < 1:
-                raise ValidationError(f"Segment: occurrence count {shown(self.occurrences)} < 1")
 
     def overlaps(self, other: "Segment") -> bool:
         return self.start_frame <= other.end_frame and other.start_frame <= self.end_frame
@@ -421,21 +451,6 @@ class SummarizerConfig:
         return self.vocab_noun | self.generic_nouns
 
 
-def _in_range(checked, low, high):
-    """The rule of a number key: ``checked``, the integer or number rule, then ``low <= value <= high``."""
-    def rule(value, key: str):
-        value = checked(value, key)
-        if not low <= value <= high:
-            raise ValidationError(f"{key} {shown(value)} out of range [{low}, {high}]")
-        return value
-    return rule
-
-
-# every integer stops where a deque's maxlen does, which a context length sizes
-_COUNT, _POSITIVE = _in_range(checked_integer, 0, sys.maxsize), _in_range(checked_integer, 1, sys.maxsize)
-_FRACTION, _NON_NEGATIVE = _in_range(checked_number, 0, 1), _in_range(checked_number, 0, math.inf)
-
-
 def _label_set(value, key: str) -> frozenset[str]:
     """The rule of a label set, stored normalized; checked in sorted order, so a refusal names one label."""
     if not isinstance(value, (set, frozenset)):
@@ -475,22 +490,22 @@ def _split_pairs(raw: str) -> tuple[tuple[str, str], ...]:
 # plain ASCII, or a split), and its rule, the value's one check in code and
 # on a config line alike, which returns the value to store.
 _CONFIG_KEYS = {
-    "d": ("d", int, _COUNT),
-    "k": ("k", int, _COUNT),
-    "stride": ("stride", int, _POSITIVE),
-    "p_o_action": ("p_o.action", int, _POSITIVE),
-    "p_o_held": ("p_o.held", int, _POSITIVE),
-    "p_o_salient": ("p_o.salient", int, _POSITIVE),
-    "p_l_action": ("p_l.action", int, _COUNT),
-    "p_l_held": ("p_l.held", int, _COUNT),
-    "p_l_salient": ("p_l.salient", int, _COUNT),
-    "l_action": ("context_lengths.action", int, _COUNT),
-    "l_held": ("context_lengths.held", int, _COUNT),
-    "l_salient": ("context_lengths.salient", int, _COUNT),
-    "theta_iou": ("theta_iou", float, _FRACTION),
-    "min_ttc": ("min_ttc", float, _NON_NEGATIVE),
-    "iou_thresh": ("iou_thresh", float, _FRACTION),
-    "t_delta": ("t_delta", float, _NON_NEGATIVE),
+    "d": ("d", int, COUNT),
+    "k": ("k", int, COUNT),
+    "stride": ("stride", int, POSITIVE),
+    "p_o_action": ("p_o.action", int, POSITIVE),
+    "p_o_held": ("p_o.held", int, POSITIVE),
+    "p_o_salient": ("p_o.salient", int, POSITIVE),
+    "p_l_action": ("p_l.action", int, COUNT),
+    "p_l_held": ("p_l.held", int, COUNT),
+    "p_l_salient": ("p_l.salient", int, COUNT),
+    "l_action": ("context_lengths.action", int, COUNT),
+    "l_held": ("context_lengths.held", int, COUNT),
+    "l_salient": ("context_lengths.salient", int, COUNT),
+    "theta_iou": ("theta_iou", float, FRACTION),
+    "min_ttc": ("min_ttc", float, NON_NEGATIVE),
+    "iou_thresh": ("iou_thresh", float, FRACTION),
+    "t_delta": ("t_delta", float, NON_NEGATIVE),
     "vocab_noun": ("vocab_noun", _split_labels, _label_set),
     "vocab_verb": ("vocab_verb", _split_labels, _label_set),
     "generic_nouns": ("generic_nouns", _split_labels, _label_set),
@@ -598,8 +613,7 @@ class EmbeddingTable:
             raise ValidationError("no embeddings")
 
     def _add(self, word: str, vector: np.ndarray | list[float], keep: Container[str] | None) -> None:
-        if not isinstance(word, str):
-            raise type_refusal("word", "a string", word)
+        checked_text(word, "word")
         try:
             # np.array would also convert strings and bools
             if not (vector.dtype.kind in "fiu" if isinstance(vector, np.ndarray)

@@ -7,11 +7,14 @@ are pure; frames can be processed in any order or in parallel.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
+    COUNT,
+    FRACTION,
     ActionPair,
     BoundingBox,
     Category,
@@ -20,7 +23,6 @@ from .core import (
     SummarizerConfig,
     TaggedToken,
     Term,
-    ValidationError,
     normalize_label,
 )
 from .metrics import iou
@@ -55,10 +57,10 @@ def extract_candidate_pairs(
     included) so downstream frequency counting sees true multiplicity;
     candidates appear in scan order (verb position, then noun position).
     An empty ``noun_vocab`` admits every noun, and an empty ``verb_vocab``
-    every verb.
+    every verb. ``d`` follows the rule of the config key ``d``.
     """
-    if d < 0:
-        raise ValidationError(f"cutoff distance d={d} must be >= 0")
+    if not (type(d) is int and 0 <= d <= sys.maxsize):
+        d = COUNT(d, "d")
     pairs: list[ActionPair] = []
     for i, tok in enumerate(tokens):
         if tok.pos is not PosTag.VERB:
@@ -98,10 +100,10 @@ def select_salient(
 
     Labels outside a non-empty ``vocab`` are ignored; an empty vocab
     admits everything. Fewer than k labels are returned when fewer
-    qualify.
+    qualify. ``k`` follows the rule of the config key ``k``.
     """
-    if k < 0:
-        raise ValidationError(f"salient count k={k} must be >= 0")
+    if not (type(k) is int and 0 <= k <= sys.maxsize):
+        k = COUNT(k, "k")
     best_score: dict[str, float] = {}
     for raw, score in label_scores.items():
         label = normalize_label(raw)
@@ -126,10 +128,10 @@ def match_held_objects(
     label: the detection with the highest overlap, with detection score
     and then label as deterministic tie-breaks, so the result does not
     depend on detection order. Labels pass through ``merge_table``
-    before inclusion.
+    before inclusion. ``theta_iou`` follows the rule of the config key ``theta_iou``.
     """
-    if not (0.0 <= theta_iou <= 1.0):
-        raise ValidationError(f"theta_iou={theta_iou} outside [0, 1]")
+    if not (type(theta_iou) is float and 0.0 <= theta_iou <= 1.0):
+        theta_iou = FRACTION(theta_iou, "theta_iou")
     merge = merge_table or {}
     labeled = []
     for raw_label, box, score in detections:

@@ -16,10 +16,10 @@ JSON structure through ``_get``/``_as``: objects, required keys, lists, and
 the strings it uses itself (a ``video_id`` it keys by, the token fields
 ``_tagged`` hashes, a context's ``text``). Every other scalar goes as
 decoded to the value type that holds it, whose field rules (``core``'s
-``checked_*``) check it once. Strings must be valid Unicode: invalid UTF-8
-and escaped lone surrogates are rejected. Beyond that, a ground-truth
-``ttc`` may not fall below the config's ``min_ttc``, and a context's text
-must equal the ``assemble`` rendering of its terms, after
+``checked_*`` and ``in_range``) check it once. Strings must be valid
+Unicode: invalid UTF-8 and escaped lone surrogates are rejected. Beyond
+that, a ground-truth ``ttc`` is in range ``[min_ttc, inf]``, and a context's
+text must equal the ``assemble`` rendering of its terms, after
 ``normalize_label`` of both. A (video_id, frame_id) key appears at most
 once per file, and a frames file keeps each video's lines together. Any
 malformed line raises ``ParseError`` naming ``path:line``.
@@ -44,7 +44,9 @@ from .core import (
     TaggedToken,
     ValidationError,
     checked_frame_id,
+    checked_number,
     clipped,
+    in_range,
     normalize_label,
     read_lines,
     shown,
@@ -287,7 +289,7 @@ def read_ground_truth(path: str, *, min_ttc: float) -> dict[FrameKey, list[Objec
         gts = [_interaction(e) for e in _entries(obj)]
         for gt in gts:
             if gt.ttc < min_ttc:
-                raise ValidationError(f"time to contact {gt.ttc} below minimum {min_ttc}")
+                in_range(checked_number, min_ttc)(gt.ttc, "ttc")
         return gts
 
     return _read_keyed(path, ground_truth)

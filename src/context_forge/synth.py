@@ -23,6 +23,7 @@ import numpy as np
 from .aggregation import SelectionMode, context_for_frame, eliminate_overlaps
 from .assembly import assemble
 from .core import (
+    AT_LEAST_ONE,
     ActionContext,
     ActionPair,
     BoundingBox,
@@ -112,10 +113,8 @@ def gen_scenario(
     """
     if not (0.0 <= drop_rate < 1.0 and 0.0 <= spurious_rate < 1.0):
         raise ValidationError("noise rates must lie in [0, 1)")
-    if n_terms < 1:
-        raise ValidationError("need at least one term per category")
-    if n_frames < 1:
-        raise ValidationError(f"n_frames={n_frames} must be at least 1")
+    AT_LEAST_ONE(n_terms, "n_terms")
+    AT_LEAST_ONE(n_frames, "n_frames")
     rng = SplitMix64(seed)
     terms = scenario_terms(n_terms)
 

@@ -902,7 +902,7 @@ class TestFuseCheck:
             args += ["--params", str(bundle)]
         proc = run_cli(*args)
         assert proc.returncode == 1
-        assert "error: --seed -1 must be at least 0" in proc.stderr
+        assert "error: --seed -1 out of range [0, inf]" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from context_forge import core
-from context_forge.aggregation import _RunState
+from context_forge import cli, core
+from context_forge.aggregation import StreamAggregator, _RunState
 from context_forge.assembly import assemble
 from context_forge.core import (
     ActionContext,
@@ -41,10 +41,11 @@ from context_forge.core import (
     normalize_label,
     serialize_config,
 )
-from context_forge.extraction import FrameContext
+from context_forge.extraction import FrameContext, extract_candidate_pairs, match_held_objects, select_salient
 from context_forge.metrics import Variant, class_key
 from context_forge.pipeline import summarize_video
 from context_forge.records import read_contexts, read_frame_records, read_ground_truth, read_predictions
+from context_forge.synth import gen_scenario
 
 
 class TestDefaults:
@@ -407,6 +408,36 @@ def test_config_line_read_as_built_in_code(tmp_path, case):
         assert config_hash(line[1]) == config_hash(cfg)
 
 
+# Each engine argument that a config key sets, given to the function that takes it.
+ENGINE_ARGUMENTS = {
+    "d": lambda value: extract_candidate_pairs([], value),
+    "k": lambda value: select_salient({}, value),
+    "theta_iou": lambda value: match_held_objects([], [], value),
+    **{f"p_o_{c.value}": lambda value, c=c: StreamAggregator(c, value, 0) for c in Category},
+    **{f"p_l_{c.value}": lambda value, c=c: StreamAggregator(c, 1, value) for c in Category},
+}
+ENGINE_VALUES = (
+    st.booleans() | st.none() | st.text(max_size=3) | st.floats() | st.floats(0, 1)
+    | st.integers(-(10**20), 10**20) | st.sampled_from([-1, 0, 1, sys.maxsize, sys.maxsize + 1, 2**64])
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=st.sampled_from(sorted(ENGINE_ARGUMENTS)), value=ENGINE_VALUES)
+@example(key="d", value=2.5)  # once accepted by the engine and refused by the config, as were the next three
+@example(key="d", value=True)
+@example(key="theta_iou", value=True)
+@example(key="p_o_action", value=1.5)
+@example(key="k", value=2.5)  # once an untyped TypeError from the engine, as was the next
+@example(key="k", value="1")
+def test_engine_argument_checked_as_its_config_key(key, value):
+    """An engine function takes a value for its argument exactly when a config takes it for the key
+    that sets the argument, and refuses it with the same message, which names that key."""
+    engine, config = _tried(lambda: ENGINE_ARGUMENTS[key](value)), _tried(lambda: _built(key, value))
+    assert engine[0] == config[0], (engine, config)
+    assert engine[0] == "passed" or engine[1] == config[1]
+
+
 class TestBoundingBox:
     def test_valid(self):
         box = BoundingBox(0.0, 1.0, 2.5, 3.0)
@@ -456,9 +487,9 @@ class TestInteractionTypes:
     @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
     def test_non_finite_scores_fail_the_range_check(self, score):
         gt = ObjectInteraction(BoundingBox(0, 0, 1, 1), "cup", "take", 0.5)
-        with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+        with pytest.raises(ValidationError, match=rf"^score must be a finite number, got {json.dumps(score)}$"):
             Prediction(gt, score)
-        with pytest.raises(ValidationError, match=r"outside \[-1, 1\]"):
+        with pytest.raises(ValidationError, match=rf"^label_scores\['cup'\] must be a finite number, got {json.dumps(score)}$"):
             FrameRecord(video_id="v", frame_id=0, label_scores={"cup": score})
 
 
@@ -669,6 +700,91 @@ def test_long_value_cut_in_every_message(tmp_path, case):
         LONG_VALUE_MESSAGES[case](tmp_path)
     message = refused.value.args[0]  # a ParseError's message, without its path:line
     assert "..." in message and len(message) <= 160, message
+
+
+def _run_cli(*argv):
+    args = cli.build_parser().parse_args(list(argv))
+    return args.func(args)
+
+
+_MAX = sys.maxsize
+_GT_LINE = json.dumps({"video_id": "v", "frame_id": 0, "entries": [dict(_ENTRY, noun="cup", verb="take", ttc=0.01)]})
+# Every bounded number, each given a value out of its range, and the one message of that refusal.
+RANGE_SITES = {
+    "frame-id": (lambda tmp_path: FrameRecord("v", -1), "frame_id -1 out of range [0, inf]"),
+    "box-coordinate": (lambda tmp_path: BoundingBox(0, -0.5, 2, 2), "box coordinate -0.5 out of range [0, inf]"),
+    "ttc": (lambda tmp_path: ObjectInteraction(_BOX, "cup", "take", -1), "ttc -1.0 out of range [0, inf]"),
+    "prediction-score": (lambda tmp_path: Prediction(ObjectInteraction(_BOX, "cup", "take", 1.0), 1.5),
+                         "score 1.5 out of range [0, 1]"),
+    "label-score": (lambda tmp_path: FrameRecord("v", 0, label_scores={"cup": -2}),
+                    "label_scores['cup'] -2.0 out of range [-1, 1]"),
+    "segment-occurrences": (lambda tmp_path: Segment(Category.ACTION, _PAIR, 0, 1, 0, True),
+                            "occurrences 0 out of range [1, inf]"),
+    "extraction-d": (lambda tmp_path: extract_candidate_pairs([], -1), f"d -1 out of range [0, {_MAX}]"),
+    "extraction-k": (lambda tmp_path: select_salient({}, -1), f"k -1 out of range [0, {_MAX}]"),
+    "extraction-theta-iou": (lambda tmp_path: match_held_objects([], [], 1.5), "theta_iou 1.5 out of range [0, 1]"),
+    "aggregator-p-o": (lambda tmp_path: StreamAggregator(Category.HELD, 0, 7), f"p_o_held 0 out of range [1, {_MAX}]"),
+    "aggregator-p-l": (lambda tmp_path: StreamAggregator(Category.SALIENT, 1, -1),
+                       f"p_l_salient -1 out of range [0, {_MAX}]"),
+    "gt-min-ttc": (lambda tmp_path: _read_line(tmp_path, "gt.jsonl", _GT_LINE,
+                                               lambda path: read_ground_truth(str(path), min_ttc=0.033)),
+                   "ttc 0.01 out of range [0.033, inf]"),
+    "cli-jobs": (lambda tmp_path: _run_cli("summarize", "--frames", "f", "--out", "o", "--jobs", "0"),
+                 "--jobs 0 out of range [1, inf]"),
+    "cli-n-videos": (lambda tmp_path: _run_cli("synth", "--out", str(tmp_path / "f"), "--n-videos", "0"),
+                     "--n-videos 0 out of range [1, inf]"),
+    "cli-seed": (lambda tmp_path: _run_cli("fuse-check", "--seed", "-1"), "--seed -1 out of range [0, inf]"),
+    "synth-n-terms": (lambda tmp_path: gen_scenario(0, n_terms=0), "n_terms 0 out of range [1, inf]"),
+    "synth-n-frames": (lambda tmp_path: gen_scenario(0, n_frames=0), "n_frames 0 out of range [1, inf]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_SITES))
+def test_range_refusal_has_one_form(tmp_path, case):
+    build, message = RANGE_SITES[case]
+    with pytest.raises(ValidationError) as refused:
+        build(tmp_path)
+    assert refused.value.args[0] == message  # a ParseError's message, without its path:line
+
+
+# Every string field of a value type, given a lone surrogate, which has no UTF-8 form and no file holds.
+NO_UTF8_FIELDS = {
+    "video_id": lambda: FrameRecord("\udcff", 0),
+    "label_scores-key": lambda: FrameRecord("v", 0, label_scores={"\udcff": 0.5}),
+    "detection-label": lambda: FrameRecord("v", 0, detections=(("\udcff", _BOX, 0.5),)),
+    "noun": lambda: ObjectInteraction(_BOX, "\udcff", "take", 1.0),
+    "verb": lambda: ObjectInteraction(_BOX, "cup", "\udcff", 1.0),
+    "action-verb": lambda: ActionPair("\udcff", "cup"),
+    "action-noun": lambda: ActionPair("take", "\udcff"),
+    "surface": lambda: TaggedToken("cup\udcff", "cup", PosTag.NOUN),
+    "verb-lemma": lambda: TaggedToken("take", "take\udcff", PosTag.VERB),
+    "noun-lemma": lambda: TaggedToken("cup", "\udcff", PosTag.NOUN),
+    "other-lemma": lambda: TaggedToken("the", "\udcff", PosTag.OTHER),
+    "vocab_noun": lambda: SummarizerConfig(vocab_noun=frozenset({"\udcff"})),
+    "vocab_verb": lambda: SummarizerConfig(vocab_verb=frozenset({"\udcff"})),
+    "generic_nouns": lambda: SummarizerConfig(generic_nouns=frozenset({"\udcff"})),
+    "merge-source": lambda: SummarizerConfig(merge_table=(("\udcff", "cup"),)),
+    "merge-target": lambda: SummarizerConfig(merge_table=(("cup", "\udcff"),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_UTF8_FIELDS))
+def test_string_without_utf8_form_refused(case):
+    with pytest.raises(ValidationError, match=r"'(\w+)?\\udcff' has no UTF-8 form$"):
+        NO_UTF8_FIELDS[case]()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ObjectInteraction((0, 0, 1, 1), "cup", "take", 1.0), "box must be a BoundingBox, got [0, 0, 1, 1]"),
+    (lambda: ObjectInteraction(None, "cup", "take", -1.0), "box must be a BoundingBox, got null"),
+    (lambda: Prediction(None, 0.5), "interaction must be an ObjectInteraction, got null"),
+    (lambda: Prediction({"box": [0, 0, 1, 1]}, 2.0),
+     'interaction must be an ObjectInteraction, got {"box": [0, 0, 1, 1]}'),
+])
+def test_misshapen_entry_refused_by_type(build, message):
+    with pytest.raises(ValidationError) as refused:
+        build()
+    assert str(refused.value) == message
 
 
 def test_labels_that_would_merge_two_classes_refused():

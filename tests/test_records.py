@@ -288,7 +288,7 @@ def test_frame_id_rule_message(tmp_path, capsys, command, kind):
     """Every format that keys by frame refuses a negative frame id with one message."""
     code, err, path = run(tmp_path, capsys, command, kind, mutated(kind, setter("frame_id", -1)))
     assert code == 1
-    assert f"{path}:line 2: negative frame_id -1\n" in err
+    assert f"{path}:line 2: frame_id -1 out of range [0, inf]\n" in err
 
 
 @pytest.mark.parametrize("line", ["window=150", "box_loss_lambda=11.0"])
@@ -475,7 +475,7 @@ def test_whitespace_only_line_is_blank(tmp_path, capsys, command, kind, blank):
 def test_empty_synth_run_rejected(tmp_path, capsys, flag, value):
     out = tmp_path / "frames.jsonl"
     assert main(["synth", "--out", str(out), flag, value]) == 1
-    assert "at least 1" in capsys.readouterr().err
+    assert f" {value} out of range [1, inf]\n" in capsys.readouterr().err
     assert not out.exists()
 
 
