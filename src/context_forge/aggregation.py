@@ -81,13 +81,18 @@ class StreamAggregator:
         self._runs: dict[Term, _RunState] = {}  # live runs, ordered by last_seen
         self._last_frame: int | None = None
 
-    def push(self, frame_id: int, terms: Iterable[Term]) -> bool:
-        """Observe one frame's terms; return whether an accepted run was
-        created, extended or newly accepted by it.
+    def push(self, frame_id: int, terms: Iterable[Term]) -> Term | bool:
+        """Observe one frame's terms; report what it did to the accepted runs.
 
-        Only such a push changes ``segments_at`` for later frames: pending
-        runs are invisible there, and a run retired here was already
-        inactive at every frame after ``frame_id``.
+        ``False``: no accepted run changed. A term: the push extended that
+        term's accepted run and no other, and created or newly accepted
+        none. ``True``: any other change, such as a run created accepted
+        (``p_o`` 1), a run newly accepted, or two runs extended. A term is
+        never a bool, so ``False`` is the only falsy outcome.
+
+        Only an accepted change alters ``segments_at`` for later frames:
+        pending runs are invisible there, and a run retired here was
+        already inactive at every frame after ``frame_id``.
         """
         if self._last_frame is not None and frame_id <= self._last_frame:
             raise ValidationError(
@@ -102,7 +107,8 @@ class StreamAggregator:
             stale.append(term)
         for term in stale:
             self._retire(term)
-        changed = False
+        p_o = self.p_o
+        changed: Term | bool = False
         for term in set(terms):
             run = runs.pop(term, None)
             if run is None:
@@ -113,7 +119,9 @@ class StreamAggregator:
             # re-inserted, so runs stay ordered by last_seen and the
             # stale-run scan above stops at the first run inside its lapse
             runs[term] = run
-            changed = changed or run.occurrences >= self.p_o
+            if run.occurrences >= p_o:
+                # an extension only when the run was accepted before this push
+                changed = term if changed is False and run.occurrences > p_o else True
         return changed
 
     def _retire(self, term: Term) -> None:

@@ -278,6 +278,7 @@ def cmd_fuse_check(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    NATURAL(args.seed, "--seed")
     AT_LEAST_ONE(args.n_videos, "--n-videos")
     records = []
     for i in range(args.n_videos):

@@ -23,6 +23,8 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    FRACTION,
+    NON_NEGATIVE,
     ActionContext,
     BoundingBox,
     EmbeddingTable,
@@ -211,8 +213,13 @@ def top5_map(
     all variants, and the scored predictions are grouped by class key
     once per kind of key (noun, ``noun,verb``, verb). Returns one report
     per entry of ``variants``, in order, so a repeated variant gets its
-    own equal report.
+    own equal report. ``iou_thresh`` and ``t_delta`` follow the rules of
+    their config keys.
     """
+    if not (type(iou_thresh) is float and 0.0 <= iou_thresh <= 1.0):
+        iou_thresh = FRACTION(iou_thresh, "iou_thresh")
+    if not (type(t_delta) is float and 0.0 <= t_delta < math.inf):
+        t_delta = NON_NEGATIVE(t_delta, "t_delta")
     # every scored prediction in frame then rank order, and per variant whether each hit
     scored: list[Prediction] = []
     hits = [bytearray() for _ in variants]

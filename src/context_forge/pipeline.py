@@ -20,7 +20,9 @@ its accepted segments as of t and on t itself, and they change at
 action boundaries, not at every frame. So each lane keeps its last
 selection and recomputes it only when t has reached its *flip frame*:
 the frame where an active segment it selected from lapses, or at once
-after a push that changed its accepted runs (see ``_Lane``). When all
+after a push that changed its accepted runs. A push that only extends
+the run of the lane's lead (its current or first-ranked segment) keeps
+the selection and moves only the flip frame (see ``_Lane``). When all
 three lanes select the same terms as at the previous frame, that frame's
 ``ActionContext`` is reused and ``assemble`` is skipped. Outputs are the
 same as selecting afresh at every frame, as
@@ -76,19 +78,42 @@ class _Lane:
     selection can still reach, and the last selection.
 
     The selection is recomputed exactly when ``t`` reaches the *flip
-    frame*. A push that creates, extends or accepts an accepted run sets
-    it to ``-inf``. Otherwise, because frame ``t`` is pushed only after it
-    is selected, every segment selection sees has started and ended before
-    ``t``. Until the next push, such a segment changes activity only by
-    lapsing, at ``end_frame + p_l + 1`` if it is active, so the flip frame
-    is the earliest lapse among the active segments. Nothing else can
-    change the selection. Overlap elimination does not depend on ``t``. A
-    push that touches only pending runs leaves the accepted segments as
-    they were, because pending runs are not segments. A run is retired
-    only once its lapse has passed, so it was already inactive, and its
-    closed segment equals its open one. Components that settle in between
-    wait in the aggregator, and ``take_settled`` hands them out exactly at
-    the next recomputation.
+    frame*. Because frame ``t`` is pushed only after it is selected, every
+    segment selection sees has started and ended before ``t``. Until the
+    next push, such a segment changes activity only by lapsing, at
+    ``end_frame + p_l + 1`` if it is active, so the flip frame is the
+    earliest lapse among the active segments. Nothing else can change the
+    selection. Overlap elimination does not depend on ``t``. A push that
+    touches only pending runs leaves the accepted segments as they were,
+    because pending runs are not segments. A run is retired only once its
+    lapse has passed, so it was already inactive, and its closed segment
+    equals its open one. Components that settle in between wait in the
+    aggregator, and ``take_settled`` hands them out exactly at the next
+    recomputation.
+
+    A push that changes an accepted run sets the flip frame to ``-inf``,
+    except the one push that cannot change the selection: it extends
+    exactly one accepted run R, creates or newly accepts none, R's segment
+    was the *lead* at the last recomputation (the current segment of
+    CURRENT_AND_PAST, the first-ranked one of CURRENT_ONLY), and no
+    segment selected from then starts after R's previous last occurrence.
+    The proof:
+
+    - R stays active, and its end, the push frame, becomes the latest of
+      all segments, because every other ends before the push.
+    - Overlap elimination keeps the same set. R was kept. Its higher count
+      only moves it earlier in the order, and its longer extent reaches
+      only frames after its previous end, where no kept segment of another
+      term starts (settled ones end before the tail starts). So R meets no
+      new kept segment, and every other segment meets the same kept
+      segments before it as it did.
+    - R stays current (latest end) or first-ranked (more occurrences, the
+      others unchanged), and every other segment keeps its activity until
+      its own lapse.
+
+    So the lane keeps its terms, and its flip frame becomes the earlier of
+    the other active segments' lapse (stored at the recomputation) and R's
+    new lapse. A later lone extension of R satisfies the rule again.
     """
 
     def __init__(self, category: Category, cfg: SummarizerConfig):
@@ -98,9 +123,16 @@ class _Lane:
         self.settled_kept: deque[Segment] = deque(maxlen=max(0, self.length - 1))
         self.terms: list[Term] = []
         self.flip = -math.inf
+        self.lead: Term | None = None  # the lead's term while a lone extension of its run keeps the terms
+        self.others_lapse = math.inf  # the earliest lapse among the other active segments
 
     def push(self, ctx: FrameContext) -> None:
-        if self.aggregator.push(ctx.frame_id, ctx.terms(self.aggregator.category)):
+        change = self.aggregator.push(ctx.frame_id, ctx.terms(self.aggregator.category))
+        if change is False:
+            return
+        if change == self.lead:
+            self.flip = min(self.others_lapse, ctx.frame_id + self.aggregator.p_l + 1)
+        else:
             self.flip = -math.inf
 
     def select(self, t: int) -> list[Term]:
@@ -109,11 +141,21 @@ class _Lane:
         settled = self.aggregator.take_settled()
         if settled:
             self.settled_kept.extend(sorted(eliminate_overlaps(settled), key=recency_order))
-        segments = [*self.settled_kept, *eliminate_overlaps(self.aggregator.tail_at(t))]
-        self.terms = context_for_frame(segments, t, self.length, self.mode)
-        active_ends = [seg.end_frame for seg in segments if seg.active]
-        self.flip = min(active_ends, default=math.inf) + self.aggregator.p_l + 1
-        return self.terms
+        tail = eliminate_overlaps(self.aggregator.tail_at(t))
+        self.terms = terms = context_for_frame([*self.settled_kept, *tail], t, self.length, self.mode)
+        active = [seg for seg in tail if seg.active]  # a settled segment is never active
+        lead = None
+        if active and terms:
+            lead_term = terms[0] if self.mode is SelectionMode.CURRENT_ONLY else terms[-1]
+            lead = next(seg for seg in active if seg.term == lead_term)  # one open run per term
+        lapse = self.aggregator.p_l + 1
+        self.others_lapse = min((seg.end_frame for seg in active if seg is not lead), default=math.inf) + lapse
+        self.flip, self.lead = self.others_lapse, None
+        if lead is not None:
+            self.flip = min(self.flip, lead.end_frame + lapse)
+            if all(seg.start_frame <= lead.end_frame for seg in tail):
+                self.lead = lead.term
+        return terms
 
 
 def summarize_video(

@@ -37,6 +37,8 @@ from .core import (
     TaggedToken,
     Term,
     ValidationError,
+    checked_integer,
+    in_range,
     term_text,
 )
 from .extraction import FrameContext, extract_frame_context
@@ -91,6 +93,9 @@ def scenario_terms(n_terms: int) -> dict[Category, list[Term]]:
     }
 
 
+# a seed names one scenario: SplitMix64 keeps only a seed's low 64 bits
+_SEED = in_range(checked_integer, 0, 2**64 - 1)
+
 # the range of frames between two planted segments of one category
 _GAP_FRAMES = (16, 45)
 
@@ -109,10 +114,11 @@ def gen_scenario(
     dropped independently with probability ``drop_rate``; with probability
     ``spurious_rate`` a uniformly random term of the category is injected
     (replacing the action, or joining the held/salient sets). Fully
-    determined by ``seed``.
+    determined by ``seed``, one of ``[0, 2**64 - 1]``.
     """
     if not (0.0 <= drop_rate < 1.0 and 0.0 <= spurious_rate < 1.0):
         raise ValidationError("noise rates must lie in [0, 1)")
+    _SEED(seed, "seed")
     AT_LEAST_ONE(n_terms, "n_terms")
     AT_LEAST_ONE(n_frames, "n_frames")
     rng = SplitMix64(seed)
@@ -157,6 +163,58 @@ def gen_scenario(
         action, held, salient = drawn
         stream.append(FrameContext(f, action[-1] if action else None, frozenset(held), frozenset(salient)))
     return planted, stream
+
+
+def gen_tie_stream(seed: int, n_frames: int = 200) -> list[FrameContext]:
+    """A stream dense in selection ties, for the summarize differentials.
+
+    Per category it plants *episodes* of two of three terms, A and B, a few
+    frames apart, so that their lapses and overlaps chain:
+
+    - *twins*: A and B seen ``n`` times each at one period, B starting 1-4
+      frames after A. Their occurrence counts are equal and their starts
+      differ. When the offset is a multiple of the period, both runs are
+      extended on the same frame (held and salient; an action frame keeps
+      only the term planted last).
+    - *cut-ins*: A seen on 2-8 consecutive frames, B on the 1-3 frames
+      right after A's last one, then A again. Under a small ``p_o`` and a
+      larger ``p_l``, B is accepted while A is still inside its lapse, and
+      A's next occurrence makes A overlap B.
+
+    Fully determined by ``seed``.
+    """
+    _SEED(seed, "seed")
+    AT_LEAST_ONE(n_frames, "n_frames")
+    rng = SplitMix64(seed)
+    terms = scenario_terms(3)
+    seen: dict[Category, dict[int, list[Term]]] = {}
+    for category in Category:
+        choices, at = terms[category], seen.setdefault(category, {})
+        cursor = rng.randint(0, 5)
+        while cursor < n_frames:
+            i = rng.randint(0, 2)
+            a, b = choices[i], choices[(i + rng.randint(1, 2)) % 3]
+            if rng.uniform() < 0.5:
+                period, offset, count = rng.randint(1, 3), rng.randint(1, 4), rng.randint(2, 8)
+                frames = [(cursor + k * period, a) for k in range(count)]
+                frames += [(cursor + offset + k * period, b) for k in range(count)]
+            else:
+                count, cut, back = rng.randint(2, 8), rng.randint(1, 3), rng.randint(1, 3)
+                frames = [(cursor + k, a) for k in range(count)]
+                frames += [(cursor + count + k, b) for k in range(cut)]
+                frames += [(cursor + count + cut + k, a) for k in range(back)]
+            for f, term in frames:
+                at.setdefault(f, []).append(term)
+            cursor = max(f for f, _ in frames) + rng.randint(1, 12)
+    return [
+        FrameContext(
+            f,
+            seen[Category.ACTION][f][-1] if f in seen[Category.ACTION] else None,
+            frozenset(seen[Category.HELD].get(f, ())),
+            frozenset(seen[Category.SALIENT].get(f, ())),
+        )
+        for f in range(n_frames)
+    ]
 
 
 def scenario_to_frame_records(stream: Sequence[FrameContext], video_id: str) -> list[FrameRecord]:

@@ -194,14 +194,22 @@ class TestStreamAggregator:
         ]
 
     def test_push_reports_whether_an_accepted_run_changed(self):
+        # False: no accepted run changed; a term: only that accepted run was
+        # extended; True: any other accepted change
         agg = StreamAggregator(Category.HELD, p_o=2, p_l=1)
         assert agg.push(0, ["x"]) is False  # pending run opened
         assert agg.push(1, ["x", "y"]) is True  # x accepted
-        assert agg.push(2, ["x"]) is True  # accepted run extended
-        assert agg.push(3, ["y"]) is False  # pending y lapsed and reopened
-        assert agg.push(5, []) is False  # only retirements
-        assert agg.segments_at(5) == [seg("x", 0, 2, 3, category=Category.HELD)]
-        assert StreamAggregator(Category.ACTION, p_o=1, p_l=0).push(0, ["v"]) is True
+        assert agg.push(2, ["x"]) == "x"  # accepted run extended
+        assert agg.push(3, ["x", "z"]) == "x"  # and a pending run opened, pending y retired
+        assert agg.push(4, ["x", "z"]) is True  # x extended and z accepted
+        assert agg.push(5, ["x", "z"]) is True  # two accepted runs extended
+        assert agg.push(6, ["y"]) is False  # pending run opened
+        assert agg.push(8, []) is False  # only retirements
+        assert agg.segments_at(8) == [
+            seg("x", 0, 5, 6, category=Category.HELD),
+            seg("z", 3, 5, 3, category=Category.HELD),
+        ]
+        assert StreamAggregator(Category.ACTION, p_o=1, p_l=0).push(0, ["v"]) is True  # accepted at once
 
     def test_chained_overlaps_never_settle(self):
         agg = StreamAggregator(Category.HELD, p_o=1, p_l=2)

@@ -42,7 +42,7 @@ from context_forge.core import (
     serialize_config,
 )
 from context_forge.extraction import FrameContext, extract_candidate_pairs, match_held_objects, select_salient
-from context_forge.metrics import Variant, class_key
+from context_forge.metrics import Variant, class_key, top5_map
 from context_forge.pipeline import summarize_video
 from context_forge.records import read_contexts, read_frame_records, read_ground_truth, read_predictions
 from context_forge.synth import gen_scenario
@@ -726,6 +726,14 @@ RANGE_SITES = {
     "aggregator-p-o": (lambda tmp_path: StreamAggregator(Category.HELD, 0, 7), f"p_o_held 0 out of range [1, {_MAX}]"),
     "aggregator-p-l": (lambda tmp_path: StreamAggregator(Category.SALIENT, 1, -1),
                        f"p_l_salient -1 out of range [0, {_MAX}]"),
+    "metrics-iou-thresh": (lambda tmp_path: top5_map({}, {}, [Variant.NOUN], iou_thresh=1.5),
+                           "iou_thresh 1.5 out of range [0, 1]"),
+    "metrics-iou-thresh-nan": (lambda tmp_path: top5_map({}, {}, [Variant.NOUN], iou_thresh=math.nan),
+                               "iou_thresh must be a finite number, got NaN"),
+    "metrics-iou-thresh-text": (lambda tmp_path: top5_map({}, {}, [Variant.NOUN], iou_thresh="x"),
+                                'iou_thresh must be a finite number, got "x"'),
+    "metrics-t-delta": (lambda tmp_path: top5_map({}, {}, [Variant.NOUN], t_delta=-0.5),
+                        "t_delta -0.5 out of range [0, inf]"),
     "gt-min-ttc": (lambda tmp_path: _read_line(tmp_path, "gt.jsonl", _GT_LINE,
                                                lambda path: read_ground_truth(str(path), min_ttc=0.033)),
                    "ttc 0.01 out of range [0.033, inf]"),
@@ -734,6 +742,9 @@ RANGE_SITES = {
     "cli-n-videos": (lambda tmp_path: _run_cli("synth", "--out", str(tmp_path / "f"), "--n-videos", "0"),
                      "--n-videos 0 out of range [1, inf]"),
     "cli-seed": (lambda tmp_path: _run_cli("fuse-check", "--seed", "-1"), "--seed -1 out of range [0, inf]"),
+    "cli-synth-seed": (lambda tmp_path: _run_cli("synth", "--out", str(tmp_path / "f"), "--seed", "-1"),
+                       "--seed -1 out of range [0, inf]"),
+    "synth-seed": (lambda tmp_path: gen_scenario(-1), f"seed -1 out of range [0, {2**64 - 1}]"),
     "synth-n-terms": (lambda tmp_path: gen_scenario(0, n_terms=0), "n_terms 0 out of range [1, inf]"),
     "synth-n-frames": (lambda tmp_path: gen_scenario(0, n_frames=0), "n_frames 0 out of range [1, inf]"),
 }

@@ -21,6 +21,7 @@ from context_forge.pipeline import summarize_video
 from context_forge.synth import (
     SplitMix64,
     gen_scenario,
+    gen_tie_stream,
     oracle_summarize_video,
     scenario_to_frame_records,
 )
@@ -246,6 +247,18 @@ def random_config(rng: SplitMix64) -> SummarizerConfig:
     )
 
 
+# Configs under which gen_tie_stream's cut-ins are accepted inside the cut
+# run's lapse (p_o <= p_l), at stride 1 and 2, and one that caps every lane at one term.
+TIE_CONFIGS = {
+    "default": SummarizerConfig(),
+    "stride-1": SummarizerConfig(stride=1, p_o=PerCategory(1, 2, 2), p_l=PerCategory(5, 5, 5)),
+    "stride-2": SummarizerConfig(stride=2, p_o=PerCategory(1, 1, 2), p_l=PerCategory(6, 4, 8)),
+    "length-1": SummarizerConfig(
+        stride=1, p_o=PerCategory(1, 1, 1), p_l=PerCategory(3, 3, 3), context_lengths=PerCategory(1, 1, 1)
+    ),
+}
+
+
 class TestIncrementalMatchesPerFrameOracle:
     """summarize_video freezes settled overlap components; the oracle
     re-resolves every segment at every frame."""
@@ -262,6 +275,15 @@ class TestIncrementalMatchesPerFrameOracle:
     def test_adversarial(self, case, config):
         records, cfg = ADVERSARIAL[case](), EDGE_CONFIGS[config]
         assert summarize_video("v", records, cfg)[0] == oracle_summarize_video("v", records, cfg)
+
+    @pytest.mark.parametrize("config", TIE_CONFIGS)
+    def test_tie_streams(self, config):
+        # Equal counts with different starts, runs extended on one frame, and
+        # a run accepted right after the lead's last occurrence, in its lapse.
+        cfg = TIE_CONFIGS[config]
+        for seed in range(25):
+            records = scenario_to_frame_records(gen_tie_stream(seed), "v")
+            assert summarize_video("v", records, cfg)[0] == oracle_summarize_video("v", records, cfg), seed
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_long_noisy_segments(self, seed):
@@ -394,6 +416,22 @@ def test_selection_sees_only_segments_ended_before_t(monkeypatch, case, config):
 # the frames at which the three lanes recompute their selections.
 RECOMPUTES = {
     1: (
+        "30001001000000000001000000000000000000000000000000000000000000000000000001010001"
+        "00011010000101000000000010100011010100000102000000000000000000000000000000000001"
+        "10000000000000000000001001000010000000000000000000000010000001000000000000010000"
+    ),
+    3: (
+        "30001000000000000000000001000000000001000000101000000101000000000000000100100001"
+        "00010010000000000000000000100000000000100100100000000000000000000100000000000000"
+        "01000000000000000000000001001000000000000000000000000010000001000000000000010000"
+    ),
+}
+
+# The same calls when every push that changes an accepted run recomputes
+# (353 and 106 in all, against 31 and 26 above). Skipping a recompute
+# never adds one, so no frame may exceed these.
+FLIP_ONLY_RECOMPUTES = {
+    1: (
         "30001012121222222222333333323322333323332322333332232332333233233322201102121001"
         "00011010000101000000000011211122211222212213122332333313233332213323321332333233"
         "23232333313333231221012101000010000000000000000000000010000001000000000000010000"
@@ -412,7 +450,9 @@ def test_lanes_recompute_at_pinned_frames(monkeypatch, stride):
     count_calls(monkeypatch, pipeline, "context_for_frame", calls, key=lambda segs, t, *_: t)
     records = noisy_records()
     summarize_video("v", records, SummarizerConfig(stride=stride))
-    assert "".join(str(calls[r.frame_id]) for r in records) == RECOMPUTES[stride]
+    per_frame = "".join(str(calls[r.frame_id]) for r in records)
+    assert all(now <= bound for now, bound in zip(per_frame, FLIP_ONLY_RECOMPUTES[stride]))
+    assert per_frame == RECOMPUTES[stride]
 
 
 def summarize_work_per_frame(monkeypatch, seed, n_frames):
