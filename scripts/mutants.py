@@ -9,10 +9,10 @@ Before that, every row's tests must pass on the unmutated copy.
 
 It exits 1 when a row's text does not occur exactly once, when a row's tests
 fail unmutated, or when a mutant survives: one of its tests does not fail
-(an error at collection is no kill). Run it from anywhere:
+(an error at collection is no kill). It takes no arguments; run it from
+anywhere:
 
-    python scripts/mutants.py            # every row
-    python scripts/mutants.py NAME ...   # the rows named
+    python scripts/mutants.py
 """
 
 from __future__ import annotations
@@ -89,22 +89,17 @@ def _run(workdir: Path, tests: tuple[str, ...]) -> tuple[int, set[str]]:
     return proc.returncode, {test for test in tests if any(f == test or f.startswith(test + "[") for f in failures)}
 
 
-def main(argv: list[str]) -> int:
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 1
-    rows = [m for m in MUTANTS if not argv or m.name in argv]
+def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         clean = Path(tmp) / "clean"
         _copy(clean)
-        tests = tuple(dict.fromkeys(t for m in rows for t in m.tests))
+        tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         code, broken = _run(clean, tests)
         if code != 0:
             print(f"FAIL unmutated: pytest exits {code}; failing: {', '.join(sorted(broken)) or 'none'}")
             return 1
-        for m in rows:
+        for m in MUTANTS:
             source = ROOT / "src" / "context_forge" / m.path
             count = source.read_text(encoding="utf-8").count(m.old)
             if count != 1:
@@ -121,9 +116,9 @@ def main(argv: list[str]) -> int:
                 bad += 1
             else:
                 print(f"killed {m.name}")
-    print(f"{len(rows) - bad} of {len(rows)} mutants killed")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -29,7 +29,9 @@ from .core import (
     ContextForgeError,
     InvariantError,
     SummarizerConfig,
+    checked_integer,
     config_hash,
+    in_range,
     load_config,
     load_embeddings,
 )
@@ -278,8 +280,9 @@ def cmd_fuse_check(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    NATURAL(args.seed, "--seed")
     AT_LEAST_ONE(args.n_videos, "--n-videos")
+    # video i is seeded --seed + i, and every seed must name one scenario
+    in_range(checked_integer, 0, 2**64 - args.n_videos)(args.seed, "--seed")
     records = []
     for i in range(args.n_videos):
         planted, stream = gen_scenario(

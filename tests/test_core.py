@@ -743,7 +743,10 @@ RANGE_SITES = {
                      "--n-videos 0 out of range [1, inf]"),
     "cli-seed": (lambda tmp_path: _run_cli("fuse-check", "--seed", "-1"), "--seed -1 out of range [0, inf]"),
     "cli-synth-seed": (lambda tmp_path: _run_cli("synth", "--out", str(tmp_path / "f"), "--seed", "-1"),
-                       "--seed -1 out of range [0, inf]"),
+                       f"--seed -1 out of range [0, {2**64 - 1}]"),
+    "cli-synth-last-seed": (lambda tmp_path: _run_cli("synth", "--out", str(tmp_path / "f"),
+                                                      "--seed", str(2**64 - 1), "--n-videos", "2"),
+                            f"--seed {2**64 - 1} out of range [0, {2**64 - 2}]"),
     "synth-seed": (lambda tmp_path: gen_scenario(-1), f"seed -1 out of range [0, {2**64 - 1}]"),
     "synth-n-terms": (lambda tmp_path: gen_scenario(0, n_terms=0), "n_terms 0 out of range [1, inf]"),
     "synth-n-frames": (lambda tmp_path: gen_scenario(0, n_frames=0), "n_frames 0 out of range [1, inf]"),
