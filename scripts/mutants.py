@@ -36,8 +36,10 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # node ids; a parametrized test is killed when any of its cases fails
 
 
-PIPELINE, AGGREGATION, METRICS = "pipeline.py", "aggregation.py", "metrics.py"
+PIPELINE, AGGREGATION, METRICS, RECORDS = "pipeline.py", "aggregation.py", "metrics.py", "records.py"
 ORACLE = "tests/test_pipeline.py::TestIncrementalMatchesPerFrameOracle::"
+REPEAT = ("tests/test_records.py::test_repeated_frame_line_reads_as_decoded_in_full",
+          "tests/test_records.py::test_frames_errors_same_under_jobs")
 
 MUTANTS = (
     # A lone extension of the lead's run keeps the selection only if no
@@ -64,6 +66,26 @@ MUTANTS = (
            "key=lambda s: (-s.occurrences, s.start_frame, s.end_frame, term_text(s.term))",
            "key=lambda s: (-s.occurrences, -s.start_frame, s.end_frame, term_text(s.term))",
            ("tests/test_aggregation.py::TestEliminateOverlaps::test_tie_removes_later_start",)),
+    # an earlier end wins an occurrence and start tie in overlap elimination
+    Mutant("overlap-later-end", AGGREGATION,
+           "key=lambda s: (-s.occurrences, s.start_frame, s.end_frame, term_text(s.term))",
+           "key=lambda s: (-s.occurrences, s.start_frame, -s.end_frame, term_text(s.term))",
+           ("tests/test_aggregation.py::TestEliminateOverlaps::test_tie_on_start_removes_later_end",)),
+    # Not a row: recency_order's second key (an earlier start first) is
+    # equivalent on the summarize path. There context_for_frame compares only
+    # segments kept by eliminate_overlaps, settled or in the tail. Kept
+    # segments of different terms never overlap, one term's runs are disjoint
+    # (a run starts only after the previous one lapsed), and settled segments
+    # end before the tail starts. Two segments that share an end frame
+    # overlap, so the end frame alone decides every comparison.
+    #
+    # A frames line is taken for its predecessor with a new frame id only when
+    # the new id is a plain JSON integer, the line holds no escape, and its one
+    # "frame_id" is the top-level key.
+    Mutant("repeat-leading-zero", RECORDS, '(digits[0] != "0" or digits == "0")', "True", REPEAT),
+    Mutant("repeat-escapes", RECORDS, r'"\\" not in line and ', "", REPEAT),
+    Mutant("repeat-any-frame-id-count", RECORDS, """line.count('"frame_id"') == 1""",
+           """line.count('"frame_id"') >= 1""", REPEAT),
     Mutant("ap-ranks-ascending", METRICS,
            "positions.sort(key=scores.__getitem__, reverse=True)",
            "positions.sort(key=scores.__getitem__, reverse=False)",

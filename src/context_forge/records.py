@@ -22,7 +22,9 @@ that, a ground-truth ``ttc`` is in range ``[min_ttc, inf]``, and a context's
 text must equal the ``assemble`` rendering of its terms, after
 ``normalize_label`` of both. A (video_id, frame_id) key appears at most
 once per file, and a frames file keeps each video's lines together. Any
-malformed line raises ``ParseError`` naming ``path:line``.
+malformed line raises ``ParseError`` naming ``path:line``. A frames line
+that repeats its predecessor but for the frame-id digits is not decoded: it
+shares the predecessor's fields (``_frame_lines``).
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ T = TypeVar("T")
 _REQUIRED = object()
 _KINDS = {str: "a string", list: "a list", dict: "an object"}
 _POS_TAGS = {tag.value: tag for tag in PosTag}
+_scan = json.decoder.JSONDecoder().scan_once
 
 
 def dumps_record(obj: dict) -> str:
@@ -86,9 +89,18 @@ def _get(obj: dict, key: str, kind: type | None = None, default=_REQUIRED):
 
 
 def _object(line: str) -> dict:
-    """Decode one line as one JSON object; anything else raises ``ValidationError``."""
+    """Decode one line as one JSON object; anything else raises ``ValidationError``.
+
+    The C scanner ``json.loads`` ends in reads the line first. ``json.loads`` reads again a line that
+    the scanner refuses or that holds more than the value, so objects and refusals are its own.
+    """
     try:
-        obj = json.loads(line)
+        try:
+            obj, end = _scan(line, 0)
+        except (StopIteration, ValueError):
+            end = None
+        if end != len(line):
+            obj = json.loads(line)
         if "\\u" in line:  # an escape may spell a lone surrogate, which UTF-8 cannot encode
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
         return _as(obj, dict, "record")
@@ -156,43 +168,65 @@ def _frame_record(obj: dict) -> FrameRecord:
     )
 
 
-def _frame_lines(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[int, str, dict, bool]]:
-    """(line number, line, object, whether the line starts a video) per frames line.
+def _frame_lines(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[int, str, dict | None, int, bool]]:
+    """(line number, line, object, frame id, whether the line starts a video) per frames line.
 
     The one place for a frames file's structure: each line is one JSON
     object with a string ``video_id`` and a ``checked_frame_id``, a video's
     lines are contiguous and its frame ids distinct. A line that breaks a
     rule raises ``ParseError`` at that line; the other fields are left to
     ``_frame_record``.
+
+    Consecutive frames often share their content, so the last decoded line's
+    text around its frame-id digits is kept: one line, and only when it has
+    no ``\\`` and one ``"frame_id"``, which is then the top-level key (with no
+    escapes, each ``"`` delimits a string). A line that is this text around 1
+    to 18 ASCII digits with no leading zero differs in a plain JSON integer
+    only. It is not decoded (its object is ``None``), and only its frame id is checked.
     """
     finished: set[str | None] = set()
     frame_ids: set[int] = set()
-    video_id = None
+    video_id = head = tail = None
     for lineno, line in lines:
         try:
-            obj = _object(line)
-            line_video = _get(obj, "video_id", str)
-            starts = line_video != video_id
-            if starts:
-                if line_video in finished:
-                    raise ValidationError(f"frames for video {clipped(repr(line_video))} are not contiguous")
-                finished.add(video_id)
-                frame_ids.clear()
-                video_id = line_video
-            frame_id = checked_frame_id(_get(obj, "frame_id"))
+            if (head is not None and line.startswith(head) and line.endswith(tail)
+                    and 0 < len(digits := line[len(head):len(line) - len(tail)]) <= 18
+                    and digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0")):
+                obj, frame_id, starts = None, int(digits), False
+            else:
+                obj = _object(line)
+                line_video = _get(obj, "video_id", str)
+                starts = line_video != video_id
+                if starts:
+                    if line_video in finished:
+                        raise ValidationError(f"frames for video {clipped(repr(line_video))} are not contiguous")
+                    finished.add(video_id)
+                    frame_ids.clear()
+                    video_id = line_video
+                frame_id = checked_frame_id(_get(obj, "frame_id"))
+                before, key, rest = line.partition('"frame_id":')  # a refusal below ends the file
+                text = str(frame_id)
+                if rest.startswith(text) and "\\" not in line and line.count('"frame_id"') == 1:
+                    head, tail = before + key, rest[len(text):]
+                else:
+                    head = tail = None
             if frame_id in frame_ids:
                 raise ValidationError(f"video {clipped(repr(video_id))}: duplicate frame id {shown(frame_id)}")
             frame_ids.add(frame_id)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=path) from None
-        yield lineno, line, obj, starts
+        yield lineno, line, obj, frame_id, starts
 
 
 def _frame_records(lines: Iterable[tuple[int, str]], path: str) -> Iterator[FrameRecord]:
-    """Decode the numbered lines of a frames file, ``path`` naming them in errors."""
-    for lineno, _, obj, _ in _frame_lines(lines, path):
+    """Decode the numbered lines of a frames file, ``path`` naming them in errors (see ``_frame_lines``)."""
+    for lineno, _, obj, frame_id, _ in _frame_lines(lines, path):
         try:
-            record = _frame_record(obj)
+            if obj is None:
+                record = FrameRecord(record.video_id, frame_id, record.captions, record.label_scores,
+                                     record.active_boxes, record.detections)
+            else:
+                record = _frame_record(obj)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=path) from None
         yield record
@@ -212,14 +246,15 @@ def frame_groups(path: str) -> Iterator[FrameGroup]:
     A group is the video's numbered non-blank lines and ``None``. Each line
     is checked here by ``_frame_lines`` (JSON, ``video_id``, ``frame_id``,
     contiguous videos, distinct frame ids), and ``read_group`` parses it
-    again to decode the record. A line that fails here ends the split: the
+    again to decode the record, except a line that repeats its predecessor,
+    which neither parses. A line that fails here ends the split: the
     last group holds the lines of its unfinished video and the error, which
     ``read_group`` raises after decoding those lines. Groups read in order
     thus raise the first bad line in file order, as ``read_frame_records`` does.
     """
     lines: list[tuple[int, str]] = []
     try:
-        for lineno, line, _, starts in _frame_lines(read_lines(path), path):
+        for lineno, line, _, _, starts in _frame_lines(read_lines(path), path):
             if starts and lines:
                 yield lines, None
                 lines = []

@@ -180,6 +180,9 @@ def gen_tie_stream(seed: int, n_frames: int = 200) -> list[FrameContext]:
       right after A's last one, then A again. Under a small ``p_o`` and a
       larger ``p_l``, B is accepted while A is still inside its lapse, and
       A's next occurrence makes A overlap B.
+    - *same starts*: A and B seen together ``n - 1`` times at one period,
+      then once more each, B 1-3 frames after A: equal counts, equal
+      starts, different ends.
 
     Fully determined by ``seed``.
     """
@@ -194,10 +197,15 @@ def gen_tie_stream(seed: int, n_frames: int = 200) -> list[FrameContext]:
         while cursor < n_frames:
             i = rng.randint(0, 2)
             a, b = choices[i], choices[(i + rng.randint(1, 2)) % 3]
-            if rng.uniform() < 0.5:
+            pattern = rng.uniform()
+            if pattern < 0.4:
                 period, offset, count = rng.randint(1, 3), rng.randint(1, 4), rng.randint(2, 8)
                 frames = [(cursor + k * period, a) for k in range(count)]
                 frames += [(cursor + offset + k * period, b) for k in range(count)]
+            elif pattern < 0.6:
+                period, count, late = rng.randint(1, 3), rng.randint(2, 8), rng.randint(1, 3)
+                frames = [(cursor + k * period, term) for k in range(count) for term in (a, b)]
+                frames[-1] = (frames[-1][0] + late, b)
             else:
                 count, cut, back = rng.randint(2, 8), rng.randint(1, 3), rng.randint(1, 3)
                 frames = [(cursor + k, a) for k in range(count)]

@@ -235,6 +235,14 @@ class TestEliminateOverlaps:
         assert eliminate_overlaps([a, b]) == [a]
         assert eliminate_overlaps([b, a]) == [a]
 
+    def test_tie_on_start_removes_later_end(self):
+        a, b = seg("a", 0, 3, 4), seg("b", 0, 5, 4)
+        assert eliminate_overlaps([b, a]) == [a]
+        # the same tie reached through a stream: held a at 0-3, b at 0, 1, 2 and 5
+        stream = [(f, [t for t, seen in (("a", (0, 1, 2, 3)), ("b", (0, 1, 2, 5))) if f in seen]) for f in range(6)]
+        kept = eliminate_overlaps(aggregate(stream, p_o=2, p_l=7, category=Category.HELD))
+        assert context_for_frame(kept, 6, 2, SelectionMode.CURRENT_AND_PAST) == ["a"]
+
     def test_same_term_overlap_survives(self):
         a, b = seg("a", 0, 10, 4), seg("a", 5, 15, 4)
         assert eliminate_overlaps([a, b]) == [a, b]

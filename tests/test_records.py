@@ -9,7 +9,7 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from context_forge.assembly import assemble
 from context_forge.cli import main
@@ -18,18 +18,26 @@ from context_forge.core import (
     BoundingBox,
     FrameRecord,
     ObjectInteraction,
+    ParseError,
     PosTag,
     Prediction,
     TaggedToken,
     ValidationError,
+    checked_frame_id,
+    read_lines,
 )
 from context_forge.records import (
+    _as,
+    _frame_record,
+    _get,
     dumps_record,
+    frame_groups,
     frame_record_to_dict,
     read_contexts,
     read_frame_records,
     read_ground_truth,
     read_predictions,
+    read_group,
 )
 from context_forge.synth import gen_scenario, scenario_to_frame_records
 
@@ -312,14 +320,26 @@ LAST_VIDEO_BAD = {
     ]),
     "duplicate-frame-then-invalid-json": "\n".join([json.dumps(dict(FRAME, video_id="u")), "{truncated"]),
 }
+_REPEATED = '{"active_boxes":[],"captions":[],"detections":[],"frame_id":%s,"label_scores":{},"video_id":"v"}'
+# Lines that a repeat rule without its leading-zero test, its backslash test
+# or its one-"frame_id" count would take for their predecessor with a new
+# frame id, and a duplicate id on the repeat path.
+REPEAT_PATH_CASES = {
+    "repeat-leading-zero": "\n".join([_REPEATED % "1", _REPEATED % "007"]),
+    "repeat-escaped-top-level-key": "\n".join(
+        '{"frame\\u005fid":1,"x":{"frame_id":%s},"video_id":"v"}' % n for n in "12"),
+    "repeat-nested-key-first": "\n".join('{"x":{"frame_id":%s},"frame_id":1,"video_id":"v"}' % n for n in "12"),
+    "repeat-duplicate-id": "\n".join(_REPEATED % n for n in "343"),
+}
 
 
 @pytest.mark.parametrize("case", sorted(
-    [c for c, (_, kind, _) in {**REJECTED, **ALREADY_REJECTED}.items() if kind == "frames"] + list(LAST_VIDEO_BAD)
+    [c for c, (_, kind, _) in {**REJECTED, **ALREADY_REJECTED}.items() if kind == "frames"]
+    + list(LAST_VIDEO_BAD) + list(REPEAT_PATH_CASES)
 ))
 def test_frames_errors_same_under_jobs(tmp_path, capsys, case):
     """Workers decode their own lines, and report the error one process reports, at its path:line."""
-    line2 = LAST_VIDEO_BAD.get(case) or {**REJECTED, **ALREADY_REJECTED}[case][2]
+    line2 = {**LAST_VIDEO_BAD, **REPEAT_PATH_CASES}.get(case) or {**REJECTED, **ALREADY_REJECTED}[case][2]
     code, err, path = run(tmp_path, capsys, "summarize", "frames", line2)
     assert code == 1 and err.count(f"{path}:line ") == 1, err
     assert run(tmp_path, capsys, "summarize", "frames", line2, jobs=2) == (code, err, path)
@@ -686,3 +706,85 @@ def test_scalar_field_read_as_built_in_code(tmp_path, field, data):
         assert result.startswith(f"{path}:line 1: "), result
         result = result[len(f"{path}:line 1: "):]
     assert (status, result) == _outcome(lambda: build(line))
+
+
+# Frames-line templates for the repeat path: "@" is the frame-id token a
+# repeated line changes, "%" a fixed frame id, "$" the video id. Besides the
+# writer's form, they hold a \u escape, a second "frame_id" key (nested, or
+# the top-level one spelled with an escape, or a duplicate top-level key), a
+# "frame_id" string value, spaces around the token and a bad field.
+REPEAT_TEMPLATES = [
+    '{"active_boxes":[],"captions":[],"detections":[],"frame_id":@,"label_scores":{},"video_id":"$"}',
+    '{"active_boxes":[[0.0,0.0,10.0,10.0]],"captions":[[{"lemma":"cut","pos":"VERB","surface":"cuts"}]],'
+    '"detections":[{"box":[0.0,0.0,10.0,10.0],"label":"saw","score":0.9}],"frame_id":@,'
+    '"label_scores":{"knife":0.9},"video_id":"$"}',
+    '{"frame_id":@,"label_scores":{"kn\\u0069fe":1},"video_id":"$"}',
+    '{"x":{"frame_id":@},"frame_id":%,"video_id":"$"}',
+    '{"frame\\u005fid":%,"x":{"frame_id":@},"video_id":"$"}',
+    '{"frame_id":@,"frame_id":%,"video_id":"$"}',
+    '{"frame_id":@,"x":"frame_id","video_id":"$"}',
+    '{"frame_id": @ , "video_id": "$"}',
+    '{"frame_id":@,"label_scores":{"knife":2},"video_id":"$"}',
+]
+# frame-id tokens other than a fresh plain id: duplicates, and tokens the repeat path must leave to json.loads
+ODD_FRAME_IDS = st.sampled_from([
+    "0", "100", "101", "12", "007", "00", "\u0663", "\u00b2", "9" * 18, "1" * 19, "1" + "0" * 4300,
+    "-0", "-1", "2.0", "1e1", " 2", "true", '"2"',
+])
+
+
+@st.composite
+def repeating_frames_lines(draw):
+    """Frames lines each of which may be its predecessor with a new frame-id token."""
+    lines, previous = [], None
+    for _ in range(draw(st.integers(1, 8))):
+        if previous is None or draw(st.sampled_from([False, False, False, True])):
+            # the first two templates, which the repeat path takes, half the time
+            template = draw(st.sampled_from(REPEAT_TEMPLATES[:2]) | st.sampled_from(REPEAT_TEMPLATES))
+            previous = (template.replace("%", draw(st.sampled_from(["100", "101"])))
+                        .replace("$", draw(st.sampled_from(["v", "v", "u", "\\u0076"]))))
+        odd = draw(st.sampled_from([False] * 5 + [True]))
+        lines.append(previous.replace("@", draw(ODD_FRAME_IDS) if odd else str(100 + len(lines))))
+    return lines
+
+
+def _read_in_full(path):
+    """A frames file's records, every line decoded by ``json.loads`` and built by ``_frame_record``."""
+    records, finished, frame_ids, video_id = [], set(), set(), None
+    for lineno, line in read_lines(path):
+        try:
+            try:
+                obj = _as(json.loads(line), dict, "record")
+            except ValueError as exc:
+                raise ValidationError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+            if _get(obj, "video_id", str) != video_id:
+                if obj["video_id"] in finished:
+                    raise ValidationError(f"frames for video {obj['video_id']!r} are not contiguous")
+                finished.add(video_id)
+                frame_ids.clear()
+                video_id = obj["video_id"]
+            frame_id = checked_frame_id(_get(obj, "frame_id"))
+            if frame_id in frame_ids:
+                raise ValidationError(f"video {video_id!r}: duplicate frame id {frame_id}")
+            frame_ids.add(frame_id)
+            records.append(_frame_record(obj))
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=lineno, path=path) from None
+    return records
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=repeating_frames_lines())
+@example(lines=REPEAT_PATH_CASES["repeat-leading-zero"].split("\n"))
+@example(lines=REPEAT_PATH_CASES["repeat-escaped-top-level-key"].split("\n"))
+@example(lines=REPEAT_PATH_CASES["repeat-nested-key-first"].split("\n"))
+def test_repeated_frame_line_reads_as_decoded_in_full(tmp_path, lines):
+    """A line that repeats its predecessor but for the frame-id token, read directly or split
+    as ``--jobs 2`` splits it, has the outcome of decoding every line in full: equal records,
+    or the same error at the same ``path:line``."""
+    path = str(tmp_path / "frames.jsonl")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    expected = _outcome(lambda: _read_in_full(path))
+    assert _outcome(lambda: list(read_frame_records(path))) == expected
+    assert _outcome(lambda: [r for group in frame_groups(path) for r in read_group(group, path)]) == expected
