@@ -61,6 +61,12 @@ MUTANTS = (
            "lapse = self.aggregator.p_l + 1", "lapse = self.aggregator.p_l + 2",
            ("tests/test_cli.py::TestSynthAndSummarize::test_golden_scenario_matches_frozen_output",
             ORACLE + "test_500_random_streams")),
+    # mutant A: the salient context (CURRENT_ONLY) ranks active segments by
+    # (most occurrences, earliest start, term text); here a later start wins
+    Mutant("salient-tie-to-later-start", AGGREGATION,
+           "active.sort(key=lambda s: (-s.occurrences, s.start_frame, term_text(s.term)))",
+           "active.sort(key=lambda s: (-s.occurrences, -s.start_frame, term_text(s.term)))",
+           ("tests/test_aggregation.py::TestContextForFrame::test_salient_occurrence_tie_ranks_earlier_start_first",)),
     # mutant B: a later start wins an occurrence tie in overlap elimination
     Mutant("overlap-tie-to-later-start", AGGREGATION,
            "key=lambda s: (-s.occurrences, s.start_frame, s.end_frame, term_text(s.term))",

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .core import COUNT, POSITIVE, Category, Segment, Term, ValidationError, term_text
+from .core import COUNT, POSITIVE, Category, Segment, Term, ValidationError, term_text, type_refusal
 
 
 @dataclass(slots=True)
@@ -73,6 +73,8 @@ class StreamAggregator:
     """
 
     def __init__(self, category: Category, p_o: int, p_l: int):
+        if not isinstance(category, Category):  # before the messages below, which name it
+            raise type_refusal("category", "a Category", category)
         self.category = category
         self.p_o = POSITIVE(p_o, f"p_o_{category.value}")
         self.p_l = COUNT(p_l, f"p_l_{category.value}")

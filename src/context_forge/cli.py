@@ -16,8 +16,6 @@ import stat
 import sys
 import tempfile
 import traceback
-from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -38,13 +36,10 @@ from .core import (
 from .metrics import EvalReport, Variant, context_quality, quality_words, top5_map
 from .pipeline import VideoStats, summarize_video
 from .records import (
-    FrameGroup,
     context_to_dict,
     dumps_record,
-    frame_groups,
     read_contexts,
     read_frame_records,
-    read_group,
     read_ground_truth,
     read_predictions,
     write_frame_records,
@@ -61,15 +56,14 @@ def _load_config(path: str | None) -> SummarizerConfig:
 def _write_sorted(out: str, videos: Iterator[tuple[Iterable[str], VideoStats]]) -> list[VideoStats]:
     """Write each video's text to ``out`` in video-id order; return the stats in that order.
 
-    Each video's text comes in pieces (its lines, or one piece), each
-    written as it arrives. The texts go to a temporary file beside ``out``
-    (the target of a symlinked ``out``), which is renamed onto ``out`` once
-    all are written. When the ids did not arrive in ascending order, the
-    texts are first copied in sorted order to a second temporary file. An
-    existing ``out`` that is not a regular file, such as ``/dev/stdout``, is
-    never renamed over: the sorted texts are copied into it. A failed run
-    closes ``videos`` (shutting a worker pool down) and deletes the
-    temporary files.
+    Each video's text comes line by line, each line written as it arrives.
+    The texts go to a temporary file beside ``out`` (the target of a
+    symlinked ``out``), which is renamed onto ``out`` once all are written.
+    When the ids did not arrive in ascending order, the texts are first
+    copied in sorted order to a second temporary file. An existing ``out``
+    that is not a regular file, such as ``/dev/stdout``, is never renamed
+    over: the sorted texts are copied into it. A failed run closes
+    ``videos`` and deletes the temporary files.
     """
     # mkstemp makes a private file: give the output the mode that opening
     # ``out`` for writing would leave it with
@@ -96,10 +90,10 @@ def _write_sorted(out: str, videos: Iterator[tuple[Iterable[str], VideoStats]]) 
     index: list[tuple[str, int, int, VideoStats]] = []
     try:
         with contextlib.closing(videos), temp() as fh:
-            for pieces, stats in videos:
+            for lines, stats in videos:
                 offset = fh.tell()
-                for piece in pieces:
-                    fh.write(piece.encode("utf-8"))
+                for line in lines:
+                    fh.write(line.encode("utf-8"))
                 index.append((stats.video_id, offset, fh.tell() - offset, stats))
             ordered = sorted(index)
             if not regular or index != ordered:
@@ -133,7 +127,7 @@ def _render(results: list[tuple[str, int, ActionContext]]) -> Iterator[str]:
         yield f'{head}"frame_id":{frame_id},{tail}\n'
 
 
-def _videos_in_process(path: str, cfg: SummarizerConfig) -> Iterator[tuple[Iterator[str], VideoStats]]:
+def _videos(path: str, cfg: SummarizerConfig) -> Iterator[tuple[Iterator[str], VideoStats]]:
     """Each video's context lines and stats, in input order.
 
     Of one video at a time, only its frame contexts and results are held.
@@ -144,43 +138,10 @@ def _videos_in_process(path: str, cfg: SummarizerConfig) -> Iterator[tuple[Itera
         del results  # the lines are written: free the results before the next video is summarized
 
 
-def _summarize_group(group: FrameGroup, path: str, cfg: SummarizerConfig) -> tuple[list[str], VideoStats]:
-    """A worker's task: decode and summarize one video's lines, and render its contexts as one text."""
-    records = read_group(group, path)
-    first = next(records)  # a group has a line, or only its error, which this raises
-    results, stats = summarize_video(first.video_id, itertools.chain((first,), records), cfg)
-    return ["".join(_render(results))], stats
-
-
-def _videos_in_workers(path: str, cfg: SummarizerConfig, workers: int) -> Iterator[tuple[list[str], VideoStats]]:
-    """``_videos_in_process`` with each video decoded and summarized by ``workers`` processes.
-
-    This process only splits the file by video, and keeps at most twice as
-    many videos in flight as there are workers. Results are taken in input
-    order, so the error raised is the first in the file, as with one process.
-    """
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        in_flight: deque[Future] = deque()
-        for group in frame_groups(path):
-            in_flight.append(pool.submit(_summarize_group, group, path, cfg))
-            if len(in_flight) == 2 * workers:
-                yield in_flight.popleft().result()
-        while in_flight:
-            yield in_flight.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def cmd_summarize(args: argparse.Namespace) -> int:
     AT_LEAST_ONE(args.jobs, "--jobs")
     cfg = _load_config(args.config)
-    workers = min(args.jobs, os.cpu_count() or 1)  # a pool of one would only parse each line twice
-    if workers == 1:
-        videos = _videos_in_process(args.frames, cfg)
-    else:
-        videos = _videos_in_workers(args.frames, cfg, workers)
-    all_stats = _write_sorted(args.out, videos)
+    all_stats = _write_sorted(args.out, _videos(args.frames, cfg))
 
     print(_provenance(cfg), file=sys.stderr)
     for stats in all_stats:
@@ -319,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True)
     p.add_argument("--config")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="checked, and without effect: summarize runs in one process")
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")

@@ -1,16 +1,15 @@
 """Core domain types, configuration, and shared assets.
 
-Everything in here is immutable after construction and safe to share
-between worker processes. Each field follows one rule (``checked_label``,
-``checked_number``, ``checked_integer``, ``checked_text``, or a rule that
-``in_range``, the one range check, builds), which the type holding it
-applies as it is built, whether from a file or in code: a type's one
-comparison chain passes the common case, and the rule is called only to
-store an int as a float or to word a refusal. A label that passed recently
-is answered from a bounded memo, one string per normalized label, and a
-refusal is never stored. Labels are compared normalized to lowercase,
-whitespace-collapsed strings; membership checks are exact string matches
-after normalization.
+Everything in here is immutable after construction. Each field follows
+one rule (``checked_label``, ``checked_number``, ``checked_integer``,
+``checked_text``, or a rule that ``in_range``, the one range check,
+builds), which the type holding it applies as it is built, whether from a
+file or in code: a type's one comparison chain passes the common case, and
+the rule is called only to store an int as a float or to word a refusal. A
+label that passed recently is answered from a bounded memo, one string per
+normalized label, and a refusal is never stored. Labels are compared
+normalized to lowercase, whitespace-collapsed strings; membership checks
+are exact string matches after normalization.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class ParseError(ValidationError):
     """An input document could not be parsed; the message reads ``path:line N: message``."""
 
     def __init__(self, message: str, line: int, path: str):
-        # the args are the parts, not the message: a --jobs worker's error is pickled by its args
+        # the args are the parts, not the message: args[0] is the message without its path:line
         super().__init__(message, line, path)
 
     def __str__(self) -> str:

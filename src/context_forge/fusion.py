@@ -367,8 +367,8 @@ def loss_total(
     box offsets counted only for foreground targets (weighted by
     ``lam / n_reg``). TTC uses mean absolute error.
     """
-    if lam <= 0 or n_cls <= 0 or n_reg <= 0:
-        raise ValidationError("lam, n_cls and n_reg must all be positive")
+    if not all(0 < v < math.inf for v in (lam, n_cls, n_reg)):  # NaN fails every comparison
+        raise ValidationError("lam, n_cls and n_reg must all be positive and finite")
     probs = np.asarray(cls_probs, dtype=np.float64)
     p_star = np.asarray(cls_targets, dtype=np.float64)
     if probs.shape != p_star.shape:

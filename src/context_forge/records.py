@@ -24,7 +24,7 @@ text must equal the ``assemble`` rendering of its terms, after
 once per file, and a frames file keeps each video's lines together. Any
 malformed line raises ``ParseError`` naming ``path:line``. A frames line
 that repeats its predecessor but for the frame-id digits is not decoded: it
-shares the predecessor's fields (``_frame_lines``).
+shares the predecessor's fields (``read_frame_records``).
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def _detection(value) -> tuple[str, BoundingBox, float]:
 
 
 def _frame_record(obj: dict) -> FrameRecord:
-    """The record of one line that ``_frame_lines`` has checked: it read ``video_id`` and ``frame_id``."""
+    """The record of one line whose ``video_id`` and ``frame_id`` ``read_frame_records`` has checked."""
     return FrameRecord(
         video_id=obj["video_id"],
         frame_id=obj["frame_id"],
@@ -168,36 +168,37 @@ def _frame_record(obj: dict) -> FrameRecord:
     )
 
 
-def _frame_lines(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[int, str, dict | None, int, bool]]:
-    """(line number, line, object, frame id, whether the line starts a video) per frames line.
+def read_frame_records(path: str) -> Iterator[FrameRecord]:
+    """Stream a frames file's records, decoding one line at a time.
 
-    The one place for a frames file's structure: each line is one JSON
-    object with a string ``video_id`` and a ``checked_frame_id``, a video's
-    lines are contiguous and its frame ids distinct. A line that breaks a
-    rule raises ``ParseError`` at that line; the other fields are left to
-    ``_frame_record``.
+    The one place for a frames file's rules, checked per line in this order:
+    the line is one JSON object, its ``video_id`` a string, a video's lines
+    are contiguous, its ``frame_id`` passes ``checked_frame_id`` and is
+    distinct within its video, then ``_frame_record`` builds the record from
+    the other fields. A line that breaks a rule raises ``ParseError`` at that
+    line.
 
     Consecutive frames often share their content, so the last decoded line's
     text around its frame-id digits is kept: one line, and only when it has
     no ``\\`` and one ``"frame_id"``, which is then the top-level key (with no
     escapes, each ``"`` delimits a string). A line that is this text around 1
     to 18 ASCII digits with no leading zero differs in a plain JSON integer
-    only. It is not decoded (its object is ``None``), and only its frame id is checked.
+    only. It is not decoded: only its frame id is checked, and its record
+    shares the previous record's fields.
     """
     finished: set[str | None] = set()
     frame_ids: set[int] = set()
     video_id = head = tail = None
-    for lineno, line in lines:
+    for lineno, line in read_lines(path):
         try:
             if (head is not None and line.startswith(head) and line.endswith(tail)
                     and 0 < len(digits := line[len(head):len(line) - len(tail)]) <= 18
                     and digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0")):
-                obj, frame_id, starts = None, int(digits), False
+                obj, frame_id = None, int(digits)
             else:
                 obj = _object(line)
                 line_video = _get(obj, "video_id", str)
-                starts = line_video != video_id
-                if starts:
+                if line_video != video_id:
                     if line_video in finished:
                         raise ValidationError(f"frames for video {clipped(repr(line_video))} are not contiguous")
                     finished.add(video_id)
@@ -213,15 +214,6 @@ def _frame_lines(lines: Iterable[tuple[int, str]], path: str) -> Iterator[tuple[
             if frame_id in frame_ids:
                 raise ValidationError(f"video {clipped(repr(video_id))}: duplicate frame id {shown(frame_id)}")
             frame_ids.add(frame_id)
-        except ValidationError as exc:
-            raise ParseError(str(exc), line=lineno, path=path) from None
-        yield lineno, line, obj, frame_id, starts
-
-
-def _frame_records(lines: Iterable[tuple[int, str]], path: str) -> Iterator[FrameRecord]:
-    """Decode the numbered lines of a frames file, ``path`` naming them in errors (see ``_frame_lines``)."""
-    for lineno, _, obj, frame_id, _ in _frame_lines(lines, path):
-        try:
             if obj is None:
                 record = FrameRecord(record.video_id, frame_id, record.captions, record.label_scores,
                                      record.active_boxes, record.detections)
@@ -230,48 +222,6 @@ def _frame_records(lines: Iterable[tuple[int, str]], path: str) -> Iterator[Fram
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=path) from None
         yield record
-
-
-def read_frame_records(path: str) -> Iterator[FrameRecord]:
-    """Stream a frames file's records, one line at a time (see ``_frame_records``)."""
-    return _frame_records(read_lines(path), path)
-
-
-FrameGroup = tuple[list[tuple[int, str]], Exception | None]
-
-
-def frame_groups(path: str) -> Iterator[FrameGroup]:
-    """Split a frames file into one group per video, for ``read_group`` to decode elsewhere.
-
-    A group is the video's numbered non-blank lines and ``None``. Each line
-    is checked here by ``_frame_lines`` (JSON, ``video_id``, ``frame_id``,
-    contiguous videos, distinct frame ids), and ``read_group`` parses it
-    again to decode the record, except a line that repeats its predecessor,
-    which neither parses. A line that fails here ends the split: the
-    last group holds the lines of its unfinished video and the error, which
-    ``read_group`` raises after decoding those lines. Groups read in order
-    thus raise the first bad line in file order, as ``read_frame_records`` does.
-    """
-    lines: list[tuple[int, str]] = []
-    try:
-        for lineno, line, _, _, starts in _frame_lines(read_lines(path), path):
-            if starts and lines:
-                yield lines, None
-                lines = []
-            lines.append((lineno, line))
-    except (ParseError, OSError) as exc:
-        yield lines, exc
-        return
-    if lines:
-        yield lines, None
-
-
-def read_group(group: FrameGroup, path: str) -> Iterator[FrameRecord]:
-    """Decode one video's group from ``frame_groups`` line by line, then raise its error if it has one."""
-    lines, error = group
-    yield from _frame_records(lines, path)
-    if error is not None:
-        raise error
 
 
 def frame_record_to_dict(record: FrameRecord) -> dict:

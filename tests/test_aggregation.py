@@ -128,6 +128,12 @@ class TestStreamAggregator:
         assert [s.active for s in agg.segments_at(6)] == [True]
         assert [s.active for s in agg.segments_at(30)] == [False]
 
+    def test_category_must_be_a_category(self):
+        # aggregate's arguments in the wrong order: the category check comes before the
+        # p_o/p_l rules, whose messages name the category
+        with pytest.raises(ValidationError, match=r"^category must be a Category, got 7$"):
+            aggregate([(0, ["v"])], Category.HELD, 2, 7)
+
     def test_snapshot_before_pushed_frame_rejected(self):
         agg = StreamAggregator(Category.ACTION, p_o=1, p_l=7)
         agg.push(10, ["v"])

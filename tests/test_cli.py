@@ -19,7 +19,6 @@ from context_forge.core import ActionPair, InvariantError, SummarizerConfig, con
 from context_forge.records import (
     context_to_dict,
     dumps_record,
-    frame_groups,
     frame_record_to_dict,
     read_ground_truth,
     read_predictions,
@@ -31,16 +30,20 @@ DATA = Path(__file__).parent / "data"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args):
+def run_python(*args):
     # the package's own sources come first, installed or not
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "context_forge.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
     return proc
+
+
+def run_cli(*args):
+    return run_python("-m", "context_forge.cli", *args)
 
 
 def write_gt(path, rows):
@@ -388,26 +391,6 @@ class TestStreamingSummarize:
         report(capsys, f"peak growth per video: {per_video:.0f} B (bound 1250 B)")
         assert per_video <= 1250, peaks
 
-    def test_worker_renders_without_the_records(self, tmp_path):
-        # a --jobs N worker holds no more than the --jobs 1 path on the same video
-        frames = tmp_path / "frames.jsonl"
-        write_videos(frames, scenario_lines(1))
-        cfg = SummarizerConfig()
-        (group,) = frame_groups(str(frames))
-
-        def peak(run):
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        # the worker returns the video's text; the --jobs 1 side joins its lines into the same text
-        in_process = peak(lambda: ["".join(lines) for lines, _ in cli._videos_in_process(str(frames), cfg)])
-        worker = peak(lambda: cli._summarize_group(group, str(frames), cfg))
-        assert worker <= 1.1 * in_process, (worker, in_process)
-
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_malformed_last_line_leaves_no_output(self, tmp_path, capsys, jobs):
         frames = tmp_path / "frames.jsonl"
@@ -437,56 +420,14 @@ class TestStreamingSummarize:
             assert (proc.returncode, proc.stderr) == (0, want.stderr)
             assert out.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
-    def test_jobs_capped_at_cpu_count(self, tmp_path, capsys, monkeypatch):
-        pools = []
-
-        class InlinePool:
-            """Runs each task at submit; records its size and the most tasks
-            submitted but not yet collected."""
-
-            def __init__(self, max_workers):
-                self.max_workers, self.pending, self.peak = max_workers, 0, 0
-                pools.append(self)
-
-            def submit(self, fn, *args):
-                self.pending += 1
-                self.peak = max(self.peak, self.pending)
-                value = fn(*args)
-                pool = self
-
-                class Done:
-                    def result(self):
-                        pool.pending -= 1
-                        return value
-
-                return Done()
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        frames = tmp_path / "frames.jsonl"
-        write_videos(frames, scenario_lines(9, n_frames=30))
-        want = tmp_path / "want.jsonl"
-        assert main(["summarize", "--frames", str(frames), "--out", str(want)]) == 0
-        want_err = capsys.readouterr().err
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_jobs_runs_in_one_process(self, tmp_path):
+        # --jobs is checked and has no effect: no process pool, so no multiprocessing import
         out = tmp_path / "ctx.jsonl"
-        assert main(["summarize", "--frames", str(frames), "--out", str(out), "--jobs", "64"]) == 0
-        assert capsys.readouterr().err == want_err
-        assert out.read_bytes() == want.read_bytes()
-        assert [(pool.max_workers, pool.peak) for pool in pools] == [(2, 4)]
-
-    def test_jobs_on_one_cpu_start_no_pool(self, tmp_path, capsys, monkeypatch):
-        # a pool of one worker would parse every line twice
-        def no_pool(max_workers):
-            raise RuntimeError("a pool was started")
-
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-        out = tmp_path / "ctx.jsonl"
-        argv = ["summarize", "--frames", str(DATA / "golden_frames.jsonl"), "--out", str(out), "--jobs", "4"]
-        assert main(argv) == 0
+        script = ("import sys; from context_forge.cli import main; code = main(sys.argv[1:]); "
+                  "print('multiprocessing' in sys.modules); sys.exit(code)")
+        proc = run_python("-c", script, "summarize", "--frames", str(DATA / "golden_frames.jsonl"),
+                          "--out", str(out), "--jobs", "4")
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
         assert out.read_bytes() == (DATA / "golden_contexts.jsonl").read_bytes()
 
     def test_out_may_be_the_frames_file(self, tmp_path, capsys):

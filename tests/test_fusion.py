@@ -567,6 +567,12 @@ class TestLoss:
         with pytest.raises(ValidationError):
             loss_total(**{**kwargs, "lam": 0.0})
 
+    @pytest.mark.parametrize("name", ["lam", "n_cls", "n_reg"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, name, value):
+        with pytest.raises(ValidationError, match="^lam, n_cls and n_reg must all be positive and finite$"):
+            loss_total(**{**self._perfect(), name: value})
+
 
 class TestParameterBundle:
     def test_save_load_roundtrip(self, tmp_path):

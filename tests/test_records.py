@@ -31,13 +31,11 @@ from context_forge.records import (
     _frame_record,
     _get,
     dumps_record,
-    frame_groups,
     frame_record_to_dict,
     read_contexts,
     read_frame_records,
     read_ground_truth,
     read_predictions,
-    read_group,
 )
 from context_forge.synth import gen_scenario, scenario_to_frame_records
 
@@ -306,9 +304,9 @@ def test_config_key_nothing_reads_is_unknown(tmp_path, capsys, line):
     assert f"{path}:line 2: unknown key {line.split('=')[0]!r}\n" in err
 
 
-# Frames files of three videos whose bad line is in the last video, so a
-# worker raises it under --jobs 2, and a repeated frame id that is reported
-# at its own line, before a later bad line of its video or the next one.
+# Frames files of three videos whose bad line is in the last video, after
+# two videos decoded in full, and a repeated frame id that is reported at
+# its own line, before a later bad line of its video or the next one.
 LAST_VIDEO_BAD = {
     "last-video-bad-field": "\n".join([
         json.dumps(dict(FRAME, frame_id=1)), json.dumps(dict(FRAME, video_id="w")),
@@ -338,7 +336,7 @@ REPEAT_PATH_CASES = {
     + list(LAST_VIDEO_BAD) + list(REPEAT_PATH_CASES)
 ))
 def test_frames_errors_same_under_jobs(tmp_path, capsys, case):
-    """Workers decode their own lines, and report the error one process reports, at its path:line."""
+    """Each bad frames line is reported once, at its path:line, with no output; ``--jobs 2`` changes nothing."""
     line2 = {**LAST_VIDEO_BAD, **REPEAT_PATH_CASES}.get(case) or {**REJECTED, **ALREADY_REJECTED}[case][2]
     code, err, path = run(tmp_path, capsys, "summarize", "frames", line2)
     assert code == 1 and err.count(f"{path}:line ") == 1, err
@@ -779,12 +777,10 @@ def _read_in_full(path):
 @example(lines=REPEAT_PATH_CASES["repeat-escaped-top-level-key"].split("\n"))
 @example(lines=REPEAT_PATH_CASES["repeat-nested-key-first"].split("\n"))
 def test_repeated_frame_line_reads_as_decoded_in_full(tmp_path, lines):
-    """A line that repeats its predecessor but for the frame-id token, read directly or split
-    as ``--jobs 2`` splits it, has the outcome of decoding every line in full: equal records,
-    or the same error at the same ``path:line``."""
+    """A line that repeats its predecessor but for the frame-id token has the outcome of
+    decoding every line in full: equal records, or the same error at the same ``path:line``."""
     path = str(tmp_path / "frames.jsonl")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     expected = _outcome(lambda: _read_in_full(path))
     assert _outcome(lambda: list(read_frame_records(path))) == expected
-    assert _outcome(lambda: [r for group in frame_groups(path) for r in read_group(group, path)]) == expected
