@@ -36,7 +36,7 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # node ids; a parametrized test is killed when any of its cases fails
 
 
-PIPELINE, AGGREGATION, METRICS, RECORDS = "pipeline.py", "aggregation.py", "metrics.py", "records.py"
+PIPELINE, AGGREGATION, METRICS, RECORDS, FUSION = "pipeline.py", "aggregation.py", "metrics.py", "records.py", "fusion.py"
 ORACLE = "tests/test_pipeline.py::TestIncrementalMatchesPerFrameOracle::"
 REPEAT = ("tests/test_records.py::test_repeated_frame_line_reads_as_decoded_in_full",
           "tests/test_records.py::test_frames_errors_same_under_jobs")
@@ -96,6 +96,10 @@ MUTANTS = (
            "positions.sort(key=scores.__getitem__, reverse=True)",
            "positions.sort(key=scores.__getitem__, reverse=False)",
            ("tests/test_acceptance.py::test_criterion_5_map_oracle_equivalence",)),
+    # Every parameter array holds only finite values, one infinity included.
+    Mutant("finite-if-any-value-is", FUSION,
+           "if not np.isfinite(array).all():", "if not np.isfinite(array).any():",
+           ("tests/test_fusion.py::TestParameterBundle::test_non_finite_bundle_rejected[inf-w-out]",)),
 )
 
 

@@ -16,14 +16,15 @@ exact ``math.erf`` element by element.
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import ShapeError, ValidationError
+from .core import AT_LEAST_ONE, NATURAL, ShapeError, ValidationError, checked_number, in_range, type_refusal
 
 LAYER_NORM_EPS = 1e-12
 
@@ -65,6 +66,8 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ShapeError(f"Q width {q.shape[1]} != K width {k.shape[1]}")
     if k.shape[0] != v.shape[0]:
         raise ShapeError(f"K rows {k.shape[0]} != V rows {v.shape[0]}")
+    if k.shape[0] == 0:  # softmax over no keys has no value
+        raise ShapeError("attention needs at least one key; K has 0 rows")
     return _attention(q, k, v)
 
 
@@ -79,7 +82,10 @@ Shapes = dict[str, tuple[int, ...]]
 
 def _layer_shapes(d_model: int, n_heads: int, hidden: int) -> Shapes:
     """Encoder-layer arrays in bundle order; ``w_heads`` is shared across Q/K/V."""
-    d = d_model
+    d = AT_LEAST_ONE(d_model, "d_model")
+    if d % AT_LEAST_ONE(n_heads, "n_heads"):
+        raise ShapeError(f"model width {d} not divisible by {n_heads} heads")
+    NATURAL(hidden, "mlp_hidden")
     return {
         "w_heads": (n_heads, d, d // n_heads),
         "w_out": (d, d),
@@ -94,12 +100,25 @@ def _layer_shapes(d_model: int, n_heads: int, hidden: int) -> Shapes:
     }
 
 
+def _tiling(patch: int, channels: int, height: int, width: int) -> tuple[int, int]:
+    """(token count, token width) of a (C, H, W) map cut into P x P patches: the tiling rule."""
+    sizes = (patch, channels, height, width)
+    # plain ints of at least 1 skip the rule's calls: one fuse-check run calls this ~500 times
+    if not (type(patch) is type(channels) is type(height) is type(width) is int and min(sizes) >= 1):
+        for value, what in zip(sizes, ("patch_size", "channels", "height", "width")):
+            AT_LEAST_ONE(value, what)
+    if height % patch or width % patch:
+        raise ShapeError(f"feature map {height}x{width} not divisible by patch {patch}")
+    return (height // patch) * (width // patch), patch * patch * channels
+
+
 def _scale_shapes(
     patch: int, channels: int, height: int, width: int, d_model: int, d_lang: int
 ) -> Shapes:
     """Per-scale arrays in bundle order; the scale's encoder layers follow them."""
-    token_dim = patch * patch * channels
-    n_tokens = (height * width) // (patch * patch)
+    n_tokens, token_dim = _tiling(patch, channels, height, width)
+    AT_LEAST_ONE(d_model, "d_model")
+    NATURAL(d_lang, "d_lang")
     return {
         "w_patch": (token_dim, d_model),
         "w_back": (d_model, token_dim),
@@ -110,11 +129,27 @@ def _scale_shapes(
     }
 
 
-def _check_shapes(params: object, shapes: Shapes) -> None:
-    for name, shape in shapes.items():
-        actual = getattr(params, name).shape
-        if actual != shape:
-            raise ShapeError(f"{name} shape {actual}, expected {shape}")
+def _checked_array(what: str, array: object) -> np.ndarray:
+    """``array`` when it is a float64 ``ndarray`` of finite values: the rule of every fusion array."""
+    if not (isinstance(array, np.ndarray) and array.dtype == np.float64):
+        raise type_refusal(what, "a float64 ndarray", array)
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{what} holds a NaN or infinite value")
+    return array
+
+
+def _check_shapes(params: EncoderLayerParams | FusionParams, sizing: dict[str, int]) -> None:
+    """Each array by ``_checked_array`` and its shape in ``params._shapes()``. The ``sizing``
+    arrays (name: rank) go first, as ``_shapes()`` reads and checks their dimensions."""
+    for name, rank in sizing.items():
+        if _checked_array(name, getattr(params, name)).ndim != rank:
+            raise ShapeError(f"{name} shape {getattr(params, name).shape}, expected {rank} dimensions")
+    for name, shape in params._shapes().items():
+        array = getattr(params, name)
+        if name not in sizing:
+            _checked_array(name, array)
+        if array.shape != shape:
+            raise ShapeError(f"{name} shape {array.shape}, expected {shape}")
 
 
 @dataclass
@@ -133,12 +168,7 @@ class EncoderLayerParams:
     ln2_beta: np.ndarray
 
     def __post_init__(self) -> None:
-        h, d, d_head = self.w_heads.shape
-        if h * d_head != d:
-            raise ValidationError(
-                f"head dimension {d_head} x {h} heads must equal model width {d}"
-            )
-        _check_shapes(self, self._shapes())
+        _check_shapes(self, {"w_heads": 3, "w_mlp1": 2})
 
     def _shapes(self) -> Shapes:
         return _layer_shapes(self.d_model, self.n_heads, self.mlp_hidden)
@@ -185,28 +215,22 @@ def patchify(feature_map: np.ndarray, patch_size: int) -> np.ndarray:
     if x.ndim != 3:
         raise ShapeError(f"patchify expects (C, H, W), got shape {x.shape}")
     c, h, w = x.shape
-    if patch_size <= 0 or h % patch_size or w % patch_size:
-        raise ShapeError(f"H={h}, W={w} not divisible by patch size {patch_size}")
-    n_h, n_w = h // patch_size, w // patch_size
-    tokens = (
-        x.reshape(c, n_h, patch_size, n_w, patch_size)
+    shape = _tiling(patch_size, c, h, w)
+    return (
+        x.reshape(c, h // patch_size, patch_size, w // patch_size, patch_size)
         .transpose(1, 3, 0, 2, 4)
-        .reshape(n_h * n_w, c * patch_size * patch_size)
+        .reshape(shape)
     )
-    return tokens
 
 
 def regroup(tokens: np.ndarray, height: int, width: int, patch_size: int, channels: int) -> np.ndarray:
     """Exact inverse of ``patchify``."""
     t = np.asarray(tokens, dtype=np.float64)
-    if patch_size <= 0 or height % patch_size or width % patch_size:
-        raise ShapeError(f"H={height}, W={width} not divisible by patch size {patch_size}")
-    n_h, n_w = height // patch_size, width // patch_size
-    expected = (n_h * n_w, channels * patch_size * patch_size)
-    if t.ndim != 2 or t.shape != expected:
+    expected = _tiling(patch_size, channels, height, width)
+    if t.shape != expected:
         raise ShapeError(f"regroup tokens shape {t.shape}, expected {expected}")
     return (
-        t.reshape(n_h, n_w, channels, patch_size, patch_size)
+        t.reshape(height // patch_size, width // patch_size, channels, patch_size, patch_size)
         .transpose(2, 0, 3, 1, 4)
         .reshape(channels, height, width)
     )
@@ -241,14 +265,10 @@ class FusionParams:
     layers: list[EncoderLayerParams] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if min(self.channels, self.height, self.width) < 1:
-            raise ShapeError(f"empty feature map: {self.channels} channels, {self.height}x{self.width}")
-        if self.patch_size <= 0 or self.height % self.patch_size or self.width % self.patch_size:
-            raise ShapeError(
-                f"feature map {self.height}x{self.width} not divisible by patch {self.patch_size}"
-            )
-        _check_shapes(self, self._shapes())
-        for layer in self.layers:
+        _check_shapes(self, {"w_patch": 2, "w_lang": 2})
+        for index, layer in enumerate(self.layers):
+            if not isinstance(layer, EncoderLayerParams):
+                raise type_refusal(f"layers[{index}]", "an EncoderLayerParams", layer)
             if layer.d_model != self.d_model:
                 raise ShapeError(f"layer width {layer.d_model} != model width {self.d_model}")
 
@@ -259,7 +279,7 @@ class FusionParams:
 
     @property
     def n_tokens(self) -> int:
-        return (self.height * self.width) // (self.patch_size * self.patch_size)
+        return _tiling(self.patch_size, self.channels, self.height, self.width)[0]
 
     @property
     def d_model(self) -> int:
@@ -275,12 +295,13 @@ def fuse_single_scale(
     lang_tokens: np.ndarray,
     params: FusionParams,
 ) -> np.ndarray:
-    fmap = np.asarray(feature_map, dtype=np.float64)
+    fmap = _checked_array("feature_map", np.asarray(feature_map, dtype=np.float64))
     lang = np.asarray(lang_tokens, dtype=np.float64)
     if lang.size == 0:
         lang = lang.reshape(0, params.d_lang)
     if lang.ndim != 2 or lang.shape[1] != params.d_lang:
         raise ShapeError(f"language tokens shape {lang.shape}, expected (L, {params.d_lang})")
+    _checked_array("lang_tokens", lang)
 
     visual = patchify(fmap, params.patch_size) @ params.w_patch
     visual = visual + params.visual_type_emb + params.pos_emb
@@ -367,8 +388,9 @@ def loss_total(
     box offsets counted only for foreground targets (weighted by
     ``lam / n_reg``). TTC uses mean absolute error.
     """
-    if not all(0 < v < math.inf for v in (lam, n_cls, n_reg)):  # NaN fails every comparison
-        raise ValidationError("lam, n_cls and n_reg must all be positive and finite")
+    in_range(checked_number, math.ulp(0.0))(lam, "lam")
+    AT_LEAST_ONE(n_cls, "n_cls")
+    AT_LEAST_ONE(n_reg, "n_reg")
     probs = np.asarray(cls_probs, dtype=np.float64)
     p_star = np.asarray(cls_targets, dtype=np.float64)
     if probs.shape != p_star.shape:
@@ -412,9 +434,8 @@ def random_fusion_params(
     mlp_hidden: int | None = None,
 ) -> list[FusionParams]:
     """Small random parameter bundle, one entry per (P, C, H, W) scale."""
-    if d_model % n_heads:
-        raise ValidationError(f"model width {d_model} not divisible by {n_heads} heads")
-    hidden = 4 * d_model if mlp_hidden is None else mlp_hidden
+    layer_shapes = _layer_shapes(d_model, n_heads, 4 * d_model if mlp_hidden is None else mlp_hidden)
+    NATURAL(n_layers, "n_layers")
     rng = np.random.default_rng(seed)
 
     def init(shapes: Shapes) -> dict[str, np.ndarray]:
@@ -432,10 +453,7 @@ def random_fusion_params(
 
     scales = []
     for dims in scale_shapes:
-        layers = [
-            EncoderLayerParams(**init(_layer_shapes(d_model, n_heads, hidden)))
-            for _ in range(n_layers)
-        ]
+        layers = [EncoderLayerParams(**init(layer_shapes)) for _ in range(n_layers)]
         scales.append(
             FusionParams(*dims, **init(_scale_shapes(*dims, d_model, d_lang)), layers=layers)
         )
@@ -443,17 +461,11 @@ def random_fusion_params(
 
 
 def with_zero_embeddings(scales: Sequence[FusionParams]) -> list[FusionParams]:
-    """Copy of the bundle with positional and type embeddings zeroed."""
-    out = []
-    for params in scales:
-        out.append(
-            replace(
-                params,
-                visual_type_emb=np.zeros_like(params.visual_type_emb),
-                lang_type_emb=np.zeros_like(params.lang_type_emb),
-                pos_emb=np.zeros_like(params.pos_emb),
-            )
-        )
+    """Copy of the bundle with positional and type embeddings zeroed; zeros break no rule, so no check reruns."""
+    out = [copy.copy(params) for params in scales]
+    for params in out:
+        for name in ("visual_type_emb", "lang_type_emb", "pos_emb"):
+            setattr(params, name, np.zeros_like(getattr(params, name)))
     return out
 
 
@@ -519,42 +531,29 @@ def _decode_params(data: bytes) -> list[FusionParams]:
         raise BundleError(f"unsupported bundle version {version}")
     if n_scales == 0:
         raise BundleError("bundle holds no scales")
-    if n_heads == 0:
-        raise BundleError("bundle declares zero attention heads")
-    if d_model == 0:
-        # every layer then reads no bytes, so n_layers alone would bound the loop
-        raise BundleError("bundle declares zero model width")
     offset = _HEADER.size + _DIMS.size * n_scales
     if offset > len(data):
         raise BundleError("bundle header truncated")
     dims = list(_DIMS.iter_unpack(data[_HEADER.size : offset]))
-    if any(0 in scale_dims for scale_dims in dims):
-        raise BundleError("bundle declares a zero patch size or an empty feature map")
-    # one pass over every value after the header, before any array is built
-    # (after them, the freed mask made loads of a 5.6 MB bundle 3-4x slower)
-    values = np.frombuffer(data, "<f8", count=(len(data) - offset) // 8, offset=offset)
-    if not np.isfinite(values).all():
-        raise BundleError("bundle holds a NaN or infinite value")
+    # the bytes' structure only: the shape tables and types check every size and value,
+    # and as d_model >= 1, every layer reads values, so truncation bounds the layer loop
+    layer_shapes = _layer_shapes(d_model, n_heads, hidden)
 
     def take(shapes: Shapes) -> dict[str, np.ndarray]:
         nonlocal offset
         arrays = {}
         for name, shape in shapes.items():
-            end = offset + 8 * math.prod(shape)
-            if end > len(data):
+            count = math.prod(shape)
+            if offset + 8 * count > len(data):
                 raise BundleError("bundle truncated")
-            raw = np.frombuffer(data[offset:end], dtype="<f8")
-            arrays[name] = raw.astype(np.float64).reshape(shape)
-            offset = end
+            arrays[name] = np.frombuffer(data, "<f8", count, offset).astype(np.float64).reshape(shape)
+            offset += 8 * count
         return arrays
 
     scales = []
     for scale_dims in dims:
         arrays = take(_scale_shapes(*scale_dims, d_model, d_lang))
-        layers = [
-            EncoderLayerParams(**take(_layer_shapes(d_model, n_heads, hidden)))
-            for _ in range(n_layers)
-        ]
+        layers = [EncoderLayerParams(**take(layer_shapes)) for _ in range(n_layers)]
         scales.append(FusionParams(*scale_dims, **arrays, layers=layers))
     if offset != len(data):
         raise BundleError(f"{len(data) - offset} trailing bytes in bundle")

@@ -1,15 +1,16 @@
+import dataclasses
 import hashlib
 import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from context_forge import checks, fusion
 from context_forge.checks import run_invariant_checks
 from context_forge.cli import main
-from context_forge.core import ShapeError, ValidationError
+from context_forge.core import ShapeError, ValidationError, shown
 from context_forge.fusion import (
     BundleError,
     EncoderLayerParams,
@@ -57,14 +58,31 @@ def zero_width_huge_depth(data):
     return data[: DIMS_AT + 16]
 
 
-def write_one_scale_bundle(path, dims, d_model=16, d_lang=12, n_heads=4, n_layers=1, hidden=64):
-    """Write a bundle of one (P, C, H, W) scale holding exactly as many values
-    as its header declares, even for dims FusionParams refuses to build."""
-    shapes = [*fusion._scale_shapes(*dims, d_model, d_lang).values()]
-    shapes += n_layers * [*fusion._layer_shapes(d_model, n_heads, hidden).values()]
-    values = np.ones(sum(math.prod(shape) for shape in shapes), dtype="<f8")
+def declared_shapes(dims, d_model, d_lang, n_heads, hidden):
+    """(scale arrays, layer arrays) of a one-scale bundle of these sizes; the
+    shape tables refuse the sizes in the order the decoder reads them."""
+    layer_shapes = fusion._layer_shapes(d_model, n_heads, hidden)
+    return fusion._scale_shapes(*dims, d_model, d_lang), layer_shapes
+
+
+def declared_count(dims, d_model, d_lang, n_heads, n_layers, hidden):
+    scale_shapes, layer_shapes = declared_shapes(dims, d_model, d_lang, n_heads, hidden)
+    count = sum(map(math.prod, scale_shapes.values()))
+    return count + n_layers * sum(map(math.prod, layer_shapes.values()))
+
+
+def write_one_scale_bundle(path, dims, d_model=16, d_lang=12, n_heads=4, n_layers=1, hidden=64, values=None):
+    """Write a bundle of one (P, C, H, W) scale: its header, then ``values``. By
+    default they are as many ones as the header declares, and none for sizes
+    the shape tables refuse, which the decoder refuses before it reads a value."""
+    if values is None:
+        try:
+            values = np.ones(declared_count(dims, d_model, d_lang, n_heads, n_layers, hidden))
+        except ValidationError:
+            values = np.ones(0)
     header = (fusion._MAGIC, fusion._VERSION, d_model, d_lang, n_heads, n_layers, hidden, 1)
-    path.write_bytes(fusion._HEADER.pack(*header) + fusion._DIMS.pack(*dims) + values.tobytes())
+    data = fusion._HEADER.pack(*header) + fusion._DIMS.pack(*dims)
+    path.write_bytes(data + np.asarray(values, dtype="<f8").tobytes())
 
 
 MALFORMED_HEADERS = {
@@ -75,6 +93,12 @@ MALFORMED_HEADERS = {
     "zero-patch": lambda data: patched(data, DIMS_AT, 0),
     "zero-scales": lambda data: patched(data[:DIMS_AT], N_SCALES_AT, 0),
     "zero-width-huge-depth": zero_width_huge_depth,
+}
+# The malformed headers that the shape tables refuse, not the byte structure, and their messages.
+REFUSED_SIZES = {
+    "zero-heads": "n_heads 0 out of range [1, inf]",
+    "zero-patch": "patch_size 0 out of range [1, inf]",
+    "zero-width-huge-depth": "d_model 0 out of range [1, inf]",
 }
 
 # sha256 of save_params(random_fusion_params(seed, **config)); pins the bundle format.
@@ -160,6 +184,13 @@ class TestAttention:
         weights = row_softmax(np.array([[1e6, 1e6 + 1.0]]))
         assert np.isfinite(weights).all()
         assert weights.sum() == pytest.approx(1.0)
+
+    def test_no_keys_rejected(self):
+        with pytest.raises(ShapeError, match="^attention needs at least one key; K has 0 rows$"):
+            attention(np.zeros((2, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
+
+    def test_no_queries_give_no_rows(self):
+        assert attention(np.zeros((0, 3)), np.zeros((2, 3)), np.zeros((2, 4))).shape == (0, 4)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -418,6 +449,17 @@ class TestFuse:
         with pytest.raises(ShapeError, match="scale 2"):
             fuse(maps, np.zeros((0, scales[0].d_lang)), scales)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["feature_map", "lang_tokens"])
+    def test_non_finite_input_rejected(self, name, value):
+        scales = random_fusion_params(6)
+        maps = [np.zeros((s.channels, s.height, s.width)) for s in scales]
+        lang = np.zeros((2, scales[0].d_lang))
+        (maps[1] if name == "feature_map" else lang)[1, 2] = value
+        with pytest.raises(ValidationError) as error:
+            fuse(maps, lang, scales)
+        assert str(error.value) == f"{name} holds a NaN or infinite value"
+
     def test_permutation_equivariance_with_zero_embeddings(self):
         scales = with_zero_embeddings(random_fusion_params(4))
         params = scales[0]
@@ -564,14 +606,31 @@ class TestLoss:
 
     def test_invalid_lambda_rejected(self):
         kwargs = self._perfect()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^lam 0\.0 out of range \[5e-324, inf\]$"):
             loss_total(**{**kwargs, "lam": 0.0})
 
     @pytest.mark.parametrize("name", ["lam", "n_cls", "n_reg"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_weight_rejected(self, name, value):
-        with pytest.raises(ValidationError, match="^lam, n_cls and n_reg must all be positive and finite$"):
+        # lam is a number, the two counts integers; each is refused with its own name
+        kind = "a finite number" if name == "lam" else "an integer"
+        with pytest.raises(ValidationError) as error:
             loss_total(**{**self._perfect(), name: value})
+        assert str(error.value) == f"{name} must be {kind}, got {shown(value)}"
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("lam", -1, "lam -1.0 out of range [5e-324, inf]"),
+            ("n_cls", 0, "n_cls 0 out of range [1, inf]"),
+            ("n_reg", 2.0, "n_reg must be an integer, got 2.0"),
+        ],
+        ids=["lam-negative", "n_cls-zero", "n_reg-float"],
+    )
+    def test_weight_out_of_range_rejected(self, name, value, message):
+        with pytest.raises(ValidationError) as error:
+            loss_total(**{**self._perfect(), name: value})
+        assert str(error.value) == message
 
 
 class TestParameterBundle:
@@ -629,53 +688,67 @@ class TestParameterBundle:
         save_params(str(path), load_params(str(path)))
         assert path.read_bytes() == data
 
-    @pytest.mark.parametrize("corrupt", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
-    def test_malformed_header_rejected(self, tmp_path, corrupt):
+    @pytest.mark.parametrize("case", MALFORMED_HEADERS)
+    def test_malformed_header_rejected(self, tmp_path, capsys, case):
         path = tmp_path / "params.bin"
         save_params(str(path), random_fusion_params(80))
-        path.write_bytes(corrupt(path.read_bytes()))
-        with pytest.raises(BundleError):
+        path.write_bytes(MALFORMED_HEADERS[case](path.read_bytes()))
+        if case not in REFUSED_SIZES:
+            with pytest.raises(BundleError):
+                load_params(str(path))
+            return
+        with pytest.raises(ValidationError) as error:
             load_params(str(path))
+        assert str(error.value) == f"{path}: {REFUSED_SIZES[case]}"
+        assert main(["fuse-check", "--params", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {REFUSED_SIZES[case]}\n"
 
     def test_malformed_header_exits_1(self, tmp_path, capsys):
         for case, message in [
-            ("zero-heads", "zero attention heads"),
-            ("zero-width-huge-depth", "zero model width"),
+            ("zero-heads", "n_heads 0 out of range [1, inf]"),
+            ("zero-width-huge-depth", "d_model 0 out of range [1, inf]"),
         ]:
             path = tmp_path / "params.bin"
             save_params(str(path), random_fusion_params(80))
             path.write_bytes(MALFORMED_HEADERS[case](path.read_bytes()))
             assert main(["fuse-check", "--params", str(path)]) == 1
-            assert message in capsys.readouterr().err
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
-    @pytest.mark.parametrize("dims", [(4, 0, 8, 8), (4, 3, 0, 8)], ids=["no-channels", "no-rows"])
-    def test_empty_feature_map_rejected(self, tmp_path, capsys, dims):
+    @pytest.mark.parametrize(
+        "dims, message",
+        [((4, 0, 8, 8), "channels 0 out of range [1, inf]"), ((4, 3, 0, 8), "height 0 out of range [1, inf]")],
+        ids=["no-channels", "no-rows"],
+    )
+    def test_empty_feature_map_rejected(self, tmp_path, capsys, dims, message):
         path = tmp_path / "params.bin"
         write_one_scale_bundle(path, (4, 3, 8, 8))
         assert len(load_params(str(path))) == 1  # the writer makes consistent bundles
         write_one_scale_bundle(path, dims)
-        with pytest.raises(BundleError, match="empty feature map"):
+        with pytest.raises(ValidationError) as error:
             load_params(str(path))
+        assert str(error.value) == f"{path}: {message}"
         assert main(["fuse-check", "--params", str(path)]) == 1
-        assert "empty feature map" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, name",
         [
-            lambda scales: scales[0].w_patch.fill(math.nan),
-            lambda scales: np.put(scales[1].layers[0].w_out, 3, math.inf),
+            (lambda scales: scales[0].w_patch.fill(math.nan), "w_patch"),
+            (lambda scales: np.put(scales[1].layers[0].w_out, 3, math.inf), "w_out"),
         ],
         ids=["nan-w-patch", "inf-w-out"],
     )
-    def test_non_finite_bundle_rejected(self, tmp_path, capsys, corrupt):
+    def test_non_finite_bundle_rejected(self, tmp_path, capsys, corrupt, name):
         path = tmp_path / "params.bin"
         scales = random_fusion_params(0)
-        corrupt(scales)
+        corrupt(scales)  # in place, past the types' checks
         save_params(str(path), scales)
-        with pytest.raises(BundleError, match="NaN or infinite"):
+        message = f"{path}: {name} holds a NaN or infinite value"
+        with pytest.raises(ValidationError) as error:
             load_params(str(path))
+        assert str(error.value) == message
         assert main(["fuse-check", "--params", str(path)]) == 1
-        assert f"{path}: bundle holds a NaN or infinite value" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -698,8 +771,10 @@ class TestParameterBundle:
 
     @pytest.mark.parametrize("dims", [(4, 0, 16, 16), (4, 3, 0, 16), (4, 3, 16, 0)])
     def test_params_with_empty_feature_map_rejected(self, dims):
-        with pytest.raises(ShapeError, match="empty feature map"):
+        name = ("patch_size", "channels", "height", "width")[dims.index(0)]
+        with pytest.raises(ValidationError) as error:
             random_fusion_params(0, scale_shapes=(dims,))
+        assert str(error.value) == f"{name} 0 out of range [1, inf]"
 
     @pytest.mark.parametrize(
         "kwargs", [dict(n_heads=2), dict(mlp_hidden=32)], ids=["heads", "mlp-width"]
@@ -715,3 +790,141 @@ class TestParameterBundle:
         with pytest.raises(ValidationError, match="head count"):
             save_params(str(path), [first])
         assert not path.exists()
+
+
+def _built_params(**changes):
+    """The first scale of a random bundle, or its first layer for a layer's field, rebuilt with ``changes``."""
+    params = random_fusion_params(0)[0]
+    if set(changes) <= {f.name for f in dataclasses.fields(EncoderLayerParams)}:
+        params = params.layers[0]
+    return dataclasses.replace(params, **changes)
+
+
+W_OUT = random_fusion_params(0)[0].layers[0].w_out
+
+# Values built in code that no bundle can hold, each refused by the rule of its field.
+CODE_BUILT_REFUSALS = {
+    "float-patch": (lambda: _built_params(patch_size=4.0), "patch_size must be an integer, got 4.0"),
+    "string-channels": (lambda: _built_params(channels="3"), 'channels must be an integer, got "3"'),
+    "list-w-patch": (
+        lambda: _built_params(w_patch=[[1.0] * 16] * 48),
+        f"w_patch must be a float64 ndarray, got {shown([[1.0] * 16] * 48)}",
+    ),
+    "int-layer": (lambda: _built_params(layers=[1]), "layers[0] must be an EncoderLayerParams, got 1"),
+    "2d-w-heads": (lambda: _built_params(w_heads=np.zeros((16, 4))), "w_heads shape (16, 4), expected 3 dimensions"),
+    "zero-heads": (lambda: random_fusion_params(0, n_heads=0), "n_heads 0 out of range [1, inf]"),
+    "negative-hidden": (lambda: random_fusion_params(0, mlp_hidden=-1), "mlp_hidden -1 out of range [0, inf]"),
+    "non-dividing-heads": (lambda: random_fusion_params(0, n_heads=3), "model width 16 not divisible by 3 heads"),
+    "nan-w-out": (lambda: _built_params(w_out=np.full((16, 16), math.nan)), "w_out holds a NaN or infinite value"),
+    "int-w-out": (
+        lambda: _built_params(w_out=W_OUT.astype(int)),
+        f"w_out must be a float64 ndarray, got {shown(W_OUT.astype(int))}",
+    ),
+    "complex-w-out": (
+        lambda: _built_params(w_out=W_OUT.astype(complex)),
+        f"w_out must be a float64 ndarray, got {shown(W_OUT.astype(complex))}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CODE_BUILT_REFUSALS)
+def test_code_built_params_refused_by_field(case):
+    build, message = CODE_BUILT_REFUSALS[case]
+    with pytest.raises(ValidationError) as error:
+        build()
+    assert str(error.value) == message
+
+
+# A value for a header or dims field: small (0 and values that do not divide included) or one a u32 barely holds.
+SIZES = st.integers(0, 6) | st.sampled_from([2**31, 2**32 - 1])
+
+
+@st.composite
+def bundle_sizes(draw):
+    """Dims and (d_model, d_lang, n_heads, n_layers, hidden) of a valid one-scale
+    bundle, then up to two of these nine fields set to a value from ``SIZES``."""
+    heads, patch = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    small = st.integers(1, 3)
+    fields = [patch, draw(small), patch * draw(small), patch * draw(small), heads * draw(small),
+              draw(st.integers(0, 4)), heads, draw(st.integers(0, 2)), draw(st.integers(0, 6))]
+    for index, value in draw(st.dictionaries(st.integers(0, 8), SIZES, max_size=2)).items():
+        fields[index] = value
+    return tuple(fields[:4]), tuple(fields[4:])
+
+
+# Up to this many values a bundle is written out; past it, the sizes cannot be built in code either.
+MAX_VALUES = 100_000
+
+
+def _tried(run):
+    try:
+        return "built", run()
+    except ValidationError as exc:
+        return "refused", type(exc).__name__, str(exc)
+
+
+def _build_one_scale(dims, sizes, values):
+    """One scale built in code from these sizes and values, in the order the decoder reads them."""
+    d_model, d_lang, n_heads, n_layers, hidden = sizes
+    scale_shapes, layer_shapes = declared_shapes(dims, d_model, d_lang, n_heads, hidden)
+    offset = 0
+
+    def take(shapes):
+        nonlocal offset
+        arrays = {}
+        for name, shape in shapes.items():
+            count = math.prod(shape)
+            arrays[name] = values[offset : offset + count].reshape(shape)
+            offset += count
+        return arrays
+
+    arrays = take(scale_shapes)
+    layers = [EncoderLayerParams(**take(layer_shapes)) for _ in range(n_layers)]
+    return [fusion.FusionParams(*dims, **arrays, layers=layers)]
+
+
+def _arrays(scales):
+    return [(name, getattr(owner, name)) for params in scales for owner in (params, *params.layers)
+            for name in owner._shapes()]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    case=bundle_sizes(),
+    bad=st.none() | st.tuples(st.integers(0, MAX_VALUES), st.sampled_from([math.nan, math.inf, -math.inf])),
+)
+@example(case=((2, 1, 4, 4), (4, 2, 2, 1, 3)), bad=None)
+@example(case=((2, 1, 4, 4), (4, 0, 4, 0, 0)), bad=(5, math.nan))
+def test_bundle_read_as_built_in_code(tmp_path, capsys, case, bad):
+    """A bundle's header, dims and values have the outcome of the same sizes and values built in code.
+
+    That is equal params, or the same error and message after the bundle's path. Sizes
+    the shape tables accept but that declare more values than can be built are written
+    without values and refused as truncated. ``fuse-check`` exits 0 or 1 on every bundle.
+    """
+    dims, sizes = case
+    path = tmp_path / "params.bin"
+    built = _tried(lambda: declared_count(dims, *sizes))
+    values = np.ones(0)
+    if built[0] == "built" and built[1] > MAX_VALUES:
+        built = ("refused", "BundleError", "bundle truncated")
+    elif built[0] == "built":
+        values = np.ones(built[1])
+        if bad:
+            values[bad[0] % values.size] = bad[1]
+        built = _tried(lambda: _build_one_scale(dims, sizes, values))
+    write_one_scale_bundle(path, dims, *sizes, values=values)
+    read = _tried(lambda: load_params(str(path)))
+    if read[0] == "refused":
+        assert read[2].startswith(f"{path}: ")
+        read = (*read[:2], read[2][len(f"{path}: ") :])
+    if built[0] == "built":
+        assert read[0] == "built", read
+        assert [(name, a.tobytes()) for name, a in _arrays(read[1])] == [
+            (name, a.tobytes()) for name, a in _arrays(built[1])
+        ]
+        assert [(p.patch_size, p.channels, p.height, p.width) for p in read[1]] == [dims]
+    else:
+        assert read == built
+    assert main(["fuse-check", "--params", str(path)]) == (0 if built[0] == "built" else 1)
+    capsys.readouterr()
