@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 
 PIPELINE, AGGREGATION, METRICS, RECORDS, FUSION = "pipeline.py", "aggregation.py", "metrics.py", "records.py", "fusion.py"
+CORE = "core.py"
 ORACLE = "tests/test_pipeline.py::TestIncrementalMatchesPerFrameOracle::"
 REPEAT = ("tests/test_records.py::test_repeated_frame_line_reads_as_decoded_in_full",
           "tests/test_records.py::test_frames_errors_same_under_jobs")
@@ -100,6 +101,10 @@ MUTANTS = (
     Mutant("finite-if-any-value-is", FUSION,
            "if not np.isfinite(array).all():", "if not np.isfinite(array).any():",
            ("tests/test_fusion.py::TestParameterBundle::test_non_finite_bundle_rejected[inf-w-out]",)),
+    # A config built in code stores what each key's rule returns, as a config line does.
+    Mutant("config-keeps-raw-value", CORE,
+           "object.__setattr__(self, key, rule(getattr(self, key), key))", "rule(getattr(self, key), key)",
+           ("tests/test_core.py::test_config_line_read_as_built_in_code",)),
 )
 
 

@@ -23,7 +23,7 @@ from collections import defaultdict
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from context_forge.core import Category, SummarizerConfig
+from context_forge.core import CATEGORY_KEYS, Category, SummarizerConfig
 from context_forge.synth import (
     category_stream,
     gen_scenario,
@@ -51,11 +51,12 @@ def recovery_rates(seeds, drop_rate, spurious_rate, n_frames, segment_frames):
             sampled = [
                 (f, terms) for f, terms in category_stream(stream, category) if f % CONFIG.stride == 0
             ]
-            p_o, p_l = CONFIG.p_o.get(category), CONFIG.p_l.get(category)
+            p_o, p_l, _ = (getattr(CONFIG, key) for key in CATEGORY_KEYS[category])
             found[category] = oracle_aggregate(sampled, p_o, p_l, category)
         for seg in planted:
             totals[seg.category] += 1
-            hits[seg.category] += segment_recovered(seg, found[seg.category], CONFIG.p_l.get(seg.category))
+            tolerance = getattr(CONFIG, CATEGORY_KEYS[seg.category][1])  # the category's p_l
+            hits[seg.category] += segment_recovered(seg, found[seg.category], tolerance)
     return hits, totals
 
 

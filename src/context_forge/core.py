@@ -15,7 +15,6 @@ are exact string matches after normalization.
 from __future__ import annotations
 
 import codecs
-import dataclasses
 import functools
 import hashlib
 import json
@@ -391,34 +390,30 @@ class ActionContext:
 
 
 @dataclass(frozen=True)
-class PerCategory:
-    """One integer knob per context category."""
-
-    action: int
-    held: int
-    salient: int
-
-    def get(self, category: Category) -> int:
-        return getattr(self, category.value)
-
-
-@dataclass(frozen=True)
 class SummarizerConfig:
     """All pipeline knobs with their reference operating-point defaults; some subcommand reads each.
 
-    Each field is stored as its key's rule in ``_CONFIG_KEYS`` returns it, as ``load_config``
-    stores the same text: an int for a float key becomes a float, labels are normalized and
-    merge-table pairs sorted. Empty vocabularies and merge tables disable the corresponding
-    filtering (the unfiltered operating mode); non-empty sets enforce exact membership.
+    The fields are the config keys, by name and in ``_CONFIG_KEYS``' order; a category's
+    values are ``p_o_<category>``, ``p_l_<category>`` and ``l_<category>``. Each field is
+    stored as its key's rule in ``_CONFIG_KEYS`` returns it, as ``load_config`` stores the
+    same text: an int for a float key becomes a float, labels are normalized and merge-table
+    pairs sorted. Empty vocabularies and merge tables disable the corresponding filtering
+    (the unfiltered operating mode); non-empty sets enforce exact membership.
     """
 
     d: int = 4
     k: int = 5
-    theta_iou: float = 0.25
-    p_o: PerCategory = PerCategory(action=1, held=7, salient=10)
-    p_l: PerCategory = PerCategory(action=7, held=7, salient=7)
     stride: int = 3
-    context_lengths: PerCategory = PerCategory(action=3, held=3, salient=3)
+    p_o_action: int = 1
+    p_o_held: int = 7
+    p_o_salient: int = 10
+    p_l_action: int = 7
+    p_l_held: int = 7
+    p_l_salient: int = 7
+    l_action: int = 3
+    l_held: int = 3
+    l_salient: int = 3
+    theta_iou: float = 0.25
     min_ttc: float = 0.033
     iou_thresh: float = 0.5
     t_delta: float = 0.25
@@ -428,10 +423,8 @@ class SummarizerConfig:
     merge_table: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        for key, (path, _, rule) in _CONFIG_KEYS.items():
-            value = rule(_config_value(self, path), key)
-            if "." not in path:  # a PerCategory part, an int, is kept as given
-                object.__setattr__(self, path, value)
+        for key, (_, rule) in _CONFIG_KEYS.items():
+            object.__setattr__(self, key, rule(getattr(self, key), key))
 
     # Extraction reads these lookups for every processed frame, so each is
     # built once per config. The cache is not a field: equality, hashing
@@ -484,40 +477,37 @@ def _split_pairs(raw: str) -> tuple[tuple[str, str], ...]:
     return tuple(tuple(entry.split("->", 1)) for entry in entries)
 
 
-# Every config key, in file and hash order: the field it sets ("field.part"
-# for a PerCategory part), the decoder of its text (int or float, read as
-# plain ASCII, or a split), and its rule, the value's one check in code and
-# on a config line alike, which returns the value to store.
+# Each category's keys: acceptance count, lapse and context length. The names are built once:
+# CPython 3.11's type attribute cache keeps a reference to each name string object getattr
+# looks up, so a name built on every call would stay alive (up to 4,096 of them).
+CATEGORY_KEYS = {c: (f"p_o_{c.value}", f"p_l_{c.value}", f"l_{c.value}") for c in Category}
+
+# Every config key, in file and hash order, which is SummarizerConfig's field
+# order: the decoder of its text (int or float, read as plain ASCII, or a
+# split), and its rule, the value's one check in code and on a config line
+# alike, which returns the value to store.
 _CONFIG_KEYS = {
-    "d": ("d", int, COUNT),
-    "k": ("k", int, COUNT),
-    "stride": ("stride", int, POSITIVE),
-    "p_o_action": ("p_o.action", int, POSITIVE),
-    "p_o_held": ("p_o.held", int, POSITIVE),
-    "p_o_salient": ("p_o.salient", int, POSITIVE),
-    "p_l_action": ("p_l.action", int, COUNT),
-    "p_l_held": ("p_l.held", int, COUNT),
-    "p_l_salient": ("p_l.salient", int, COUNT),
-    "l_action": ("context_lengths.action", int, COUNT),
-    "l_held": ("context_lengths.held", int, COUNT),
-    "l_salient": ("context_lengths.salient", int, COUNT),
-    "theta_iou": ("theta_iou", float, FRACTION),
-    "min_ttc": ("min_ttc", float, NON_NEGATIVE),
-    "iou_thresh": ("iou_thresh", float, FRACTION),
-    "t_delta": ("t_delta", float, NON_NEGATIVE),
-    "vocab_noun": ("vocab_noun", _split_labels, _label_set),
-    "vocab_verb": ("vocab_verb", _split_labels, _label_set),
-    "generic_nouns": ("generic_nouns", _split_labels, _label_set),
-    "merge_table": ("merge_table", _split_pairs, _merge_table),
+    "d": (int, COUNT),
+    "k": (int, COUNT),
+    "stride": (int, POSITIVE),
+    "p_o_action": (int, POSITIVE),
+    "p_o_held": (int, POSITIVE),
+    "p_o_salient": (int, POSITIVE),
+    "p_l_action": (int, COUNT),
+    "p_l_held": (int, COUNT),
+    "p_l_salient": (int, COUNT),
+    "l_action": (int, COUNT),
+    "l_held": (int, COUNT),
+    "l_salient": (int, COUNT),
+    "theta_iou": (float, FRACTION),
+    "min_ttc": (float, NON_NEGATIVE),
+    "iou_thresh": (float, FRACTION),
+    "t_delta": (float, NON_NEGATIVE),
+    "vocab_noun": (_split_labels, _label_set),
+    "vocab_verb": (_split_labels, _label_set),
+    "generic_nouns": (_split_labels, _label_set),
+    "merge_table": (_split_pairs, _merge_table),
 }
-
-
-def _config_value(cfg: SummarizerConfig, path: str):
-    name, _, part = path.partition(".")
-    value = getattr(cfg, name)
-    if part and not isinstance(value, PerCategory):
-        raise type_refusal(name, "a PerCategory", value)
-    return getattr(value, part) if part else value
 
 
 def load_config(path: str | Path) -> SummarizerConfig:
@@ -527,7 +517,6 @@ def load_config(path: str | Path) -> SummarizerConfig:
     or repeated keys, numbers that are not plain ASCII and values that break their rule are
     errors naming ``path:line``. Blank lines and ``#`` comments are ignored.
     """
-    seen: set[str] = set()
     fields: dict = {}
     for lineno, raw in read_lines(path):
         line = raw.strip()
@@ -539,9 +528,9 @@ def load_config(path: str | Path) -> SummarizerConfig:
                 raise ValidationError(f"expected key=value, got {clipped(repr(line))}")
             if key not in _CONFIG_KEYS:
                 raise ValidationError(f"unknown key {clipped(repr(key))}")
-            if key in seen:
+            if key in fields:
                 raise ValidationError(f"duplicate key {key!r}")
-            field_path, decode, rule = _CONFIG_KEYS[key]
+            decode, rule = _CONFIG_KEYS[key]
             try:
                 # int() and float() also take '_' separators and non-ASCII digits; JSON numbers do not
                 if (decode is int or decode is float) and (not text.isascii() or "_" in text):
@@ -549,15 +538,9 @@ def load_config(path: str | Path) -> SummarizerConfig:
                 value = decode(text)
             except ValueError:  # only int() and float() raise it
                 raise ValidationError(f"key {key!r}: {clipped(text)!r} is not a plain ASCII {decode.__name__}") from None
-            value = rule(value, key)
+            fields[key] = rule(value, key)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno, path=str(path)) from None
-        seen.add(key)
-        name, _, part = field_path.partition(".")
-        if part:  # a PerCategory part: the other parts keep their values so far
-            group = fields.get(name, SummarizerConfig.__dataclass_fields__[name].default)
-            value = dataclasses.replace(group, **{part: value})
-        fields[name] = value
     return SummarizerConfig(**fields)
 
 
@@ -568,8 +551,8 @@ def serialize_config(cfg: SummarizerConfig) -> str:
     written in its shortest form that reads back exactly.
     """
     lines = []
-    for key, (path, decode, _) in _CONFIG_KEYS.items():
-        value = _config_value(cfg, path)
+    for key, (decode, _) in _CONFIG_KEYS.items():
+        value = getattr(cfg, key)
         if decode is _split_labels:
             value = ",".join(sorted(value))
         elif decode is _split_pairs:

@@ -295,7 +295,11 @@ def fuse_single_scale(
     lang_tokens: np.ndarray,
     params: FusionParams,
 ) -> np.ndarray:
-    fmap = _checked_array("feature_map", np.asarray(feature_map, dtype=np.float64))
+    fmap = np.asarray(feature_map, dtype=np.float64)
+    expected = (params.channels, params.height, params.width)
+    if fmap.shape != expected:
+        raise ShapeError(f"feature map shape {fmap.shape}, expected {expected}")
+    _checked_array("feature_map", fmap)
     lang = np.asarray(lang_tokens, dtype=np.float64)
     if lang.size == 0:
         lang = lang.reshape(0, params.d_lang)
@@ -335,11 +339,10 @@ def fuse(
         )
     outputs = []
     for index, (fmap, params) in enumerate(zip(feature_maps, scales)):
-        arr = np.asarray(fmap, dtype=np.float64)
-        expected = (params.channels, params.height, params.width)
-        if arr.shape != expected:
-            raise ShapeError(f"scale {index}: feature map shape {arr.shape}, expected {expected}")
-        outputs.append(fuse_single_scale(arr, lang_tokens, params))
+        try:
+            outputs.append(fuse_single_scale(fmap, lang_tokens, params))
+        except ShapeError as exc:
+            raise ShapeError(f"scale {index}: {exc}") from None
     return outputs
 
 
@@ -353,14 +356,20 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean softmax cross-entropy over rows; targets are class indices."""
+def cross_entropy(logits: np.ndarray, targets: np.ndarray, what: str = "targets") -> float:
+    """Mean softmax cross-entropy over rows; ``targets`` (named ``what``) are integer class indices."""
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets)
     if logits.ndim != 2 or targets.shape != (logits.shape[0],):
         raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets {targets.shape}")
     if logits.shape[0] == 0:
         return 0.0
+    if targets.dtype.kind not in "iu":  # numpy refuses a float index and reads a bool one as a mask
+        raise type_refusal(what, "an array of integer class indices", targets)
+    outside = (targets < 0) | (targets >= logits.shape[1])  # numpy reads -1 as the last class
+    if outside.any():
+        index = int(outside.argmax())
+        raise ValidationError(f"{what}[{index}] {targets[index]} out of range [0, {logits.shape[1] - 1}]")
     log_probs = _log_softmax(logits)
     picked = log_probs[np.arange(len(targets)), targets]
     return float(-picked.mean())
@@ -386,12 +395,16 @@ def loss_total(
     The box objective combines binary cross-entropy on objectness
     probabilities (normalized by ``n_cls``) with smooth-L1 regression on
     box offsets counted only for foreground targets (weighted by
-    ``lam / n_reg``). TTC uses mean absolute error.
+    ``lam / n_reg``). TTC uses mean absolute error. Every float array but
+    ``cls_targets`` (0 or 1) must be finite.
     """
+    def floats(what: str, value) -> np.ndarray:
+        return _checked_array(what, np.asarray(value, dtype=np.float64))
+
     in_range(checked_number, math.ulp(0.0))(lam, "lam")
     AT_LEAST_ONE(n_cls, "n_cls")
     AT_LEAST_ONE(n_reg, "n_reg")
-    probs = np.asarray(cls_probs, dtype=np.float64)
+    probs = floats("cls_probs", cls_probs)
     p_star = np.asarray(cls_targets, dtype=np.float64)
     if probs.shape != p_star.shape:
         raise ShapeError(f"cls shapes differ: {probs.shape} vs {p_star.shape}")
@@ -403,8 +416,8 @@ def loss_total(
     bce = -(p_star * np.log(probs) + (1.0 - p_star) * np.log(1.0 - probs))
     loss_cls = float(bce.sum()) / n_cls
 
-    b = np.asarray(boxes, dtype=np.float64)
-    b_star = np.asarray(box_targets, dtype=np.float64)
+    b = floats("boxes", boxes)
+    b_star = floats("box_targets", box_targets)
     if b.shape != b_star.shape or b.ndim != 2 or b.shape[1] != 4:
         raise ShapeError(f"box shapes: {b.shape} vs {b_star.shape}, expected (n, 4)")
     if b.shape[0] != probs.shape[0]:
@@ -412,11 +425,11 @@ def loss_total(
     per_box_reg = smooth_l1(b - b_star).sum(axis=1)
     loss_reg = lam / n_reg * float((p_star * per_box_reg).sum())
 
-    loss_noun = cross_entropy(noun_logits, noun_targets)
-    loss_verb = cross_entropy(verb_logits, verb_targets)
+    loss_noun = cross_entropy(floats("noun_logits", noun_logits), noun_targets, "noun_targets")
+    loss_verb = cross_entropy(floats("verb_logits", verb_logits), verb_targets, "verb_targets")
 
-    t_pred = np.asarray(ttc_pred, dtype=np.float64)
-    t_gt = np.asarray(ttc_gt, dtype=np.float64)
+    t_pred = floats("ttc_pred", ttc_pred)
+    t_gt = floats("ttc_gt", ttc_gt)
     if t_pred.shape != t_gt.shape:
         raise ShapeError(f"ttc shapes differ: {t_pred.shape} vs {t_gt.shape}")
     loss_ttc = float(np.abs(t_pred - t_gt).mean()) if t_pred.size else 0.0

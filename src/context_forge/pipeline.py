@@ -46,6 +46,7 @@ from .aggregation import (
 )
 from .assembly import assemble
 from .core import (
+    CATEGORY_KEYS,
     ActionContext,
     Category,
     FrameRecord,
@@ -117,8 +118,8 @@ class _Lane:
     """
 
     def __init__(self, category: Category, cfg: SummarizerConfig):
-        self.aggregator = StreamAggregator(category, cfg.p_o.get(category), cfg.p_l.get(category))
-        self.length = cfg.context_lengths.get(category)
+        p_o, p_l, self.length = (getattr(cfg, key) for key in CATEGORY_KEYS[category])
+        self.aggregator = StreamAggregator(category, p_o, p_l)
         self.mode = _MODES[category]
         self.settled_kept: deque[Segment] = deque(maxlen=max(0, self.length - 1))
         self.terms: list[Term] = []

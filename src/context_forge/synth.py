@@ -24,6 +24,7 @@ from .aggregation import SelectionMode, context_for_frame, eliminate_overlaps
 from .assembly import assemble
 from .core import (
     AT_LEAST_ONE,
+    CATEGORY_KEYS,
     ActionContext,
     ActionPair,
     BoundingBox,
@@ -329,6 +330,7 @@ def oracle_summarize_video(
         Category.HELD: SelectionMode.CURRENT_AND_PAST,
         Category.SALIENT: SelectionMode.CURRENT_ONLY,
     }
+    knobs = {c: [getattr(cfg, key) for key in CATEGORY_KEYS[c]] for c in Category}  # p_o, p_l, context length
     # each category's (frame, terms) stream of the processed frames before t
     streams: dict[Category, list[tuple[int, list[Term]]]] = {c: [] for c in Category}
     results = []
@@ -337,11 +339,9 @@ def oracle_summarize_video(
         # the empty frame t is the horizon, so activity is decided at t
         terms = [
             context_for_frame(
-                eliminate_overlaps(oracle_aggregate(
-                    streams[c] + [(t, [])], cfg.p_o.get(c), cfg.p_l.get(c), c
-                )),
+                eliminate_overlaps(oracle_aggregate(streams[c] + [(t, [])], knobs[c][0], knobs[c][1], c)),
                 t,
-                cfg.context_lengths.get(c),
+                knobs[c][2],
                 modes[c],
             )
             for c in Category

@@ -22,7 +22,6 @@ from context_forge.core import (
     Category,
     EmbeddingTable,
     ObjectInteraction,
-    PerCategory,
     PosTag,
     Prediction,
     SummarizerConfig,
@@ -83,10 +82,10 @@ def test_criterion_1_default_config_fidelity():
         assert cfg.d == 4
         assert cfg.k == 5
         assert cfg.theta_iou == 0.25
-        assert cfg.p_o == PerCategory(action=1, held=7, salient=10)
-        assert cfg.p_l == PerCategory(action=7, held=7, salient=7)
+        assert (cfg.p_o_action, cfg.p_o_held, cfg.p_o_salient) == (1, 7, 10)
+        assert (cfg.p_l_action, cfg.p_l_held, cfg.p_l_salient) == (7, 7, 7)
         assert cfg.stride == 3
-        assert cfg.context_lengths == PerCategory(action=3, held=3, salient=3)
+        assert (cfg.l_action, cfg.l_held, cfg.l_salient) == (3, 3, 3)
         assert cfg.iou_thresh == 0.5
         assert cfg.t_delta == 0.25
 

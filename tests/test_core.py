@@ -24,7 +24,6 @@ from context_forge.core import (
     InvariantError,
     ObjectInteraction,
     ParseError,
-    PerCategory,
     PosTag,
     Prediction,
     Segment,
@@ -54,13 +53,18 @@ class TestDefaults:
         assert cfg.d == 4
         assert cfg.k == 5
         assert cfg.theta_iou == 0.25
-        assert cfg.p_o == PerCategory(action=1, held=7, salient=10)
-        assert cfg.p_l == PerCategory(action=7, held=7, salient=7)
+        assert (cfg.p_o_action, cfg.p_o_held, cfg.p_o_salient) == (1, 7, 10)
+        assert (cfg.p_l_action, cfg.p_l_held, cfg.p_l_salient) == (7, 7, 7)
         assert cfg.stride == 3
-        assert cfg.context_lengths == PerCategory(action=3, held=3, salient=3)
+        assert (cfg.l_action, cfg.l_held, cfg.l_salient) == (3, 3, 3)
         assert cfg.min_ttc == 0.033
         assert cfg.iou_thresh == 0.5
         assert cfg.t_delta == 0.25
+
+    def test_fields_are_the_config_keys_in_order(self):
+        assert [f.name for f in dataclasses.fields(SummarizerConfig)] == list(core._CONFIG_KEYS)
+        # each category's p_o, p_l and l keys, listed knob by knob as _CONFIG_KEYS lists them
+        assert [key for keys in zip(*core.CATEGORY_KEYS.values()) for key in keys] == list(core._CONFIG_KEYS)[3:12]
 
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
@@ -156,9 +160,9 @@ class TestConfigParsing:
         path = tmp_path / "c.cfg"
         path.write_text("p_o_held=3\nl_salient=5\np_l_action=4\n")
         cfg = load_config(path)
-        assert cfg.p_o == PerCategory(action=1, held=3, salient=10)
-        assert cfg.context_lengths == PerCategory(action=3, held=3, salient=5)
-        assert cfg.p_l == PerCategory(action=4, held=7, salient=7)
+        assert (cfg.p_o_action, cfg.p_o_held, cfg.p_o_salient) == (1, 3, 10)
+        assert (cfg.l_action, cfg.l_held, cfg.l_salient) == (3, 3, 5)
+        assert (cfg.p_l_action, cfg.p_l_held, cfg.p_l_salient) == (4, 7, 7)
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -187,7 +191,8 @@ class TestConfigParsing:
         ]
 
     @pytest.mark.parametrize(
-        "fields", [{"d": True}, {"k": 2.5}, {"theta_iou": "1"}, {"p_o": PerCategory(1, True, 10)}]
+        "fields",
+        [{"d": True}, {"k": 2.5}, {"theta_iou": "1"}, {"p_o_action": 1, "p_o_held": True, "p_o_salient": 10}],
     )
     def test_wrong_type_rejected(self, fields):
         # the integer and number rules of every value type: never a bool, a float for an int, or a string
@@ -210,9 +215,9 @@ class TestConfigParsing:
 
     def test_context_length_beyond_sys_maxsize_rejected(self):
         # a context length sizes a deque, whose maxlen must fit in a C ssize_t
-        SummarizerConfig(context_lengths=PerCategory(3, sys.maxsize, 3))
+        SummarizerConfig(l_action=3, l_held=sys.maxsize, l_salient=3)
         with pytest.raises(ValidationError, match="out of range"):
-            SummarizerConfig(context_lengths=PerCategory(3, 2**70, 3))
+            SummarizerConfig(l_action=3, l_held=2**70, l_salient=3)
 
     @pytest.mark.parametrize(
         "fields",
@@ -318,8 +323,8 @@ class TestConfigParsing:
         assert load_config(path) == cfg
 
     @pytest.mark.parametrize("fields, message", [
-        ({"p_o": (1, 2, 3)}, "p_o must be a PerCategory, got [1, 2, 3]"),
-        ({"context_lengths": None}, "context_lengths must be a PerCategory, got null"),
+        ({"p_o_held": (1,)}, "p_o_held must be an integer, got [1]"),
+        ({"l_salient": None}, "l_salient must be an integer, got null"),
         ({"vocab_noun": "cup"}, 'vocab_noun must be a set of labels, got "cup"'),
         ({"generic_nouns": ["thing"]}, 'generic_nouns must be a set of labels, got ["thing"]'),
         ({"merge_table": (("a", "b", "c"),)},
@@ -356,7 +361,7 @@ FLOATS = st.floats() | st.integers(-(10**20), 10**20) | st.sampled_from([5e-324,
 def _key_and_value(key):
     """``key`` with a value drawn for it: a bool, an int or float, a label set (a list, in any
     order) in mixed case and padding, or a merge table in any order."""
-    decode = core._CONFIG_KEYS[key][1]
+    decode = core._CONFIG_KEYS[key][0]
     if decode is int or decode is float:
         values = st.booleans() | (INTS if decode is int else FLOATS)
     elif key == "merge_table":
@@ -374,10 +379,7 @@ def _tried(run):
 
 
 def _built(key, value) -> SummarizerConfig:
-    name, _, part = core._CONFIG_KEYS[key][0].partition(".")
-    if part:
-        value = dataclasses.replace(getattr(SummarizerConfig(), name), **{part: value})
-    return SummarizerConfig(**{name: frozenset(value) if isinstance(value, list) else value})
+    return SummarizerConfig(**{key: frozenset(value) if isinstance(value, list) else value})
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

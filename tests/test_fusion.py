@@ -449,6 +449,14 @@ class TestFuse:
         with pytest.raises(ShapeError, match="scale 2"):
             fuse(maps, np.zeros((0, scales[0].d_lang)), scales)
 
+    @pytest.mark.parametrize("shape", [(3, 8, 8), (2, 16, 16)], ids=["8x8-map", "2-channel-map"])
+    def test_single_scale_map_of_wrong_shape_refused(self, shape):
+        # checks calls fuse_single_scale directly, so it checks the map as fuse does
+        params = random_fusion_params(0)[0]  # 3 channels, 16x16
+        with pytest.raises(ShapeError) as error:
+            fusion.fuse_single_scale(np.zeros(shape), np.zeros((1, params.d_lang)), params)
+        assert str(error.value) == f"feature map shape {shape}, expected (3, 16, 16)"
+
     @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("name", ["feature_map", "lang_tokens"])
     def test_non_finite_input_rejected(self, name, value):
@@ -590,6 +598,29 @@ class TestLoss:
         bad["cls_probs"] = np.array([0.0, 0.5])
         with pytest.raises(ValidationError):
             loss_total(**bad)
+
+    @pytest.mark.parametrize("targets, message", [
+        ([0, -1], "noun_targets[1] -1 out of range [0, 1]"),
+        ([5, 1], "noun_targets[0] 5 out of range [0, 1]"),
+        ([0.5, 1], "noun_targets must be an array of integer class indices, got array([0.5, 1. ])"),
+    ], ids=["negative", "past-last-class", "fraction"])
+    def test_class_index_outside_classes_refused(self, targets, message):
+        # numpy reads -1 as the last class, and raises its own IndexError for the others
+        with pytest.raises(ValidationError) as error:
+            loss_total(**{**self._perfect(), "noun_targets": targets})
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize("name, value", [
+        ("cls_probs", [math.nan, 0.5]),
+        ("boxes", np.full((2, 4), math.nan)),
+        ("noun_logits", [[math.nan, 0.0], [0.0, 50.0]]),
+        ("ttc_pred", [math.inf, 1.0]),
+    ], ids=["nan-probability", "nan-box", "nan-logit", "infinite-ttc"])
+    def test_non_finite_array_refused(self, name, value):
+        # a NaN probability passes both objectness comparisons, and the loss would be NaN
+        with pytest.raises(ValidationError) as error:
+            loss_total(**{**self._perfect(), name: value})
+        assert str(error.value) == f"{name} holds a NaN or infinite value"
 
     def test_regression_only_counts_foreground(self):
         kwargs = self._perfect()

@@ -10,7 +10,6 @@ from context_forge.core import (
     ActionPair,
     BoundingBox,
     FrameRecord,
-    PerCategory,
     PosTag,
     SummarizerConfig,
     TaggedToken,
@@ -114,7 +113,7 @@ class TestSummarizeVideo:
         for s in planted:
             if s.category.value == "salient":
                 salient_planted.setdefault(s.term, []).append(s)
-        slack = 3 * SummarizerConfig().p_l.salient
+        slack = 3 * SummarizerConfig().p_l_salient
         for _, frame_id, ctx in results:
             for label in ctx.salient_objects:
                 # stale salient objects (ended long before) must not reappear
@@ -175,16 +174,21 @@ def planted_records(n_frames, actions=(), held=(), salient=()):
     return scenario_to_frame_records(stream, "v")
 
 
+def per_category(name: str, action: int, held: int, salient: int) -> dict[str, int]:
+    """The config keys ``{name}_action``, ``{name}_held`` and ``{name}_salient`` with their values."""
+    return {f"{name}_action": action, f"{name}_held": held, f"{name}_salient": salient}
+
+
 EDGE_CONFIGS = {
     "default": SummarizerConfig(),
     "stride-1": SummarizerConfig(stride=1),
-    "lapse-0": SummarizerConfig(stride=1, p_l=PerCategory(0, 0, 0)),
-    "length-1": SummarizerConfig(context_lengths=PerCategory(1, 1, 1)),
+    "lapse-0": SummarizerConfig(stride=1, **per_category("p_l", 0, 0, 0)),
+    "length-1": SummarizerConfig(**per_category("l", 1, 1, 1)),
     "all-edges": SummarizerConfig(
         stride=1,
-        p_o=PerCategory(1, 1, 1),
-        p_l=PerCategory(0, 0, 0),
-        context_lengths=PerCategory(1, 1, 1),
+        **per_category("p_o", 1, 1, 1),
+        **per_category("p_l", 0, 0, 0),
+        **per_category("l", 1, 1, 1),
     ),
 }
 
@@ -236,14 +240,14 @@ def random_records(rng: SplitMix64) -> list[FrameRecord]:
 
 
 def random_config(rng: SplitMix64) -> SummarizerConfig:
-    def per_category(values):
-        return PerCategory(*(rng.choice(values) for _ in range(3)))
+    def drawn(name, values):  # action, held, salient, in that order
+        return per_category(name, *(rng.choice(values) for _ in range(3)))
 
     return SummarizerConfig(
-        p_o=per_category([1, 2, 3, 7]),
-        p_l=per_category([0, 1, 3, 7, 12]),
+        **drawn("p_o", [1, 2, 3, 7]),
+        **drawn("p_l", [0, 1, 3, 7, 12]),
         stride=rng.choice([1, 2, 3]),
-        context_lengths=per_category([0, 1, 2, 3, 5]),
+        **drawn("l", [0, 1, 2, 3, 5]),
     )
 
 
@@ -251,10 +255,10 @@ def random_config(rng: SplitMix64) -> SummarizerConfig:
 # run's lapse (p_o <= p_l), at stride 1 and 2, and one that caps every lane at one term.
 TIE_CONFIGS = {
     "default": SummarizerConfig(),
-    "stride-1": SummarizerConfig(stride=1, p_o=PerCategory(1, 2, 2), p_l=PerCategory(5, 5, 5)),
-    "stride-2": SummarizerConfig(stride=2, p_o=PerCategory(1, 1, 2), p_l=PerCategory(6, 4, 8)),
+    "stride-1": SummarizerConfig(stride=1, **per_category("p_o", 1, 2, 2), **per_category("p_l", 5, 5, 5)),
+    "stride-2": SummarizerConfig(stride=2, **per_category("p_o", 1, 1, 2), **per_category("p_l", 6, 4, 8)),
     "length-1": SummarizerConfig(
-        stride=1, p_o=PerCategory(1, 1, 1), p_l=PerCategory(3, 3, 3), context_lengths=PerCategory(1, 1, 1)
+        stride=1, **per_category("p_o", 1, 1, 1), **per_category("p_l", 3, 3, 3), **per_category("l", 1, 1, 1)
     ),
 }
 
@@ -311,9 +315,9 @@ class TestIncrementalMatchesPerFrameOracle:
         for p_l in itertools.product(range(3), repeat=3):
             cfg = SummarizerConfig(
                 stride=stride,
-                p_o=PerCategory(1, 1, 2),
-                p_l=PerCategory(*p_l),
-                context_lengths=PerCategory(3, 2, 2),
+                **per_category("p_o", 1, 1, 2),
+                **per_category("p_l", *p_l),
+                **per_category("l", 3, 2, 2),
             )
             for records in streams:
                 expected = oracle_summarize_video("v", records, cfg)
